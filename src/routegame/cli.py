@@ -319,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "max_moves", 0) < 0:
+        return _usage_error("--max-moves must be nonnegative")
     try:
         return args.func(args)
     except ScenarioError as exc:

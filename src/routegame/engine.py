@@ -4,15 +4,32 @@ Per-unit edge cost for player i: c1 * (a * f_e + b) + c2 * u(r_i), where f_e is
 the total load on the edge and r_i the player's own demand. A unilateral switch
 changes the potential by exactly 2 * r_i * (cost change of the switching player),
 which makes every strict best-response move a strict potential descent.
+
+Every function here is a view over the instance's compiled table
+(`GameInstance.compiled`): edge indices per (commodity, path), and the
+load-free terms c2 * u(r), (a * r + b) * r and u(r) * r per (commodity, edge),
+each evaluated once per instance. With E edges and a player's P paths of at
+most L edges, one best response costs O(E + P * L) and evaluates no price.
+The dynamics keep each edge's users in player order; a move re-sums only the
+edges the mover leaves or joins (O(N) each, in C, for N players) and then the
+potential in O(E).
+
+Floating-point operations and their order are those of the original dict-based
+engine, so tie-breaks and reports are bit-identical to it: loads are summed
+from 0.0 in player order, a deviated load is (f - r) + r on an edge the
+current and alternative paths share and f + r elsewhere, path costs are summed
+in path order, and the potential's per-edge user sums use builtin sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .model import GameInstance, Path
-from .pricing import eval_u
+from .model import CompiledGame, GameInstance
 
 DEFAULT_EPS_IMPROVE = 1e-9
 DEFAULT_MAX_MOVES = 100_000
@@ -54,7 +71,7 @@ class EquilibriumReport:
     witness: Optional[DeviationWitness] = None
 
 
-def _check_profile(instance: GameInstance, profile: StrategyProfile) -> None:
+def _check_profile(instance: GameInstance, profile: StrategyProfile) -> CompiledGame:
     if not instance.prepared:
         raise ValueError("instance has no enumerated paths; call prepare() first")
     if len(profile.choice) != len(instance.commodities):
@@ -62,17 +79,138 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> None:
     for i, c in enumerate(profile.choice):
         if c >= len(instance.paths[i]):
             raise ValueError(f"path index {c} out of range for commodity {i}")
+    return instance.compiled
+
+
+class _Flow:
+    """The users of each edge under a profile, in player order, and the sums
+    that the loads and the potential take over them.
+
+    A move edits the user lists of the edges the mover leaves or joins and
+    re-sums only those edges. Every sum still runs over all users in player
+    order, so each float equals that of a rebuild from scratch.
+    """
+
+    def __init__(self, g: CompiledGame, choice: Sequence[int]):
+        n = len(g.c1)
+        self.g = g
+        self.users: list[list[int]] = [[] for _ in range(n)]
+        self.demands: list[list[float]] = [[] for _ in range(n)]
+        self.congestion: list[list[float]] = [[] for _ in range(n)]
+        self.price: list[list[float]] = [[] for _ in range(n)]
+        for i, c in enumerate(choice):
+            r = g.demand[i]
+            own_congestion, own_price = g.self_congestion[i], g.self_price[i]
+            for k in g.paths[i][c]:
+                self.users[k].append(i)
+                self.demands[k].append(r)
+                self.congestion[k].append(own_congestion[k])
+                self.price[k].append(own_price[k])
+        self.loads = [0.0] * n
+        self.congestion_sum: list[float] = [0.0] * n
+        self.price_sum: list[float] = [0.0] * n
+        for k in range(n):
+            self._resum(k)
+
+    def _resum(self, k: int) -> None:
+        # loads start from 0.0; the potential's sums start from int 0 (builtin sum)
+        self.loads[k] = reduce(add, self.demands[k], 0.0)
+        self.congestion_sum[k] = sum(self.congestion[k])
+        self.price_sum[k] = sum(self.price[k])
+
+    def move(self, player: int, old: int, new: int) -> None:
+        g = self.g
+        old_path, new_path = g.paths[player][old], g.paths[player][new]
+        for k in old_path:
+            if k not in new_path:
+                pos = bisect_left(self.users[k], player)
+                del self.users[k][pos], self.demands[k][pos]
+                del self.congestion[k][pos], self.price[k][pos]
+                self._resum(k)
+        for k in new_path:
+            if k not in old_path:
+                pos = bisect_left(self.users[k], player)
+                self.users[k].insert(pos, player)
+                self.demands[k].insert(pos, g.demand[player])
+                self.congestion[k].insert(pos, g.self_congestion[player][k])
+                self.price[k].insert(pos, g.self_price[player][k])
+                self._resum(k)
+
+    def potential(self) -> float:
+        g = self.g
+        c1, c2, a, b = g.c1, g.c2, g.a, g.b
+        total = 0.0
+        for k, fk in enumerate(self.loads):
+            congestion = (a[k] * fk + b[k]) * fk + self.congestion_sum[k]
+            total += c1[k] * congestion + 2.0 * c2[k] * self.price_sum[k]
+        return total
+
+
+def _edge_costs(
+    g: CompiledGame, player: int, loads: list[float], edges: Sequence[int]
+) -> list[float]:
+    """`player`'s per-unit cost of each edge in `edges` at `loads`; entries of
+    other edges are left as loads."""
+    c1, a, b, price = g.c1, g.a, g.b, g.unit_price[player]
+    costs = loads[:]
+    for k in edges:
+        costs[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
+    return costs
+
+
+def _path_cost(costs: list[float], path: Sequence[int]) -> float:
+    total = 0.0
+    for k in path:
+        total += costs[k]
+    return total
+
+
+def _deviated_costs(
+    g: CompiledGame, f: list[float], player: int, current: int
+) -> list[float]:
+    """Per-unit edge costs for `player` at the deviated loads: its demand taken
+    off its current path, then put on the edge whose cost is read."""
+    r = g.demand[player]
+    shifted = f[:]
+    for k in g.paths[player][current]:
+        shifted[k] -= r
+    edges = g.edges_of[player]
+    for k in edges:
+        shifted[k] += r
+    return _edge_costs(g, player, shifted, edges)
+
+
+def _current_cost(g: CompiledGame, f: list[float], player: int, current: int) -> float:
+    path = g.paths[player][current]
+    return _path_cost(_edge_costs(g, player, f, path), path)
+
+
+def _best_response(
+    g: CompiledGame,
+    f: list[float],
+    choice: Sequence[int],
+    player: int,
+    eps_improve: float,
+) -> tuple[int, float, float]:
+    """(best path, its cost, current cost) as in `best_response`."""
+    c = choice[player]
+    costs = _deviated_costs(g, f, player, c)
+    best_idx, best_cost = None, None
+    for j, path in enumerate(g.paths[player]):
+        cost = _path_cost(costs, path)
+        if best_cost is None or cost < best_cost:
+            best_idx, best_cost = j, cost
+    current_cost = _current_cost(g, f, player, c)
+    if current_cost - best_cost <= eps_improve:
+        return c, current_cost, current_cost
+    return best_idx, best_cost, current_cost
 
 
 def edge_loads(instance: GameInstance, profile: StrategyProfile) -> EdgeLoads:
     """Aggregate each player's demand over its chosen path."""
-    _check_profile(instance, profile)
-    load = {e.id: 0.0 for e in instance.edges}
-    for i, c in enumerate(profile.choice):
-        r = instance.commodities[i].demand
-        for eid in instance.paths[i][c]:
-            load[eid] += r
-    return EdgeLoads(load)
+    g = _check_profile(instance, profile)
+    f = _Flow(g, profile.choice).loads
+    return EdgeLoads({eid: f[k] for eid, k in g.edge_index.items()})
 
 
 def unit_path_cost(
@@ -81,63 +219,38 @@ def unit_path_cost(
     player: int,
     path: Sequence[str],
 ) -> float:
-    """Per-unit-flow cost player `player` pays to traverse `path` at the given loads."""
-    r = instance.commodities[player].demand
-    total = 0.0
-    for eid in path:
-        e = instance.edge(eid)
-        total += e.c1 * (e.a * loads[eid] + e.b) + e.c2 * eval_u(e.price, r)
-    return total
+    """Per-unit-flow cost player `player` pays to traverse `path` at the given
+    loads. `path` must use only edges of the player's strategy set."""
+    g = instance.compiled
+    idx = tuple(g.edge_index[eid] for eid in path)
+    price = g.unit_price[player]
+    for eid, k in zip(path, idx):
+        if price[k] is None:
+            raise ValueError(f"edge {eid!r} is on no path of commodity {player}")
+    f = [loads[e.id] for e in instance.edges]
+    return _path_cost(_edge_costs(g, player, f, idx), idx)
 
 
 def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
     """Total cost over all players: weighted congestion term plus weighted price term."""
-    loads = edge_loads(instance, profile)
+    g = _check_profile(instance, profile)
+    f = _Flow(g, profile.choice).loads
+    c1, a, b = g.c1, g.a, g.b
     total = 0.0
-    for e in instance.edges:
-        f = loads[e.id]
-        total += e.c1 * (e.a * f + e.b) * f
+    for k, fk in enumerate(f):
+        total += c1[k] * (a[k] * fk + b[k]) * fk
     for i, c in enumerate(profile.choice):
-        r = instance.commodities[i].demand
-        for eid in instance.paths[i][c]:
-            e = instance.edge(eid)
-            total += e.c2 * eval_u(e.price, r) * r
+        r = g.demand[i]
+        price = g.unit_price[i]
+        for k in g.paths[i][c]:
+            total += price[k] * r
     return total
 
 
 def potential(instance: GameInstance, profile: StrategyProfile) -> float:
     """Scalar whose change under any unilateral switch is twice the mover's
     demand times the mover's cost change; its minima are equilibria."""
-    _check_profile(instance, profile)
-    loads = edge_loads(instance, profile)
-    users: dict[str, list[float]] = {e.id: [] for e in instance.edges}
-    for i, c in enumerate(profile.choice):
-        r = instance.commodities[i].demand
-        for eid in instance.paths[i][c]:
-            users[eid].append(r)
-    total = 0.0
-    for e in instance.edges:
-        f = loads[e.id]
-        congestion = (e.a * f + e.b) * f + sum((e.a * r + e.b) * r for r in users[e.id])
-        price = sum(eval_u(e.price, r) * r for r in users[e.id])
-        total += e.c1 * congestion + 2.0 * e.c2 * price
-    return total
-
-
-def _deviated_loads(
-    instance: GameInstance,
-    loads: EdgeLoads,
-    player: int,
-    current: Path,
-    alternative: Path,
-) -> EdgeLoads:
-    r = instance.commodities[player].demand
-    new = dict(loads.load)
-    for eid in current:
-        new[eid] = new.get(eid, 0.0) - r
-    for eid in alternative:
-        new[eid] = new.get(eid, 0.0) + r
-    return EdgeLoads(new)
+    return _Flow(_check_profile(instance, profile), profile.choice).potential()
 
 
 def is_equilibrium(
@@ -150,21 +263,16 @@ def is_equilibrium(
 
     Alternative costs are evaluated at the deviated loads (the player's demand
     moved onto the alternative path)."""
-    _check_profile(instance, profile)
-    loads = edge_loads(instance, profile)
-    costs = tuple(
-        unit_path_cost(instance, loads, i, instance.paths[i][c])
-        for i, c in enumerate(profile.choice)
-    )
-    phi = potential(instance, profile)
+    g = _check_profile(instance, profile)
+    flow = _Flow(g, profile.choice)
+    f, phi = flow.loads, flow.potential()
+    costs = tuple(_current_cost(g, f, i, c) for i, c in enumerate(profile.choice))
     for i, c in enumerate(profile.choice):
-        current = instance.paths[i][c]
-        for j, alt in enumerate(instance.paths[i]):
+        shifted = _deviated_costs(g, f, i, c)
+        for j, alt in enumerate(g.paths[i]):
             if j == c:
                 continue
-            shifted = _deviated_loads(instance, loads, i, current, alt)
-            alt_cost = unit_path_cost(instance, shifted, i, alt)
-            improvement = costs[i] - alt_cost
+            improvement = costs[i] - _path_cost(shifted, alt)
             if improvement > eps_improve:
                 return EquilibriumReport(
                     False, costs, phi, DeviationWitness(i, j, improvement)
@@ -180,26 +288,20 @@ def best_response(
 ) -> tuple[int, float]:
     """Cheapest path for `player` at the deviated loads. Ties go to the lowest
     path index, except that the current path wins ties (no churn)."""
-    _check_profile(instance, profile)
-    loads = edge_loads(instance, profile)
-    c = profile.choice[player]
-    current = instance.paths[player][c]
-    best_idx, best_cost = None, None
-    for j, path in enumerate(instance.paths[player]):
-        shifted = _deviated_loads(instance, loads, player, current, path)
-        cost = unit_path_cost(instance, shifted, player, path)
-        if best_cost is None or cost < best_cost:
-            best_idx, best_cost = j, cost
-    current_cost = unit_path_cost(instance, loads, player, current)
-    if current_cost - best_cost <= eps_improve:
-        return c, current_cost
-    return best_idx, best_cost
+    g = _check_profile(instance, profile)
+    f = _Flow(g, profile.choice).loads
+    j, cost, _ = _best_response(g, f, profile.choice, player, eps_improve)
+    return j, cost
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
     max_moves: int = DEFAULT_MAX_MOVES
     eps_improve: float = DEFAULT_EPS_IMPROVE
+
+    def __post_init__(self) -> None:
+        if self.max_moves < 0:
+            raise ValueError("max_moves must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -224,30 +326,30 @@ def run_best_response_dynamics(
     config: DynamicsConfig = DynamicsConfig(),
 ) -> DynamicsResult:
     """Round-robin best responses until no player can improve by more than
-    eps_improve, or until max_moves is exceeded (converged=False)."""
-    _check_profile(instance, initial)
+    eps_improve. Once max_moves moves are made, no further move is taken and
+    convergence is decided by an equilibrium check of the final profile."""
+    g = _check_profile(instance, initial)
     choice = list(initial.choice)
     moves: list[Move] = []
-    trace = [potential(instance, initial)]
+    flow = _Flow(g, choice)
+    trace = [flow.potential()]
     converged = True
     while True:
         moved = False
-        for i in range(len(instance.commodities)):
-            profile = StrategyProfile(tuple(choice))
-            loads = edge_loads(instance, profile)
-            current = instance.paths[i][choice[i]]
-            current_cost = unit_path_cost(instance, loads, i, current)
-            j, cost = best_response(instance, profile, i, config.eps_improve)
+        for i in range(len(choice)):
+            if len(moves) >= config.max_moves:
+                break
+            j, cost, current_cost = _best_response(
+                g, flow.loads, choice, i, config.eps_improve
+            )
             if j == choice[i]:
                 continue
             moves.append(Move(i, choice[i], j, current_cost - cost))
+            flow.move(i, choice[i], j)
             choice[i] = j
-            trace.append(potential(instance, StrategyProfile(tuple(choice))))
+            trace.append(flow.potential())
             moved = True
-            if len(moves) >= config.max_moves:
-                break
-        if len(moves) >= config.max_moves and moved:
-            # one final sweep decides convergence below
+        if len(moves) >= config.max_moves:
             final = StrategyProfile(tuple(choice))
             converged = is_equilibrium(
                 instance, final, config.eps_improve

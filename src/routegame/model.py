@@ -2,16 +2,19 @@
 
 A strategy set is the full list of simple source-to-sink paths of a commodity,
 stored as edge-id sequences and sorted lexicographically so that path indices
-are stable across runs and platforms.
+are stable across runs and platforms. A prepared instance compiles, once, into
+the integer-indexed cost tables of `CompiledGame` that the engine and the
+oracle read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .pricing import PriceSpec, ZERO_PRICE
+from .pricing import PriceSpec, ZERO_PRICE, eval_u
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
@@ -62,17 +65,79 @@ class GameInstance:
     #: Builder provenance (not serialized, ignored by equality).
     meta: Mapping[str, object] = field(default_factory=dict, compare=False)
 
-    def edge(self, edge_id: str) -> EdgeSpec:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
     @property
     def prepared(self) -> bool:
         return len(self.paths) == len(self.commodities) > 0 or (
             len(self.commodities) == 0
         )
+
+    @cached_property
+    def compiled(self) -> "CompiledGame":
+        """Integer-indexed cost tables, built on first use and kept with the
+        instance. Not a field: equality and repr ignore it, and `replace()`
+        starts without it."""
+        if not self.prepared:
+            raise ValueError("instance has no enumerated paths; call prepare() first")
+        return CompiledGame(self)
+
+
+class CompiledGame:
+    """A prepared instance as integer-indexed tables; read-only by convention.
+
+    Edges are numbered in instance order; per-edge lists are indexed by that
+    number. Every term that depends on a player's own demand but not on loads
+    is evaluated here exactly once per (commodity, edge on one of its paths);
+    entries for edges on none of a commodity's paths are None. Price terms of
+    edges with c2 = 0 are 0.0 without evaluating u.
+    """
+
+    def __init__(self, instance: GameInstance):
+        edges = instance.edges
+        #: edge id -> index of its first occurrence
+        self.edge_index: dict[str, int] = {}
+        for k, e in enumerate(edges):
+            self.edge_index.setdefault(e.id, k)
+        self.c1 = tuple(e.c1 for e in edges)
+        self.c2 = tuple(e.c2 for e in edges)
+        self.a = tuple(e.a for e in edges)
+        self.b = tuple(e.b for e in edges)
+        self.demand = tuple(c.demand for c in instance.commodities)
+        #: per (commodity, path): edge indices in path order
+        self.paths: list[tuple[tuple[int, ...], ...]] = []
+        #: per commodity: edge indices on any of its paths, ascending
+        self.edges_of: list[tuple[int, ...]] = []
+        #: per (commodity, edge): c2 * u(r), the price part of the unit cost
+        self.unit_price: list[list[Optional[float]]] = []
+        #: per (commodity, edge): (a * r + b) * r, the player's own congestion term
+        self.self_congestion: list[list[Optional[float]]] = []
+        #: per (commodity, edge): u(r) * r, the player's own price term
+        self.self_price: list[list[Optional[float]]] = []
+
+        # commodities with equal strategy sets share one compiled copy
+        strategies: dict[tuple[Path, ...], tuple] = {}
+        for c, plist in zip(instance.commodities, instance.paths):
+            if plist not in strategies:
+                compiled = tuple(
+                    tuple(self.edge_index[eid] for eid in p) for p in plist
+                )
+                on_paths = tuple(sorted({k for p in compiled for k in p}))
+                strategies[plist] = compiled, on_paths
+            compiled, on_paths = strategies[plist]
+            r = c.demand
+            price: list[Optional[float]] = [None] * len(edges)
+            congestion: list[Optional[float]] = [None] * len(edges)
+            own_price: list[Optional[float]] = [None] * len(edges)
+            for k in on_paths:
+                e = edges[k]
+                u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
+                price[k] = e.c2 * u
+                congestion[k] = (e.a * r + e.b) * r
+                own_price[k] = u * r
+            self.paths.append(compiled)
+            self.edges_of.append(on_paths)
+            self.unit_price.append(price)
+            self.self_congestion.append(congestion)
+            self.self_price.append(own_price)
 
 
 @dataclass(frozen=True)
@@ -135,10 +200,14 @@ def enumerate_paths(
 
 
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
-    """Return a copy of the instance with every commodity's strategy set populated."""
-    all_paths = tuple(
-        tuple(enumerate_paths(instance, c, cap)) for c in instance.commodities
-    )
+    """Return a copy of the instance with every commodity's strategy set populated.
+
+    Commodities with the same source and sink share one strategy-set tuple."""
+    by_endpoints: dict[tuple[str, str], tuple[Path, ...]] = {}
+    for c in instance.commodities:
+        if (c.source, c.sink) not in by_endpoints:
+            by_endpoints[c.source, c.sink] = tuple(enumerate_paths(instance, c, cap))
+    all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
     return replace(instance, paths=all_paths)
 
 

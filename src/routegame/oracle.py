@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 from .engine import StrategyProfile, DEFAULT_EPS_IMPROVE
 from .model import GameInstance
-from .pricing import eval_u
 
 DEFAULT_PROFILE_CAP = 200_000
 
@@ -72,17 +71,16 @@ class _Indexed:
 
     def __init__(self, instance: GameInstance, eps_improve: float):
         self.eps = eps_improve
-        edges = instance.edges
-        eidx = {e.id: j for j, e in enumerate(edges)}
-        c1a = [e.c1 * e.a for e in edges]
-        c1b = [e.c1 * e.b for e in edges]
-        active = [j for j in range(len(edges)) if c1a[j] != 0.0]
+        g = instance.compiled
+        c1a = [c1 * a for c1, a in zip(g.c1, g.a)]
+        c1b = [c1 * b for c1, b in zip(g.c1, g.b)]
+        active = [j for j in range(len(c1a)) if c1a[j] != 0.0]
         slot = {j: s for s, j in enumerate(active)}
         self.n_active = len(active)
         self.slope = [c1a[j] for j in active]
 
-        self.demand = [c.demand for c in instance.commodities]
-        self.radices = [len(p) for p in instance.paths]
+        self.demand = list(g.demand)
+        self.radices = [len(p) for p in g.paths]
 
         # per (commodity, path): active slots on the path, demand to add there,
         # load-free path-cost constant, load-free social-cost contribution
@@ -95,14 +93,11 @@ class _Indexed:
         # digits that can never appear in an equilibrium, decided load-free
         self.static_bad: list[list[bool]] = []
 
-        for i, c in enumerate(instance.commodities):
-            r = c.demand
+        for i, r in enumerate(g.demand):
+            unit_price = g.unit_price[i]
             idx_lists, act_lists, consts, scs, prices = [], [], [], [], []
-            for p in instance.paths[i]:
-                idxs = tuple(eidx[eid] for eid in p)
-                price = sum(
-                    edges[j].c2 * eval_u(edges[j].price, r) for j in idxs
-                )
+            for idxs in g.paths[i]:
+                price = sum(unit_price[j] for j in idxs)
                 base = price + sum(c1b[j] for j in idxs)
                 idx_lists.append(frozenset(idxs))
                 act_lists.append(tuple(slot[j] for j in idxs if j in slot))

@@ -96,6 +96,13 @@ def test_equilibrate_single_path_converges_immediately(capsys, tmp_path):
     assert out["moves"] == 0
 
 
+def test_equilibrate_negative_move_cap_is_usage_error(capsys, classic_after_file):
+    code, out, err = run(capsys, "equilibrate", classic_after_file, "--max-moves", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--max-moves" in err
+
+
 def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
     # the log1p-priced diamond has a unique equilibrium, so every seed must
     # land on the same social cost

@@ -1,5 +1,6 @@
-import itertools
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from routegame.engine import (
     social_cost,
     unit_path_cost,
 )
+from routegame import model
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare
-from routegame.pricing import PriceSpec, eval_u
+from routegame.pricing import PriceDomainError, PriceSpec, eval_u
 from routegame.random_instances import random_affine_instance
 
 TOP, ZIG, BOT = 0, 1, 2  # path indices in the diamond with the shortcut
@@ -314,6 +316,30 @@ def test_move_cap_is_reported_not_fatal(classic_pair_10):
     assert len(result.moves) == 1
 
 
+def test_zero_move_cap_makes_no_move(classic_pair_10):
+    _, after = classic_pair_10
+    start = half_split(10, True)
+    result = run_best_response_dynamics(after, start, DynamicsConfig(max_moves=0))
+    assert result.moves == ()
+    assert result.final == start
+    assert result.potential_trace == (potential(after, start),)
+    assert not result.converged
+
+
+def test_zero_move_cap_at_equilibrium_is_converged(classic_pair_10):
+    _, after = classic_pair_10
+    result = run_best_response_dynamics(
+        after, all_zigzag(10), DynamicsConfig(max_moves=0)
+    )
+    assert result.moves == ()
+    assert result.converged
+
+
+def test_negative_move_cap_is_rejected():
+    with pytest.raises(ValueError, match="max_moves"):
+        DynamicsConfig(max_moves=-1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dynamics_on_random_instances(seed):
@@ -344,3 +370,73 @@ def test_loads_recomputable_after_move_sequence(classic_pair_10):
             manual[eid] += after.commodities[i].demand
     for eid, v in manual.items():
         assert loads[eid] == pytest.approx(v, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# compiled tables
+
+
+def _sin_instance(c1, c2):
+    # demand 2 lies outside the sin family's domain (0, pi/2]
+    price = PriceSpec("sin")
+    return prepare(
+        GameInstance(
+            ("s", "t"),
+            (
+                EdgeSpec("e0", "s", "t", 1.0, 0.0, c1=c1, c2=c2, price=price),
+                EdgeSpec("e1", "s", "t", 2.0, 0.5, c1=c1, c2=c2, price=price),
+            ),
+            (Commodity("p", "s", "t", 2.0), Commodity("q", "s", "t", 0.5)),
+        )
+    )
+
+
+def test_unweighted_price_outside_its_domain_is_never_evaluated():
+    inst = _sin_instance(1.0, 0.0)
+    assert 2.0 > math.pi / 2
+    result = run_best_response_dynamics(inst, StrategyProfile((0, 0)))
+    assert result.converged
+    assert social_cost(inst, result.final) > 0.0
+    assert is_equilibrium(inst, result.final).is_equilibrium
+
+
+def test_weighted_price_outside_its_domain_still_raises():
+    inst = _sin_instance(0.5, 0.5)
+    with pytest.raises(PriceDomainError):
+        potential(inst, StrategyProfile((0, 0)))
+
+
+def test_prices_are_evaluated_once_per_commodity_and_edge(monkeypatch):
+    calls = []
+    real = model.eval_u
+    monkeypatch.setattr(model, "eval_u", lambda spec, x: calls.append(x) or real(spec, x))
+    _, after = build_priced_braess(10, PriceSpec("log1p"))
+    inst = replace(after)  # a fresh instance: nothing compiled yet
+    result = run_best_response_dynamics(inst, half_split(10, True))
+    social_cost(inst, result.final)
+    is_equilibrium(inst, result.final)
+    # 10 players; of the diamond's 5 edges only sv and wt carry a price weight
+    assert len(calls) == 10 * 2
+
+
+def test_compiled_table_is_cached_and_not_part_of_the_value(classic_pair_10):
+    _, after = classic_pair_10
+    table = after.compiled
+    assert after.compiled is table
+    copy = replace(after)
+    assert copy == after
+    assert copy.compiled is not table
+    assert "compiled" not in repr(after)
+
+
+def test_unit_path_cost_rejects_edges_off_the_strategy_set():
+    inst = prepare(
+        GameInstance(
+            ("a", "b", "c"),
+            (EdgeSpec("ab", "a", "b", 1.0, 0.0), EdgeSpec("bc", "b", "c", 1.0, 0.0)),
+            (Commodity("x", "a", "b", 1.0),),
+        )
+    )
+    loads = edge_loads(inst, StrategyProfile((0,)))
+    with pytest.raises(ValueError, match="'bc'"):
+        unit_path_cost(inst, loads, 0, ("bc",))

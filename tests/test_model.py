@@ -191,6 +191,27 @@ def test_parallel_edges_yield_distinct_paths():
     assert enumerate_paths(inst, inst.commodities[0]) == [("e0",), ("e1",)]
 
 
+def test_prepare_shares_strategy_sets_of_equal_endpoints():
+    inst = prepare(
+        GameInstance(
+            ("a", "b", "c"),
+            (
+                EdgeSpec("ab", "a", "b", 1.0, 0.0),
+                EdgeSpec("bc", "b", "c", 1.0, 0.0),
+                EdgeSpec("ac", "a", "c", 1.0, 0.0),
+            ),
+            (
+                Commodity("x", "a", "c", 1.0),
+                Commodity("y", "b", "c", 1.0),
+                Commodity("z", "a", "c", 0.5),
+            ),
+        )
+    )
+    assert inst.paths[0] is inst.paths[2]
+    for c, plist in zip(inst.commodities, inst.paths):
+        assert list(plist) == enumerate_paths(inst, c)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
