@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import Optional, Sequence
@@ -127,10 +128,7 @@ def cmd_equilibrate(args: argparse.Namespace) -> int:
     return 0 if result.converged else 1
 
 
-def _poa_report(instance: GameInstance, args: argparse.Namespace) -> dict:
-    report = oracle.price_of_anarchy(
-        instance, cap=args.cap, eps_improve=args.epsilon, workers=args.workers
-    )
+def _poa_summary(report: oracle.PoAReport) -> dict:
     return {
         "equilibrium_count": report.equilibrium_count,
         "optimal_social_cost": report.optimal_cost,
@@ -143,28 +141,27 @@ def _poa_report(instance: GameInstance, args: argparse.Namespace) -> dict:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     instance = prepare(_read_scenario(args.scenario))
-    equilibria = oracle.find_all_equilibria(
-        instance, cap=args.cap, eps_improve=args.epsilon, workers=args.workers
+    equilibria, report = oracle.equilibria_and_poa(
+        instance, cap=args.cap, eps_improve=args.epsilon
     )
-    summary = _poa_report(instance, args)
     _emit(
         {
             "equilibria": [list(p.choice) for p in equilibria],
             "equilibrium_social_costs": [
                 engine.social_cost(instance, p) for p in equilibria
             ],
-            **summary,
+            **_poa_summary(report),
         },
         args.format,
     )
-    return 0 if summary["within_bound"] else 1
+    return 0 if report.within_bound else 1
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
     instance = prepare(_read_scenario(args.scenario))
-    summary = _poa_report(instance, args)
-    _emit(summary, args.format)
-    return 0 if summary["within_bound"] else 1
+    report = oracle.price_of_anarchy(instance, cap=args.cap, eps_improve=args.epsilon)
+    _emit(_poa_summary(report), args.format)
+    return 0 if report.within_bound else 1
 
 
 def _braess_price(args: argparse.Namespace) -> PriceSpec:
@@ -255,7 +252,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=engine.DEFAULT_EPS_IMPROVE)
     p.add_argument("--max-moves", type=int, default=engine.DEFAULT_MAX_MOVES)
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_PROFILE_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; no effect"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,6 +320,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "max_moves", 0) < 0:
         return _usage_error("--max-moves must be nonnegative")
+    if not math.isfinite(getattr(args, "epsilon", 0.0)):
+        return _usage_error("--epsilon must be finite")
+    if getattr(args, "cap", 1) < 1:
+        return _usage_error("--cap must be at least 1")
+    if getattr(args, "workers", 1) < 1:
+        return _usage_error("--workers must be at least 1")
     try:
         return args.func(args)
     except ScenarioError as exc:

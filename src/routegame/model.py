@@ -10,6 +10,7 @@ oracle read.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
@@ -263,7 +264,12 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             out.append(f"{where}: mixing coefficients outside [0, 1]")
         if abs(e.c1 + e.c2 - 1.0) > NORMALIZATION_TOL:
             out.append(f"{where}: mixing coefficients not normalized")
+        numbers = (e.a, e.b, e.c1, e.c2, *e.price.params.values())
+        if not all(map(math.isfinite, numbers)):
+            out.append(f"{where}: non-finite number")
 
+    # priced edges whose price admits volumes up to x_max only
+    bounded = [e for e in instance.edges if e.c2 != 0.0 and e.price.x_max < math.inf]
     commodity_ids = set()
     for c in instance.commodities:
         where = f"commodity {c.id!r}"
@@ -280,12 +286,22 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             out.append(f"{where}: source equals sink")
         if not c.demand > 0:
             out.append(f"{where}: demand must be positive")
-        elif (
-            c.source in nodes
-            and c.sink in nodes
-            and not _reachable(instance, c.source, c.sink)
-        ):
-            out.append(f"{where}: no s-t path")
+        elif not math.isfinite(c.demand):
+            out.append(f"{where}: demand must be finite")
+        elif c.source in nodes and c.sink in nodes:
+            if not _reachable(instance, c.source, c.sink):
+                out.append(f"{where}: no s-t path")
+            # every edge on some source-sink walk, a superset of the path edges
+            for e in bounded:
+                if (
+                    c.demand > e.price.x_max
+                    and _reachable(instance, c.source, e.tail)
+                    and _reachable(instance, e.head, c.sink)
+                ):
+                    out.append(
+                        f"{where}: demand {c.demand} outside the price domain"
+                        f" of edge {e.id!r} ({e.price.fn!r})"
+                    )
 
     if instance.paths:
         if len(instance.paths) != len(instance.commodities):
@@ -364,6 +380,14 @@ def _parse_price(obj: object, what: str) -> PriceSpec:
         raise ScenarioError(f"{what}: {exc}") from exc
 
 
+def _finite_number(text: str) -> float:
+    # every JSON number, NaN and Infinity included, is read through here
+    x = float(text)
+    if not math.isfinite(x):
+        raise ScenarioError(f"invalid JSON: non-finite number {text}")
+    return x
+
+
 def parse_scenario(text: str, strict: bool = True) -> GameInstance:
     """Parse a scenario JSON document into a validated (pathless) game instance.
 
@@ -371,7 +395,12 @@ def parse_scenario(text: str, strict: bool = True) -> GameInstance:
     self-loops, nonpositive demand) are left for validate_instance to report
     instead of raising; schema, type, and reference errors always raise."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text,
+            parse_constant=_finite_number,
+            parse_float=_finite_number,
+            parse_int=_finite_number,
+        )
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -103,6 +103,59 @@ def test_equilibrate_negative_move_cap_is_usage_error(capsys, classic_after_file
     assert err.startswith("error:") and "--max-moves" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--epsilon", "nan"),
+        ("--epsilon", "inf"),
+        ("--epsilon", "-inf"),
+        ("--cap", "0"),
+        ("--cap", "-5"),
+        ("--workers", "0"),
+        ("--workers", "-3"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, classic_after_file, flag, value):
+    code, out, err = run(capsys, "poa", classic_after_file, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_finite_negative_epsilon_is_accepted(capsys, classic_after_file):
+    # every profile then has an "improving" deviation: a domain failure, exit 1
+    code, out, err = run(capsys, "poa", classic_after_file, "--epsilon=-1")
+    assert code == 1
+    assert "no pure equilibrium" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "poa"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_scenario_number_is_rejected(
+    capsys, tmp_path, classic_after_file, command, constant
+):
+    path = tmp_path / "nonfinite.json"
+    text = open(classic_after_file).read()
+    path.write_text(text.replace('"a": 1.0', f'"a": {constant}', 1))
+    assert path.read_text() != text
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_price_domain_violation_fails_validation(capsys, tmp_path, classic_after_file):
+    doc = json.loads(open(classic_after_file).read())
+    doc["edges"][0].update(c1=0.5, c2=0.5, price={"fn": "sin", "params": {}})
+    doc["commodities"][0]["demand"] = 2.0
+    path = tmp_path / "sin-demand-2.json"
+    path.write_text(json.dumps(doc))
+    code, doc, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert doc["valid"] is False
+    assert any("price domain" in v for v in doc["violations"])
+
+
 def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
     # the log1p-priced diamond has a unique equilibrium, so every seed must
     # land on the same social cost

@@ -242,6 +242,52 @@ def test_unreachable_sink_is_reported():
     assert any("no s-t path" in v for v in validate_instance(inst).violations)
 
 
+def test_non_finite_numbers_are_reported():
+    nan, inf = float("nan"), float("inf")
+    deep = PriceSpec("saturating", {"beta": inf})
+    inst = GameInstance(
+        ("a", "b"),
+        (
+            EdgeSpec("e1", "a", "b", nan, 0.0),
+            EdgeSpec("e2", "a", "b", 1.0, inf),
+            EdgeSpec("e3", "a", "b", 1.0, 0.0, 0.5, 0.5, deep),
+        ),
+        (Commodity("x", "a", "b", inf),),
+    )
+    violations = validate_instance(inst).violations
+    for eid in ("e1", "e2", "e3"):
+        assert f"edge {eid!r}: non-finite number" in violations
+    assert "commodity 'x': demand must be finite" in violations
+
+
+def test_parse_rejects_non_finite_numbers():
+    # the last two overflow the float range
+    for number in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400):
+        text = MINIMAL_DOC.replace('"a": 1.0', f'"a": {number}')
+        with pytest.raises(ScenarioError, match="non-finite number"):
+            parse_scenario(text, strict=False)
+    doc = json.loads(MINIMAL_DOC)
+    doc["edges"][0]["price"] = {"fn": "saturating", "params": {"beta": 2.5}}
+    with pytest.raises(ScenarioError, match="non-finite number"):
+        parse_scenario(json.dumps(doc).replace("2.5", "1e999"))
+
+
+def test_price_domain_violation_is_reported():
+    sin = PriceSpec("sin")
+    edges = (
+        EdgeSpec("ab", "a", "b", 1.0, 0.0, 0.5, 0.5, sin),
+        EdgeSpec("cb", "c", "b", 1.0, 0.0, 0.5, 0.5, sin),  # c is not reachable from a
+        EdgeSpec("ab0", "a", "b", 1.0, 0.0, 1.0, 0.0, sin),  # price weight zero
+    )
+    inst = GameInstance(("a", "b", "c"), edges, (Commodity("x", "a", "b", 2.0),))
+    assert validate_instance(inst).violations == (
+        "commodity 'x': demand 2.0 outside the price domain of edge 'ab' ('sin')",
+    )
+    small = dataclasses.replace(inst, commodities=(Commodity("x", "a", "b", 1.5),))
+    assert validate_instance(small).ok
+    prepare(small).compiled  # and it compiles
+
+
 def test_validation_never_mutates(classic_pair_2):
     before, _ = classic_pair_2
     snapshot = dataclasses.replace(before)
