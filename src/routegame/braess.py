@@ -16,6 +16,10 @@ from .model import Commodity, EdgeSpec, GameInstance, NORMALIZATION_TOL, prepare
 from .pricing import PriceSpec, ZERO_PRICE, eval_u
 
 
+class NotConvergedError(RuntimeError):
+    """Best-response dynamics stopped at the move cap short of an equilibrium."""
+
+
 @dataclass(frozen=True)
 class BraessReport:
     before_cost: float            # worst-equilibrium per-unit cost, shortcut absent
@@ -135,7 +139,9 @@ def _worst_equilibrium_unit_cost(
             engine.DynamicsConfig(max_moves=max_moves, eps_improve=eps_improve),
         )
         if not result.converged:
-            raise RuntimeError(f"dynamics did not converge within {max_moves} moves")
+            raise NotConvergedError(
+                f"dynamics did not converge within {max_moves} moves"
+            )
         worst = result.final
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -170,6 +176,8 @@ def edge_addition_experiment(
     The closed-form prediction is attached only for builder-produced pairs."""
     if before.commodities != after.commodities:
         raise ValueError("instances do not share commodities")
+    if not before.commodities:
+        raise ValueError("instances have no commodities")
     before_cost = _worst_equilibrium_unit_cost(
         before, method, cap, eps_improve, max_moves
     )
@@ -192,7 +200,7 @@ def edge_addition_experiment(
     return BraessReport(
         before_cost=before_cost,
         after_cost=after_cost,
-        rho=after_cost / before_cost,
+        rho=oracle.cost_ratio(after_cost, before_cost),
         n_players=len(before.commodities),
         formula_rho=formula,
         price_family=family,

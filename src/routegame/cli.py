@@ -2,8 +2,10 @@
 
 Commands: validate, equilibrate, enumerate, poa, braess {classic|priced|pair},
 price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
-violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
-error. All output is deterministic for fixed flags and seed.
+violations, a demand outside an edge's price domain, cap exceeded,
+non-convergence, bound violation), 2 usage/parse/I/O error. Every flag is
+checked before anything is written to stdout. All output is deterministic for
+fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .model import (
     serialize_scenario,
     validate_instance,
 )
-from .pricing import PRICE_FAMILIES, PriceSpec, eval_F, eval_u
+from .pricing import PRICE_FAMILIES, PriceDomainError, PriceSpec, eval_F, eval_u
 
 FORMATS = ("table", "json", "csv")
 
@@ -164,14 +166,14 @@ def cmd_poa(args: argparse.Namespace) -> int:
     return 0 if report.within_bound else 1
 
 
-def _braess_price(args: argparse.Namespace) -> PriceSpec:
-    params = {}
-    if args.price == "saturating":
-        params["beta"] = args.beta
-    try:
-        return PriceSpec(args.price, params)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+def _price_spec(fn: str, beta: float) -> PriceSpec:
+    """The catalog spec of a family named on the command line; raises
+    ValueError on an unknown family or a bad --beta."""
+    if fn != "saturating":
+        return PriceSpec(fn)
+    if not math.isfinite(beta):
+        raise ValueError("--beta must be finite")
+    return PriceSpec(fn, {"beta": beta})
 
 
 def _usage_error(message: str) -> int:
@@ -184,7 +186,7 @@ def cmd_braess(args: argparse.Namespace) -> int:
         before, after = braess_mod.build_classic_braess(args.n)
     elif args.variant == "priced":
         before, after = braess_mod.build_priced_braess(
-            args.n, _braess_price(args), args.c1, args.c2
+            args.n, _price_spec(args.price, args.beta), args.c1, args.c2
         )
     else:  # pair
         before = prepare(_read_scenario(args.before))
@@ -224,10 +226,16 @@ def cmd_price_curves(args: argparse.Namespace) -> int:
             return _usage_error(f"unknown price family {fam!r}")
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
-    specs = {
-        fam: PriceSpec(fam, {"beta": args.beta} if fam == "saturating" else {})
-        for fam in families
-    }
+    specs = {fam: _price_spec(fam, args.beta) for fam in families}
+    top = args.x_max * args.samples / args.samples  # the last and largest sample
+    if not (args.x_max > 0 and math.isfinite(top)):
+        return _usage_error("--x-max must be positive and --x-max * --samples finite")
+    for fam, spec in specs.items():
+        if top > spec.x_max:
+            return _usage_error(
+                f"--x-max {args.x_max}: sample {top} is outside the domain of"
+                f" {fam!r} (at most {spec.x_max})"
+            )
     header = ["x"]
     for fam in families:
         header += [f"{fam}_F", f"{fam}_u"]
@@ -336,8 +344,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (
         PathEnumerationError,
+        PriceDomainError,
         oracle.ProfileCapError,
         oracle.NoEquilibriumError,
+        braess_mod.NotConvergedError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

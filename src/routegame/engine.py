@@ -19,6 +19,8 @@ engine, so tie-breaks and reports are bit-identical to it: loads are summed
 from 0.0 in player order, a deviated load is (f - r) + r on an edge the
 current and alternative paths share and f + r elsewhere, path costs are summed
 in path order, and the potential's per-edge user sums use builtin sum.
+`social_cost` evaluates the compiled table's one social-cost expression, which
+the oracle's scan evaluates too.
 """
 
 from __future__ import annotations
@@ -232,19 +234,13 @@ def unit_path_cost(
 
 
 def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
-    """Total cost over all players: weighted congestion term plus weighted price term."""
+    """Total cost over all players, as `CompiledGame.social_cost` defines it."""
     g = _check_profile(instance, profile)
     f = _Flow(g, profile.choice).loads
-    c1, a, b = g.c1, g.a, g.b
-    total = 0.0
-    for k, fk in enumerate(f):
-        total += c1[k] * (a[k] * fk + b[k]) * fk
-    for i, c in enumerate(profile.choice):
-        r = g.demand[i]
-        price = g.unit_price[i]
-        for k in g.paths[i][c]:
-            total += price[k] * r
-    return total
+    return g.social_cost(
+        [f[k] for k in g.active],
+        [g.load_free_cost(i, c) for i, c in enumerate(profile.choice)],
+    )
 
 
 def potential(instance: GameInstance, profile: StrategyProfile) -> float:

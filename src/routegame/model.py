@@ -4,7 +4,7 @@ A strategy set is the full list of simple source-to-sink paths of a commodity,
 stored as edge-id sequences and sorted lexicographically so that path indices
 are stable across runs and platforms. A prepared instance compiles, once, into
 the integer-indexed cost tables of `CompiledGame` that the engine and the
-oracle read.
+oracle read, including the one definition of social cost.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from functools import cached_property, reduce
+from operator import add
+from typing import Mapping, Optional, Sequence
 
-from .pricing import PriceSpec, ZERO_PRICE, eval_u
+from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
@@ -89,7 +90,9 @@ class CompiledGame:
     number. Every term that depends on a player's own demand but not on loads
     is evaluated here exactly once per (commodity, edge on one of its paths);
     entries for edges on none of a commodity's paths are None. Price terms of
-    edges with c2 = 0 are 0.0 without evaluating u.
+    edges with c2 = 0 are 0.0 without evaluating u; a demand outside the
+    domain of a c2 != 0 price on one of the commodity's paths raises
+    PriceDomainError naming the commodity and the edge.
     """
 
     def __init__(self, instance: GameInstance):
@@ -103,6 +106,9 @@ class CompiledGame:
         self.a = tuple(e.a for e in edges)
         self.b = tuple(e.b for e in edges)
         self.demand = tuple(c.demand for c in instance.commodities)
+        #: edges with a nonzero slope c1 * a, ascending, and their slopes
+        self.active = tuple(k for k, e in enumerate(edges) if e.c1 * e.a != 0.0)
+        self.slope = tuple(edges[k].c1 * edges[k].a for k in self.active)
         #: per (commodity, path): edge indices in path order
         self.paths: list[tuple[tuple[int, ...], ...]] = []
         #: per commodity: edge indices on any of its paths, ascending
@@ -130,7 +136,13 @@ class CompiledGame:
             own_price: list[Optional[float]] = [None] * len(edges)
             for k in on_paths:
                 e = edges[k]
-                u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
+                try:
+                    u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
+                except PriceDomainError:
+                    raise PriceDomainError(
+                        f"commodity {c.id!r}: demand {r} outside the price domain"
+                        f" of edge {e.id!r} ({e.price.fn!r})"
+                    ) from None
                 price[k] = e.c2 * u
                 congestion[k] = (e.a * r + e.b) * r
                 own_price[k] = u * r
@@ -139,6 +151,25 @@ class CompiledGame:
             self.unit_price.append(price)
             self.self_congestion.append(congestion)
             self.self_price.append(own_price)
+
+    def path_constant(self, i: int, j: int) -> float:
+        """Load-free unit cost of commodity i's path j: its c2 * u(r), then its
+        c1 * b, each summed in path order."""
+        path, price, c1, b = self.paths[i][j], self.unit_price[i], self.c1, self.b
+        return sum(price[k] for k in path) + sum(c1[k] * b[k] for k in path)
+
+    def load_free_cost(self, i: int, j: int) -> float:
+        """Player i's load-free cost on path j."""
+        return self.demand[i] * self.path_constant(i, j)
+
+    def social_cost(self, loads: Sequence[float], load_free: Sequence[float]) -> float:
+        """The social cost of a profile, the only one the package computes:
+        slope * f * f summed over the active edges at their `loads`, then each
+        player's `load_free_cost` on its chosen path, in player order."""
+        total = 0.0
+        for s, f in zip(self.slope, loads):
+            total += s * f * f
+        return reduce(add, load_free, total)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,24 @@ def test_price_domain_violation_fails_validation(capsys, tmp_path, classic_after
     assert any("price domain" in v for v in doc["violations"])
 
 
+@pytest.mark.parametrize("command", ["poa", "enumerate", "equilibrate"])
+def test_price_domain_violation_is_a_domain_failure(
+    capsys, tmp_path, classic_after_file, command
+):
+    doc = json.loads(open(classic_after_file).read())
+    doc["edges"][0].update(c1=0.5, c2=0.5, price={"fn": "sin", "params": {}})
+    doc["commodities"][0]["demand"] = 2.0
+    path = tmp_path / "sin-demand-2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: commodity 'u1': demand 2.0 outside the price domain"
+        " of edge 'sv' ('sin')\n"
+    )
+
+
 def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
     # the log1p-priced diamond has a unique equilibrium, so every seed must
     # land on the same social cost
@@ -227,6 +245,54 @@ def test_braess_odd_n_is_usage_error(capsys):
     assert code == 2
 
 
+def test_braess_dynamics_short_of_equilibrium_is_a_domain_failure(capsys):
+    code, out, err = run(
+        capsys, "braess", "classic", "--n", "2", "--method", "dynamics",
+        "--max-moves", "0",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: dynamics did not converge within 0 moves\n"
+
+
+def test_braess_pair_without_commodities_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"nodes": [], "edges": [], "commodities": []}')
+    code, out, err = run(capsys, "braess", "pair", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: instances have no commodities\n"
+
+
+@pytest.fixture()
+def free_file(tmp_path):
+    # every profile of this game costs 0
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({
+        "nodes": ["s", "t"],
+        "edges": [{"id": e, "from": "s", "to": "t", "a": 0.0, "b": 0.0,
+                   "c1": 1.0, "c2": 0.0, "price": {"fn": "zero"}} for e in "xy"],
+        "commodities": [{"id": "p", "source": "s", "sink": "t", "demand": 1.0}],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["poa", "enumerate"])
+def test_zero_cost_game_has_poa_one(capsys, free_file, command):
+    # the ratio 0/0 is reported as 1, not a traceback
+    code, doc, _ = run_json(capsys, command, free_file)
+    assert code == 0
+    assert doc["optimal_social_cost"] == doc["worst_equilibrium_social_cost"] == 0.0
+    assert doc["poa"] == 1.0
+
+
+def test_zero_cost_pair_has_rho_one(capsys, free_file):
+    code, doc, _ = run_json(capsys, "braess", "pair", free_file, free_file)
+    assert code == 0
+    assert doc["before_cost"] == doc["after_cost"] == 0.0
+    assert doc["rho"] == 1.0
+
+
 def test_braess_emit_scenario_and_pair(capsys, tmp_path):
     prefix = str(tmp_path / "exp")
     code, doc, _ = run_json(
@@ -269,6 +335,48 @@ def test_price_curves_shape(capsys):
 def test_price_curves_unknown_family(capsys):
     code, out, err = run(capsys, "price-curves", "--functions", "cubic")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--x-max=nan"], "--x-max"),
+        (["--x-max=inf"], "--x-max"),
+        (["--x-max=-1"], "--x-max"),
+        (["--x-max=0"], "--x-max"),
+        (["--x-max=1e308", "--samples", "100"], "--x-max"),
+        (["--functions", "sin", "--x-max", "3"], "'sin'"),
+        # pi/2 * 13 / 13 rounds above pi/2: the last sample leaves the domain
+        (["--functions", "sin", "--x-max", "1.5707963267948966", "--samples", "13"],
+         "'sin'"),
+        (["--beta=inf"], "--beta"),
+        (["--beta=nan"], "beta"),
+        (["--functions", "saturating", "--beta=-1"], "beta"),
+    ],
+)
+def test_price_curves_bad_flag_writes_nothing(capsys, argv, flag):
+    code, out, err = run(capsys, "price-curves", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_price_curves_sin_up_to_its_domain(capsys):
+    code, out, _ = run(
+        capsys, "price-curves", "--functions", "sin", "--x-max", "1.5707963267948966",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 101
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "0"])
+def test_braess_non_finite_beta_is_usage_error(capsys, beta):
+    code, out, err = run(
+        capsys, "braess", "priced", "--n", "2", "--price", "saturating", f"--beta={beta}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "beta" in err
 
 
 # ---------------------------------------------------------------------------

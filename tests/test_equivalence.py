@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
+import reference_oracle
 from routegame import engine
 from routegame.braess import build_priced_braess
 from routegame.cli import main
@@ -46,7 +47,9 @@ def test_engine_views_match_reference_bit_for_bit(seed):
         assert engine.best_response(inst, prof, i, eps) == ref.best_response(
             inst, prof, i, eps
         )
-    assert engine.social_cost(inst, prof) == ref.social_cost(inst, prof)
+    idx = reference_oracle._Indexed(inst, eps)
+    d = list(prof.choice)
+    assert engine.social_cost(inst, prof) == idx.social_cost(d, idx.loads(d))
     assert engine.potential(inst, prof) == ref.potential(inst, prof)
     assert engine.is_equilibrium(inst, prof, eps) == ref.is_equilibrium(inst, prof, eps)
 
