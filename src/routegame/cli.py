@@ -2,10 +2,10 @@
 
 Commands: validate, equilibrate, enumerate, poa, braess {classic|priced|pair},
 price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
-violations, a demand outside an edge's price domain, cap exceeded,
-non-convergence, bound violation), 2 usage/parse/I/O error. Every flag is
-checked before anything is written to stdout. All output is deterministic for
-fixed flags and seed.
+violations, a demand outside an edge's price domain, costs beyond the float
+range, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
+error. Every flag is checked before anything is written to stdout. All output
+is deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from typing import Optional, Sequence
 from . import braess as braess_mod
 from . import engine, oracle
 from .model import (
+    CostOverflowError,
     GameInstance,
     PathEnumerationError,
     ScenarioError,
+    cost_overflow,
     parse_scenario,
     prepare,
     serialize_scenario,
@@ -71,6 +73,16 @@ def _read_scenario(path: str, strict: bool = True) -> GameInstance:
         return parse_scenario(fh.read(), strict=strict)
 
 
+def _prepared(path: str) -> GameInstance:
+    """A scenario file's instance with its strategy sets; raises
+    CostOverflowError when some cost of it may overflow the float range."""
+    instance = _read_scenario(path)
+    overflow = cost_overflow(instance)
+    if overflow is not None:
+        raise CostOverflowError(overflow)
+    return prepare(instance)
+
+
 def _profile_report(instance: GameInstance, profile: engine.StrategyProfile) -> dict:
     return {
         c.id: list(instance.paths[i][profile.choice[i]])
@@ -97,7 +109,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrate(args: argparse.Namespace) -> int:
-    instance = prepare(_read_scenario(args.scenario))
+    instance = _prepared(args.scenario)
     k = len(instance.commodities)
     if args.seed is not None:
         rng = random.Random(args.seed)
@@ -142,7 +154,7 @@ def _poa_summary(report: oracle.PoAReport) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    instance = prepare(_read_scenario(args.scenario))
+    instance = _prepared(args.scenario)
     equilibria, report = oracle.equilibria_and_poa(
         instance, cap=args.cap, eps_improve=args.epsilon
     )
@@ -160,7 +172,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
-    instance = prepare(_read_scenario(args.scenario))
+    instance = _prepared(args.scenario)
     report = oracle.price_of_anarchy(instance, cap=args.cap, eps_improve=args.epsilon)
     _emit(_poa_summary(report), args.format)
     return 0 if report.within_bound else 1
@@ -189,8 +201,8 @@ def cmd_braess(args: argparse.Namespace) -> int:
             args.n, _price_spec(args.price, args.beta), args.c1, args.c2
         )
     else:  # pair
-        before = prepare(_read_scenario(args.before))
-        after = prepare(_read_scenario(args.after))
+        before = _prepared(args.before)
+        after = _prepared(args.after)
 
     if getattr(args, "emit_scenario", None):
         for role, instance in (("before", before), ("after", after)):
@@ -345,6 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         PathEnumerationError,
         PriceDomainError,
+        CostOverflowError,
         oracle.ProfileCapError,
         oracle.NoEquilibriumError,
         braess_mod.NotConvergedError,

@@ -32,6 +32,10 @@ class PathEnumerationError(RuntimeError):
     """Path enumeration cannot produce a usable strategy set."""
 
 
+class CostOverflowError(ValueError):
+    """Some cost of an instance can exceed the float range."""
+
+
 @dataclass(frozen=True)
 class EdgeSpec:
     """Directed edge with affine congestion a*x + b, a price function, and
@@ -334,6 +338,10 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                         f" of edge {e.id!r} ({e.price.fn!r})"
                     )
 
+    overflow = cost_overflow(instance)
+    if overflow is not None:
+        out.append(overflow)
+
     if instance.paths:
         if len(instance.paths) != len(instance.commodities):
             out.append("paths populated for wrong number of commodities")
@@ -349,6 +357,27 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                     if not _is_simple_path(p, known, c.source, c.sink):
                         out.append(f"{where}: invalid path {p}")
     return ValidationReport(tuple(out))
+
+
+def cost_overflow(instance: GameInstance) -> Optional[str]:
+    """A violation message when some cost of the instance may overflow the
+    float range, else None. Edges and demands with non-finite or nonpositive
+    numbers are left out; they are violations of their own.
+
+    With D the total demand and W = Σ |c1|·(|a|·D + |b|) + |c2| over the
+    edges, every per-unit path cost is at most W, since every catalog price
+    has u <= 1; a social cost is at most D·W and the potential 2·D·W, and the
+    oracle's deviation terms stay within a few max(1, D)·W. So the instance
+    passes when 8·max(1, D)·W is finite."""
+    demand = sum(c.demand for c in instance.commodities if 0 < c.demand < math.inf)
+    unit = sum(
+        abs(e.c1) * (abs(e.a) * demand + abs(e.b)) + abs(e.c2)
+        for e in instance.edges
+        if all(map(math.isfinite, (e.a, e.b, e.c1, e.c2)))
+    )
+    if math.isfinite(8.0 * max(1.0, demand) * unit):
+        return None
+    return f"costs overflow the float range at the total demand {demand}"
 
 
 def _is_simple_path(

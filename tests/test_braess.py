@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +141,17 @@ def test_formula_absent_for_unrecognized_pairs(classic_pair_10):
 def test_mismatched_commodities_rejected(classic_pair_10, classic_pair_2):
     with pytest.raises(ValueError, match="commodities"):
         edge_addition_experiment(classic_pair_10[0], classic_pair_2[1])
+
+
+def test_braess_sweep_exits_1_on_a_gap(monkeypatch, capsys):
+    script = Path(__file__).parent.parent / "scripts" / "braess_sweep.py"
+    spec = importlib.util.spec_from_file_location("braess_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "2", "4"])
+    assert sweep.main() == 0
+    monkeypatch.setattr(
+        sweep, "rho_formula", lambda u, c1, c2: rho_formula(u, c1, c2) + 2e-9
+    )
+    assert sweep.main() == 1
+    assert capsys.readouterr().out.rstrip().endswith("VIOLATED")

@@ -174,6 +174,44 @@ def test_price_domain_violation_is_a_domain_failure(
     )
 
 
+@pytest.fixture()
+def overflow_files(tmp_path):
+    # the classic n=2 diamond with a = 1e308 on its variable edges and two
+    # demands of 1e10: every number is finite, its costs are not
+    paths = []
+    for role, inst in zip(("before", "after"), build_classic_braess(2)):
+        text = serialize_scenario(inst)
+        text = text.replace('"a": 1.0', '"a": 1e308').replace(
+            '"demand": 0.5', '"demand": 10000000000.0'
+        )
+        path = tmp_path / f"overflow-{role}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+OVERFLOW = "costs overflow the float range at the total demand 20000000000.0"
+
+
+def test_cost_overflow_fails_validation(capsys, overflow_files):
+    code, doc, _ = run_json(capsys, "validate", overflow_files[1])
+    assert code == 1
+    assert doc["violations"] == [OVERFLOW]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["poa"], ["enumerate"], ["equilibrate"], ["braess", "pair", "BEFORE"]],
+)
+def test_cost_overflow_is_a_domain_failure(capsys, overflow_files, argv):
+    before, after = overflow_files
+    argv = [before if a == "BEFORE" else a for a in argv] + [after]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {OVERFLOW}\n"
+
+
 def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
     # the log1p-priced diamond has a unique equilibrium, so every seed must
     # land on the same social cost

@@ -5,17 +5,20 @@ the printed reports depend on every bit of every social cost.
 """
 
 import dataclasses
+import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_oracle as ref
 from routegame import oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
+from routegame.engine import StrategyProfile
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare, serialize_scenario
 from routegame.pricing import PriceSpec
 from routegame.random_instances import random_affine_instance
@@ -67,6 +70,99 @@ def test_entry_points_match_reference_bit_for_bit(seed):
     total = oracle.profile_count(inst)
     cap = rng.choice([total, max(total - 1, 1), oracle.DEFAULT_PROFILE_CAP])
     _assert_entry_points_match(inst, cap, eps)
+
+
+def _repeated(inst, rng, max_profiles=2000):
+    """`inst` with commodity i repeated reps[i] (1-4) times in place and, when
+    there are two or more commodities, commodity 0 once more at the end: equal
+    to the first run but not adjacent to it (A, B, A). Repeats are cut down,
+    largest first, until the profile count is at most `max_profiles`."""
+    commodities = inst.commodities
+    sizes = [len(p) for p in inst.paths]
+    reps = [rng.randint(1, 4) for _ in commodities]
+    extra = [0] if len(commodities) > 1 else []
+
+    def count():
+        return math.prod(s**r for s, r in zip(sizes, reps)) * math.prod(
+            sizes[i] for i in extra
+        )
+
+    while count() > max_profiles and max(reps) > 1:
+        reps[reps.index(max(reps))] -= 1
+    if count() > max_profiles:
+        extra = []
+    repeated = [
+        dataclasses.replace(c, id=f"{c.id}.{k}")
+        for c, r in zip(commodities, reps)
+        for k in range(r)
+    ]
+    repeated += [dataclasses.replace(commodities[i], id="again") for i in extra]
+    return prepare(dataclasses.replace(inst, commodities=tuple(repeated), paths=()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(317)  # the winner's state does not have the least canonical cost
+def test_repeated_commodities_match_reference_bit_for_bit(seed):
+    # Runs of equal commodities are scanned as path-count states; the full
+    # scan's winner need not be a state's canonical (sorted) profile.
+    rng = random.Random(seed)
+    inst = _repeated(random_affine_instance(rng), rng)
+    eps = rng.choice([0.0, 1e-9, 0.05])
+    total = oracle.profile_count(inst)
+    cap = rng.choice([total, max(total - 1, 1), total + 1])
+    _assert_entry_points_match(inst, cap, eps)
+
+
+def _parallel_edges(b0, b1):
+    # two players of demand 1 on two parallel unit-slope edges
+    return prepare(
+        GameInstance(
+            ("s", "t"),
+            (EdgeSpec("e0", "s", "t", 1.0, b0), EdgeSpec("e1", "s", "t", 1.0, b1)),
+            (Commodity("p", "s", "t", 1.0), Commodity("q", "s", "t", 1.0)),
+        )
+    )
+
+
+def test_winner_need_not_be_the_canonical_profile():
+    # (0, 1) and (1, 0) share loads but add the load-free terms 0.7 and 0.1 in
+    # different orders: (2 + 0.7) + 0.1 != (2 + 0.1) + 0.7
+    cheap = _parallel_edges(0.7, 0.1)
+    g = cheap.compiled
+    terms = [g.load_free_cost(0, 0), g.load_free_cost(1, 1)]
+    assert g.social_cost([1.0, 1.0], terms) == 2.8000000000000003
+    report = oracle.price_of_anarchy(cheap)
+    assert report.optimal_profile.choice == (1, 0)
+    assert report.optimal_cost == 2.8
+    dear = _parallel_edges(0.1, 0.7)
+    worst, cost, count = oracle.worst_equilibrium(dear)
+    assert (worst.choice, cost, count) == ((1, 0), 2.8000000000000003, 2)
+    for inst in (cheap, dear):
+        for eps in (0.0, 1e-9, 0.05):
+            _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
+
+
+def test_state_with_an_overflowing_canonical_cost_is_kept():
+    # At loads (1, 1) the two orders of the load-free terms 2**971 and 2**970
+    # after A = max - 2**971 give inf for the canonical (0, 1) and max for
+    # (1, 0), the optimum; (0, 0) and (1, 1) cost inf. The state of (0, 1) has
+    # no finite cost or bound, and only keeping it finds the optimum.
+    top = sys.float_info.max
+    slope = (top - 2.0**971) / 2
+    inst = prepare(
+        GameInstance(
+            ("s", "t"),
+            (
+                EdgeSpec("e0", "s", "t", slope, 2.0**971),
+                EdgeSpec("e1", "s", "t", slope, 2.0**970),
+            ),
+            (Commodity("p", "s", "t", 1.0), Commodity("q", "s", "t", 1.0)),
+        )
+    )
+    assert oracle.optimal_profile(inst) == (StrategyProfile((1, 0)), top)
+    for eps in (0.0, 1e-9, 0.05):
+        _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
 
 
 def test_no_equilibrium_raises_like_reference():
