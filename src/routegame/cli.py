@@ -183,9 +183,10 @@ def _price_spec(fn: str, beta: float) -> PriceSpec:
     ValueError on an unknown family or a bad --beta."""
     if fn != "saturating":
         return PriceSpec(fn)
-    if not math.isfinite(beta):
-        raise ValueError("--beta must be finite")
-    return PriceSpec(fn, {"beta": beta})
+    try:
+        return PriceSpec(fn, {"beta": beta})
+    except ValueError as exc:
+        raise ValueError(f"--beta {beta}: {exc}") from None
 
 
 def _usage_error(message: str) -> int:

@@ -7,18 +7,20 @@ which makes every strict best-response move a strict potential descent.
 
 Every function here is a view over the instance's compiled table
 (`GameInstance.compiled`): edge indices per (commodity, path), and the
-load-free terms c2 * u(r), (a * r + b) * r and u(r) * r per (commodity, edge),
-each evaluated once per instance. With E edges and a player's P paths of at
-most L edges, one best response costs O(E + P * L) and evaluates no price.
-The dynamics keep each edge's users in player order; a move re-sums only the
-edges the mover leaves or joins (O(N) each, in C, for N players) and then the
-potential in O(E).
+load-free unit price c2 * u(r) and potential term per (commodity, edge), each
+evaluated once per instance. With E edges and a player's P paths of at most L
+edges, one best response costs O(E + P * L) and evaluates no price. The
+dynamics keep each edge's users in player order; a move re-sums the loads of
+only the edges the mover leaves or joins (O(N) each, in C, for N players),
+then the mover's own potential term in O(L) and the potential in O(E + N).
 
-Floating-point operations and their order are those of the original dict-based
-engine, so tie-breaks and reports are bit-identical to it: loads are summed
-from 0.0 in player order, a deviated load is (f - r) + r on an edge the
-current and alternative paths share and f + r elsewhere, path costs are summed
-in path order, and the potential's per-edge user sums use builtin sum.
+Loads, path costs and deviations keep the floating-point operations and order
+of the original dict-based engine, so tie-breaks and moves are bit-identical
+to it: loads are summed from 0.0 in player order, a deviated load is
+(f - r) + r on an edge the current and alternative paths share and f + r
+elsewhere, and path costs are summed in path order. The potential and
+`social_cost` are exact sums of their terms, correctly rounded (`math.fsum`),
+so they depend neither on the order of the terms nor on the Python version;
 `social_cost` evaluates the compiled table's one social-cost expression, which
 the oracle's scan evaluates too.
 """
@@ -28,10 +30,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Mapping, Optional, Sequence
 
-from .model import CompiledGame, GameInstance
+from .model import CompiledGame, GameInstance, exact_sum
 
 DEFAULT_EPS_IMPROVE = 1e-9
 DEFAULT_MAX_MOVES = 100_000
@@ -85,11 +88,11 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> Compiled
 
 
 class _Flow:
-    """The users of each edge under a profile, in player order, and the sums
-    that the loads and the potential take over them.
+    """The users of each edge under a profile, in player order, their loads,
+    and each player's own term of the potential.
 
     A move edits the user lists of the edges the mover leaves or joins and
-    re-sums only those edges. Every sum still runs over all users in player
+    re-sums only their loads. Every load still runs over all users in player
     order, so each float equals that of a rebuild from scratch.
     """
 
@@ -98,27 +101,17 @@ class _Flow:
         self.g = g
         self.users: list[list[int]] = [[] for _ in range(n)]
         self.demands: list[list[float]] = [[] for _ in range(n)]
-        self.congestion: list[list[float]] = [[] for _ in range(n)]
-        self.price: list[list[float]] = [[] for _ in range(n)]
         for i, c in enumerate(choice):
             r = g.demand[i]
-            own_congestion, own_price = g.self_congestion[i], g.self_price[i]
             for k in g.paths[i][c]:
                 self.users[k].append(i)
                 self.demands[k].append(r)
-                self.congestion[k].append(own_congestion[k])
-                self.price[k].append(own_price[k])
-        self.loads = [0.0] * n
-        self.congestion_sum: list[float] = [0.0] * n
-        self.price_sum: list[float] = [0.0] * n
-        for k in range(n):
-            self._resum(k)
+        self.loads = [reduce(add, d, 0.0) for d in self.demands]
+        self.own = [self._own(i, c) for i, c in enumerate(choice)]
 
-    def _resum(self, k: int) -> None:
-        # loads start from 0.0; the potential's sums start from int 0 (builtin sum)
-        self.loads[k] = reduce(add, self.demands[k], 0.0)
-        self.congestion_sum[k] = sum(self.congestion[k])
-        self.price_sum[k] = sum(self.price[k])
+    def _own(self, player: int, path: int) -> float:
+        term = self.g.potential_term[player]
+        return exact_sum([term[k] for k in self.g.paths[player][path]])
 
     def move(self, player: int, old: int, new: int) -> None:
         g = self.g
@@ -127,25 +120,22 @@ class _Flow:
             if k not in new_path:
                 pos = bisect_left(self.users[k], player)
                 del self.users[k][pos], self.demands[k][pos]
-                del self.congestion[k][pos], self.price[k][pos]
-                self._resum(k)
+                self.loads[k] = reduce(add, self.demands[k], 0.0)
         for k in new_path:
             if k not in old_path:
                 pos = bisect_left(self.users[k], player)
                 self.users[k].insert(pos, player)
                 self.demands[k].insert(pos, g.demand[player])
-                self.congestion[k].insert(pos, g.self_congestion[player][k])
-                self.price[k].insert(pos, g.self_price[player][k])
-                self._resum(k)
+                self.loads[k] = reduce(add, self.demands[k], 0.0)
+        self.own[player] = self._own(player, new)
 
     def potential(self) -> float:
-        g = self.g
-        c1, c2, a, b = g.c1, g.c2, g.a, g.b
-        total = 0.0
-        for k, fk in enumerate(self.loads):
-            congestion = (a[k] * fk + b[k]) * fk + self.congestion_sum[k]
-            total += c1[k] * congestion + 2.0 * c2[k] * self.price_sum[k]
-        return total
+        """The exact sum of c1 * (a * f + b) * f over the edges and of each
+        player's own term, correctly rounded. A player's own term is the exact
+        sum of its `potential_term`s over its path, correctly rounded."""
+        c1, a, b = self.g.c1, self.g.a, self.g.b
+        edge_terms = [c1[k] * (a[k] * f + b[k]) * f for k, f in enumerate(self.loads)]
+        return exact_sum(chain(edge_terms, self.own))
 
 
 def _edge_costs(

@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
-from operator import add
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
 
@@ -119,10 +120,9 @@ class CompiledGame:
         self.edges_of: list[tuple[int, ...]] = []
         #: per (commodity, edge): c2 * u(r), the price part of the unit cost
         self.unit_price: list[list[Optional[float]]] = []
-        #: per (commodity, edge): (a * r + b) * r, the player's own congestion term
-        self.self_congestion: list[list[Optional[float]]] = []
-        #: per (commodity, edge): u(r) * r, the player's own price term
-        self.self_price: list[list[Optional[float]]] = []
+        #: per (commodity, edge): c1 * (a * r + b) * r + 2 * c2 * u(r) * r, the
+        #: player's own term of the potential
+        self.potential_term: list[list[Optional[float]]] = []
 
         # commodities with equal strategy sets share one compiled copy
         strategies: dict[tuple[Path, ...], tuple] = {}
@@ -136,8 +136,7 @@ class CompiledGame:
             compiled, on_paths = strategies[plist]
             r = c.demand
             price: list[Optional[float]] = [None] * len(edges)
-            congestion: list[Optional[float]] = [None] * len(edges)
-            own_price: list[Optional[float]] = [None] * len(edges)
+            own: list[Optional[float]] = [None] * len(edges)
             for k in on_paths:
                 e = edges[k]
                 try:
@@ -148,32 +147,39 @@ class CompiledGame:
                         f" of edge {e.id!r} ({e.price.fn!r})"
                     ) from None
                 price[k] = e.c2 * u
-                congestion[k] = (e.a * r + e.b) * r
-                own_price[k] = u * r
+                own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
             self.paths.append(compiled)
             self.edges_of.append(on_paths)
             self.unit_price.append(price)
-            self.self_congestion.append(congestion)
-            self.self_price.append(own_price)
+            self.potential_term.append(own)
 
     def path_constant(self, i: int, j: int) -> float:
-        """Load-free unit cost of commodity i's path j: its c2 * u(r), then its
-        c1 * b, each summed in path order."""
+        """Load-free unit cost of commodity i's path j: the exact sum of its
+        edges' c2 * u(r) and c1 * b, correctly rounded."""
         path, price, c1, b = self.paths[i][j], self.unit_price[i], self.c1, self.b
-        return sum(price[k] for k in path) + sum(c1[k] * b[k] for k in path)
+        return exact_sum([price[k] for k in path] + [c1[k] * b[k] for k in path])
 
     def load_free_cost(self, i: int, j: int) -> float:
         """Player i's load-free cost on path j."""
         return self.demand[i] * self.path_constant(i, j)
 
-    def social_cost(self, loads: Sequence[float], load_free: Sequence[float]) -> float:
-        """The social cost of a profile, the only one the package computes:
-        slope * f * f summed over the active edges at their `loads`, then each
-        player's `load_free_cost` on its chosen path, in player order."""
-        total = 0.0
-        for s, f in zip(self.slope, loads):
-            total += s * f * f
-        return reduce(add, load_free, total)
+    def social_cost(self, loads: Sequence[float], load_free: Iterable[float]) -> float:
+        """The social cost of a profile, the only one the package computes: the
+        exact sum of slope * f * f over the active edges at their `loads` and
+        of each player's `load_free_cost` on its chosen path, correctly
+        rounded. It depends on the multiset of terms only, so every profile
+        with the same loads and the same load-free terms costs the same."""
+        return exact_sum(chain(map(mul, map(mul, self.slope, loads), loads), load_free))
+
+
+def exact_sum(terms: Iterable[float]) -> float:
+    """`math.fsum` of nonnegative `terms`: the exact sum correctly rounded, so
+    independent of the order of the terms and of the Python version; inf where
+    that sum exceeds the float range, as a plain sum would give."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -299,8 +305,7 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             out.append(f"{where}: mixing coefficients outside [0, 1]")
         if abs(e.c1 + e.c2 - 1.0) > NORMALIZATION_TOL:
             out.append(f"{where}: mixing coefficients not normalized")
-        numbers = (e.a, e.b, e.c1, e.c2, *e.price.params.values())
-        if not all(map(math.isfinite, numbers)):
+        if not all(map(math.isfinite, (e.a, e.b, e.c1, e.c2))):
             out.append(f"{where}: non-finite number")
 
     # priced edges whose price admits volumes up to x_max only

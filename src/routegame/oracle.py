@@ -4,10 +4,11 @@ profile, the worst equilibrium, and the Price of Anarchy.
 Profiles are indexed by a mixed-radix counter over per-commodity path indices
 (commodity 0 most significant); that index is the universal tie-breaker.
 Players are grouped into runs: maximal blocks of consecutive commodities with
-equal demand and strategy set, and hence equal cost tables. Every entry point makes one pass, in one thread, over the states:
-one path-count vector per run, named by its canonical (lowest-index) digits,
-nondecreasing within the run. A run of one player is a plain path index, so an
-instance without repeated commodities scans one state per profile.
+equal demand and strategy set, and hence equal cost tables. Every entry point
+makes one pass, in one thread, over the states: one path-count vector per run,
+named by its canonical (lowest-index) digits, nondecreasing within the run. A
+run of one player is a plain path index, so an instance without repeated
+commodities scans one state per profile.
 
 All profiles of a state have the same loads: each slot adds its users' demands
 in player order, and the users a run puts on a slot all add the same r. Loads
@@ -16,26 +17,20 @@ user, so every load has the bits of a full recompute. Equilibrium status is a
 function of the loads too; it is tested once per (run, used path), and a state
 counts its number of profiles, the product of the runs' multinomials.
 
-Social costs are `CompiledGame.social_cost`, as in the engine. It adds the
-players' load-free terms in player order, so the profiles of one state may
-differ in the last bits. The optimum and the worst equilibrium are therefore
-chosen exactly: a state's cost at its canonical profile, widened by a rigorous
-bound on that reordering error, decides whether the state can still reach the
-extreme; the states that can are expanded into their profiles, and the lowest
-index among the profiles with the extreme cost wins, as in a scan of every
-profile. A state whose cost or bound is not finite is always expanded. That
-expansion is why the cap counts profiles, not states: near the extreme, a
-state of a long run can hold exponentially many profiles.
+Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
+of the terms, correctly rounded, so every profile of a state has the state's
+one cost. A state's canonical profile is its lowest-index profile, and states
+are visited in canonical-profile index order, so a strict `<` (optimum) or `>`
+(worst equilibrium) over the states finds the lowest-index extreme profile, as
+a scan of every profile would. The cap still counts profiles, not states.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .engine import StrategyProfile, DEFAULT_EPS_IMPROVE
 from .model import GameInstance
@@ -45,8 +40,6 @@ DEFAULT_PROFILE_CAP = 200_000
 #: Empirical ceiling on the Price of Anarchy for affine congestion.
 POA_BOUND = (3.0 + math.sqrt(5.0)) / 2.0
 POA_BOUND_TOL = 1e-6
-
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 class ProfileCapError(RuntimeError):
@@ -135,8 +128,6 @@ class _Indexed:
         c1b = [c1 * b for c1, b in zip(g.c1, g.b)]
         slot = {k: s for s, k in enumerate(g.active)}
         self.slope = g.slope
-        # twice 2·γ_K for K players, rounded up: see rounding_bound
-        self.slack = 4.0 * (len(g.demand) + 1) * _UNIT_ROUNDOFF
 
         #: per run: its first player and one past its last
         self.spans: list[tuple[int, int]] = []
@@ -147,8 +138,6 @@ class _Indexed:
                 self.spans.append((i, i + 1))
 
         self.demand = [g.demand[lo] for lo, _ in self.spans]
-        # per (run, path): a player's load-free social-cost term
-        self.load_free: list[list[float]] = []
         # per (run, path): load-dependent deviations as
         # (alt index, cur-exclusive slots, alt-exclusive slots, constant)
         self.deviations: list[list[list[tuple[int, tuple, tuple, float]]]] = []
@@ -173,7 +162,6 @@ class _Indexed:
             self.path_active.append(act_lists)
             n_paths = len(prices)
             load_free = [g.load_free_cost(lo, d) for d in range(n_paths)]
-            self.load_free.append(load_free)
 
             devs: list[list] = []
             bad: list[bool] = []
@@ -269,78 +257,17 @@ class _Indexed:
                 return
             digits[i] += 1
 
+    def canonical_profile(
+        self, digits: Optional[Sequence[int]]
+    ) -> Optional[StrategyProfile]:
+        """A state's lowest-index profile, or None for no state."""
+        return None if digits is None else StrategyProfile(next(self.profiles(digits)))
+
     def profiles(self, digits: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """The profiles of a state, in index order."""
         runs = [self.canonical[j][d] for j, d in enumerate(digits)]
         for parts in product(*(_arrangements(c) if len(c) > 1 else (c,) for c in runs)):
             yield tuple([d for part in parts for d in part])
-
-    def load_free_terms(self, choice: Sequence[int]) -> list[float]:
-        """The players' load-free terms of one profile, in player order."""
-        return [
-            self.load_free[j][choice[i]]
-            for j, (lo, hi) in enumerate(self.spans)
-            for i in range(lo, hi)
-        ]
-
-    def rounding_bound(self, f: Sequence[float], own: Sequence[float]) -> float:
-        """How far the social costs of two profiles of one state may lie
-        apart, or inf when a partial sum might overflow. Both sum the same
-        K + 1 terms: slope·f·f over the active edges, then the K load-free
-        terms in some order. Recursive summation of n terms lies within
-        γ_(n-1)·Σ|terms| of the exact sum, γ_m = m·u/(1 - m·u) (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2002, §4.2), so the
-        two lie within 2·γ_K·Σ|terms|; `slack` is twice that factor, which
-        covers the rounding of this bound and of the comparisons using it."""
-        total = 0.0
-        for s, x in zip(self.slope, f):
-            total += abs(s * x * x)
-        for x in own:
-            total += abs(x)
-        return total * self.slack if total < sys.float_info.max / 2 else math.inf
-
-
-class _Extreme:
-    """The lowest-index profile whose `sign` * social cost is least, as a scan
-    of every profile in index order with a strict `<` finds it: sign 1 gives
-    the optimum, sign -1 the greatest cost. Offered states are kept while
-    their lower bound may still reach the least key of a canonical profile."""
-
-    def __init__(self, idx: _Indexed, social_cost: Callable, sign: float):
-        self.idx, self.social_cost, self.sign = idx, social_cost, sign
-        self.least = math.inf
-        self.kept: list[tuple[float, tuple[int, ...], list[float], int, float]] = []
-        self.prune_at = 64
-
-    def offer(self, digits, f, own, ways: int, cost: float) -> None:
-        key = self.sign * cost
-        if key < self.least:
-            self.least = key
-        low = key - self.idx.rounding_bound(f, own) if ways > 1 else key
-        if low <= self.least or not math.isfinite(low):
-            self.kept.append((low, tuple(digits), f, ways, key))
-            if len(self.kept) >= self.prune_at:  # keeps memory near the reachable
-                self.kept = self._reachable()
-                self.prune_at = 2 * len(self.kept) + 64
-
-    def _reachable(self) -> list[tuple[float, tuple[int, ...], list[float], int, float]]:
-        least = self.least
-        return [s for s in self.kept if s[0] <= least or not math.isfinite(s[0])]
-
-    def best(self) -> tuple[Optional[StrategyProfile], float]:
-        idx, social_cost, sign = self.idx, self.social_cost, self.sign
-        found = []
-        for _, digits, f, ways, key in self._reachable():
-            for choice in idx.profiles(digits):
-                if ways > 1:  # a state of one profile has its canonical key
-                    key = sign * social_cost(f, idx.load_free_terms(choice))
-                found.append((choice, key))
-        found.sort(key=itemgetter(0))
-        best, best_key = None, math.inf
-        for choice, key in found:
-            if key < best_key:
-                best, best_key = choice, key
-        return (None if best is None else StrategyProfile(best)), sign * best_key
 
 
 @dataclass(frozen=True)
@@ -385,37 +312,38 @@ def _scan(
         raise ProfileCapError(f"{total} profiles exceed cap {cap}")
     idx = _Indexed(instance, eps_improve)
     social_cost = instance.compiled.social_cost
-    least = _Extreme(idx, social_cost, 1.0)
-    greatest = _Extreme(idx, social_cost, -1.0)
     equilibrium_states: list[tuple[int, ...]] = []
-    count = 0
+    best = worst = None
+    best_sc, worst_sc, count = math.inf, -math.inf, 0
     for digits, f, own, ways in idx.states():
         sc = None
         if optimum:
             sc = social_cost(f, own)
-            least.offer(digits, f, own, ways, sc)
+            if sc < best_sc or best is None:
+                best, best_sc = tuple(digits), sc
         if idx.is_equilibrium(digits, f):
             count += ways
             if keep:
                 equilibrium_states.append(tuple(digits))
             if sc is None:
                 sc = social_cost(f, own)
-            greatest.offer(digits, f, own, ways, sc)
+            if sc > worst_sc or worst is None:
+                worst, worst_sc = tuple(digits), sc
     found = sorted(p for state in equilibrium_states for p in idx.profiles(state))
-    worst, worst_sc = greatest.best()
-    best, best_sc = least.best()
-    return _Scan(list(map(StrategyProfile, found)), count, worst, worst_sc, best, best_sc)
-
-
-# Each entry point below makes one pass; `workers`, where taken, is accepted
-# for compatibility and has no effect.
+    return _Scan(
+        list(map(StrategyProfile, found)),
+        count,
+        idx.canonical_profile(worst),
+        worst_sc,
+        idx.canonical_profile(best),
+        best_sc,
+    )
 
 
 def find_all_equilibria(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
-    workers: int = 1,
 ) -> list[StrategyProfile]:
     """Every pure equilibrium, in profile-index order."""
     return _scan(instance, cap, eps_improve, keep=True).equilibria
@@ -425,7 +353,6 @@ def worst_equilibrium(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
-    workers: int = 1,
 ) -> tuple[StrategyProfile, float, int]:
     """The equilibrium with the highest social cost (lowest index on ties)
     plus the total equilibrium count."""
@@ -436,7 +363,6 @@ def worst_equilibrium(
 def optimal_profile(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
-    workers: int = 1,
 ) -> tuple[StrategyProfile, float]:
     """Global social-cost minimum; ties broken by lowest profile index."""
     scan = _scan(instance, cap, DEFAULT_EPS_IMPROVE, optimum=True)
@@ -447,7 +373,6 @@ def price_of_anarchy(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
-    workers: int = 1,
 ) -> PoAReport:
     """Worst-equilibrium social cost over optimal social cost, with the
     empirical affine bound attached."""

@@ -2,7 +2,7 @@
 
 Every catalog family (except ``zero``) satisfies F(x) <= x, has a nonincreasing
 per-unit price, and u(x) -> 1 as x -> 0+. The ``saturating`` family takes a
-depth parameter beta > 0 and gives u(x) = 1/(1 + beta*x).
+finite depth parameter beta > 0 and gives u(x) = 1/(1 + beta*x).
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ class PriceSpec:
             beta = params.pop("beta", None)
             if beta is None:
                 raise ValueError("saturating price requires parameter 'beta'")
-            if not (isinstance(beta, (int, float)) and beta > 0):
-                raise ValueError("saturating 'beta' must be a positive number")
+            if isinstance(beta, bool) or not (
+                isinstance(beta, (int, float)) and 0 < beta < math.inf
+            ):
+                raise ValueError("saturating 'beta' must be a positive finite number")
         if params:
             raise ValueError(
                 f"unexpected parameters for {self.fn!r}: {sorted(params)}"

@@ -244,20 +244,21 @@ def test_unreachable_sink_is_reported():
 
 def test_non_finite_numbers_are_reported():
     nan, inf = float("nan"), float("inf")
-    deep = PriceSpec("saturating", {"beta": inf})
     inst = GameInstance(
         ("a", "b"),
         (
             EdgeSpec("e1", "a", "b", nan, 0.0),
             EdgeSpec("e2", "a", "b", 1.0, inf),
-            EdgeSpec("e3", "a", "b", 1.0, 0.0, 0.5, 0.5, deep),
         ),
         (Commodity("x", "a", "b", inf),),
     )
     violations = validate_instance(inst).violations
-    for eid in ("e1", "e2", "e3"):
+    for eid in ("e1", "e2"):
         assert f"edge {eid!r}: non-finite number" in violations
     assert "commodity 'x': demand must be finite" in violations
+    # a non-finite price parameter cannot reach an instance
+    with pytest.raises(ValueError, match="finite"):
+        PriceSpec("saturating", {"beta": inf})
 
 
 def test_parse_rejects_non_finite_numbers():

@@ -136,20 +136,6 @@ def test_dynamics_finals_appear_in_oracle_list(seed):
     assert result.final in equilibria
 
 
-def test_workers_change_nothing(classic_pair_10):
-    _, after = classic_pair_10
-    for workers in (2, 3, 7):
-        assert oracle.find_all_equilibria(after, workers=workers) == (
-            oracle.find_all_equilibria(after, workers=1)
-        )
-        assert oracle.optimal_profile(after, workers=workers) == (
-            oracle.optimal_profile(after, workers=1)
-        )
-        assert oracle.price_of_anarchy(after, workers=workers) == (
-            oracle.price_of_anarchy(after, workers=1)
-        )
-
-
 def test_worst_equilibrium_tie_break_is_lowest_index(classic_pair_2):
     before, _ = classic_pair_2
     report = oracle.price_of_anarchy(before)

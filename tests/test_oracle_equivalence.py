@@ -1,13 +1,18 @@
-"""The single-pass oracle against a frozen copy of the original multi-pass one.
+"""The single-pass oracle against a frozen copy of the original multi-pass one,
+and against a brute force over exact social costs.
 
-Every comparison is exact (==): worst-equilibrium and optimum tie-breaks and
-the printed reports depend on every bit of every social cost.
+Every comparison is exact (==). Equilibrium lists, counts and errors equal
+the reference's. Social costs are the correctly rounded exact sums of their
+terms (`exact_costs`), and the optimum and the worst equilibrium are the
+lowest-index argmin and argmax of that exact cost, as a scan of every profile
+in index order with a strict `<` or `>` finds them.
 """
 
 import dataclasses
 import math
 import random
 import sys
+from itertools import groupby, islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -15,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_oracle as ref
-from routegame import oracle
+from exact_costs import ExactCosts
+from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
 from routegame.engine import StrategyProfile
@@ -26,39 +32,58 @@ from routegame.random_instances import random_affine_instance
 DATA = Path(__file__).parent / "data"
 
 
-def _plain(value):
-    # each module has its own PoAReport class; compare the fields
-    if isinstance(value, (oracle.PoAReport, ref.PoAReport)):
-        return dataclasses.asdict(value)
-    if isinstance(value, tuple):
-        return tuple(map(_plain, value))
-    return value
-
-
 def _outcome(fn, *args, **kwargs):
     """The result of a call, or the name of the oracle error it raised."""
     try:
-        return _plain(fn(*args, **kwargs))
+        return fn(*args, **kwargs)
     except (oracle.ProfileCapError, oracle.NoEquilibriumError,
             ref.ProfileCapError, ref.NoEquilibriumError) as exc:
         return type(exc).__name__
 
 
-def _ref_equilibria_and_poa(inst, cap, eps):
-    # the two scans the enumerate command made before the single pass
-    return ref.find_all_equilibria(inst, cap, eps), ref.price_of_anarchy(inst, cap, eps)
+def _same(x, y):
+    # == on floats, where a nan PoA (inf / inf) equals itself
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 def _assert_entry_points_match(inst, cap, eps):
-    for name in ("find_all_equilibria", "worst_equilibrium", "price_of_anarchy"):
-        got = _outcome(getattr(oracle, name), inst, cap, eps)
-        assert got == _outcome(getattr(ref, name), inst, cap, eps), name
-    assert _outcome(oracle.optimal_profile, inst, cap) == _outcome(
-        ref.optimal_profile, inst, cap
+    equilibria = _outcome(ref.find_all_equilibria, inst, cap, eps)
+    assert _outcome(oracle.find_all_equilibria, inst, cap, eps) == equilibria
+    scans = (oracle.worst_equilibrium, oracle.price_of_anarchy, oracle.equilibria_and_poa)
+    if equilibria == "ProfileCapError":
+        for fn in scans:
+            assert _outcome(fn, inst, cap, eps) == equilibria, fn.__name__
+        assert _outcome(oracle.optimal_profile, inst, cap) == equilibria
+        return
+
+    exact = ExactCosts(inst)
+    profiles = list(product(*(range(len(p)) for p in inst.paths)))  # index order
+    cost = {p: exact.social_cost(p) for p in profiles}
+    optimum = min(profiles, key=cost.__getitem__)  # the first, lowest-index minimum
+    assert oracle.optimal_profile(inst, cap) == (StrategyProfile(optimum), cost[optimum])
+    if not equilibria:
+        for fn in scans:
+            assert _outcome(fn, inst, cap, eps) == "NoEquilibriumError", fn.__name__
+        return
+
+    worst = max((p.choice for p in equilibria), key=cost.__getitem__)
+    count = len(equilibria)
+    assert oracle.worst_equilibrium(inst, cap, eps) == (
+        StrategyProfile(worst), cost[worst], count
     )
-    assert _outcome(oracle.equilibria_and_poa, inst, cap, eps) == _outcome(
-        _ref_equilibria_and_poa, inst, cap, eps
+    want = oracle.PoAReport(
+        StrategyProfile(optimum),
+        cost[optimum],
+        StrategyProfile(worst),
+        cost[worst],
+        count,
+        oracle.cost_ratio(cost[worst], cost[optimum]),
     )
+    found, report = oracle.equilibria_and_poa(inst, cap, eps)
+    assert found == equilibria
+    for report in (report, oracle.price_of_anarchy(inst, cap, eps)):
+        assert _same(report.poa, want.poa)
+        assert dataclasses.replace(report, poa=want.poa) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,10 +127,29 @@ def _repeated(inst, rng, max_profiles=2000):
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@example(317)  # the winner's state does not have the least canonical cost
+def test_every_ordering_of_a_state_has_one_social_cost(seed):
+    # Permuting the choices within a run of equal consecutive commodities keeps
+    # the loads and the multiset of load-free terms, so the cost is unchanged.
+    rng = random.Random(seed)
+    inst = _repeated(random_affine_instance(rng), rng)
+    choice = [rng.randrange(len(p)) for p in inst.paths]
+    runs, start = [], 0
+    for _, group in groupby(zip(inst.paths, (c.demand for c in inst.commodities))):
+        size = len(list(group))
+        runs.append(set(permutations(choice[start:start + size])))
+        start += size
+    cost = engine.social_cost(inst, StrategyProfile(tuple(choice)))
+    assert cost == ExactCosts(inst).social_cost(choice)
+    for parts in islice(product(*runs), 200):
+        ordering = StrategyProfile(tuple(d for part in parts for d in part))
+        assert engine.social_cost(inst, ordering) == cost
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(317)
 def test_repeated_commodities_match_reference_bit_for_bit(seed):
-    # Runs of equal commodities are scanned as path-count states; the full
-    # scan's winner need not be a state's canonical (sorted) profile.
+    # Runs of equal commodities are scanned as path-count states.
     rng = random.Random(seed)
     inst = _repeated(random_affine_instance(rng), rng)
     eps = rng.choice([0.0, 1e-9, 0.05])
@@ -125,29 +169,41 @@ def _parallel_edges(b0, b1):
     )
 
 
-def test_winner_need_not_be_the_canonical_profile():
-    # (0, 1) and (1, 0) share loads but add the load-free terms 0.7 and 0.1 in
-    # different orders: (2 + 0.7) + 0.1 != (2 + 0.1) + 0.7
+def test_exact_ties_go_to_the_lowest_index():
+    # (0, 1) and (1, 0) share loads and the load-free terms 0.7 and 0.1, so
+    # both cost exactly 2.8; the lower index, (0, 1), wins
     cheap = _parallel_edges(0.7, 0.1)
-    g = cheap.compiled
-    terms = [g.load_free_cost(0, 0), g.load_free_cost(1, 1)]
-    assert g.social_cost([1.0, 1.0], terms) == 2.8000000000000003
+    costs = [engine.social_cost(cheap, StrategyProfile(p)) for p in ((0, 1), (1, 0))]
+    assert costs == [2.8, 2.8]
     report = oracle.price_of_anarchy(cheap)
-    assert report.optimal_profile.choice == (1, 0)
-    assert report.optimal_cost == 2.8
+    assert (report.optimal_profile.choice, report.optimal_cost) == ((0, 1), 2.8)
     dear = _parallel_edges(0.1, 0.7)
     worst, cost, count = oracle.worst_equilibrium(dear)
-    assert (worst.choice, cost, count) == ((1, 0), 2.8000000000000003, 2)
-    for inst in (cheap, dear):
+    assert (worst.choice, cost, count) == ((0, 1), 2.8, 2)
+    # ties between states: on three equal edges, the states of (0, 1), (0, 2)
+    # and (1, 2) tie for the optimum and, at eps 2, those of (0, 0), (1, 1)
+    # and (2, 2) for the worst equilibrium
+    even = prepare(
+        GameInstance(
+            ("s", "t"),
+            tuple(EdgeSpec(f"e{k}", "s", "t", 1.0, 0.5) for k in range(3)),
+            (Commodity("p", "s", "t", 1.0), Commodity("q", "s", "t", 1.0)),
+        )
+    )
+    report = oracle.price_of_anarchy(even, eps_improve=2.0)
+    assert (report.optimal_profile.choice, report.optimal_cost) == ((0, 1), 3.0)
+    assert report.worst_equilibrium_profile.choice == (0, 0)
+    assert (report.worst_equilibrium_cost, report.equilibrium_count) == (5.0, 9)
+    for inst in (cheap, dear, even):
         for eps in (0.0, 1e-9, 0.05):
             _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
 
 
-def test_state_with_an_overflowing_canonical_cost_is_kept():
-    # At loads (1, 1) the two orders of the load-free terms 2**971 and 2**970
-    # after A = max - 2**971 give inf for the canonical (0, 1) and max for
-    # (1, 0), the optimum; (0, 0) and (1, 1) cost inf. The state of (0, 1) has
-    # no finite cost or bound, and only keeping it finds the optimum.
+def test_overflowing_social_costs_are_inf():
+    # With 2·A = max - 2**971, the profiles (0, 1) and (1, 0) sum A, A, 2**971
+    # and 2**970 to max + 2**970, which rounds to inf, though a plain sum in one
+    # order stays at max; (0, 0) and (1, 1) overflow in their slope terms. So
+    # every profile costs inf, and the optimum is the lowest index, (0, 0).
     top = sys.float_info.max
     slope = (top - 2.0**971) / 2
     inst = prepare(
@@ -160,7 +216,9 @@ def test_state_with_an_overflowing_canonical_cost_is_kept():
             (Commodity("p", "s", "t", 1.0), Commodity("q", "s", "t", 1.0)),
         )
     )
-    assert oracle.optimal_profile(inst) == (StrategyProfile((1, 0)), top)
+    for choice in product((0, 1), repeat=2):
+        assert engine.social_cost(inst, StrategyProfile(choice)) == math.inf
+    assert oracle.optimal_profile(inst) == (StrategyProfile((0, 0)), math.inf)
     for eps in (0.0, 1e-9, 0.05):
         _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
 

@@ -96,6 +96,9 @@ def test_spec_validation():
         PriceSpec("saturating")  # missing beta
     with pytest.raises(ValueError):
         PriceSpec("saturating", {"beta": -1.0})
+    for beta in (math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="beta"):
+            PriceSpec("saturating", {"beta": beta})
     with pytest.raises(ValueError):
         PriceSpec("identity", {"beta": 1.0})  # stray parameter
 
