@@ -1,16 +1,37 @@
 #!/usr/bin/env python3
-"""Exhaustive Price of Anarchy sweep over random small affine instances.
+"""Exhaustive Price of Anarchy sweep over random small affine instances and
+the priced Braess diamonds.
 
 Checks equilibrium existence on every instance and reports the worst ratio
-observed against the (3 + sqrt(5))/2 ceiling; exits 1 if the ceiling is
-exceeded.
+observed against the (3 + sqrt(5))/2 ceiling. On every instance, at epsilon 0
+and at the default, best-response dynamics from the all-zero profile must
+converge to an equilibrium the exhaustive scan lists. Exits 1 if the ceiling
+is exceeded or the dynamics end anywhere else. The diamonds (n = 2, 4, 6, every
+price family, without and with the shortcut) have exact ties between paths,
+which random instances almost never have.
 """
 
 import argparse
 import random
 
-from routegame.oracle import POA_BOUND, price_of_anarchy
+from routegame.braess import build_priced_braess
+from routegame.engine import (
+    DEFAULT_EPS_IMPROVE,
+    DynamicsConfig,
+    StrategyProfile,
+    run_best_response_dynamics,
+)
+from routegame.oracle import POA_BOUND, equilibria_and_poa
+from routegame.pricing import PRICE_FAMILIES, PriceSpec
 from routegame.random_instances import random_affine_instance
+
+
+def diamonds():
+    """The priced Braess diamonds, without and with the shortcut."""
+    for fn in PRICE_FAMILIES:
+        price = PriceSpec(fn, {"beta": 2.5} if fn == "saturating" else {})
+        for n in (2, 4, 6):
+            yield from build_priced_braess(n, price)
 
 
 def main() -> int:
@@ -21,10 +42,26 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    instances = [
+        random_affine_instance(rng, max_profiles=args.max_profiles)
+        for _ in range(args.instances)
+    ]
+    instances += diamonds()
     worst = 1.0
-    for k in range(args.instances):
-        inst = random_affine_instance(rng, max_profiles=args.max_profiles)
-        report = price_of_anarchy(inst)
+    unlisted = 0
+    for k, inst in enumerate(instances):
+        start = StrategyProfile((0,) * len(inst.commodities))
+        for eps in (0.0, DEFAULT_EPS_IMPROVE):
+            equilibria, report = equilibria_and_poa(inst, eps_improve=eps)
+            result = run_best_response_dynamics(
+                inst, start, DynamicsConfig(eps_improve=eps)
+            )
+            if not result.converged or result.final not in equilibria:
+                unlisted += 1
+                print(
+                    f"[{k}] epsilon {eps}: dynamics ended on {result.final.choice}"
+                    f" (converged: {result.converged}), not a listed equilibrium"
+                )
         if report.poa > worst:
             worst = report.poa
             print(
@@ -33,9 +70,10 @@ def main() -> int:
                 f"{report.equilibrium_count} equilibria)"
             )
     ok = worst <= POA_BOUND + 1e-6
-    print(f"\nswept {args.instances} instances; max PoA {worst:.6f}")
+    print(f"\nswept {len(instances)} instances; max PoA {worst:.6f}")
     print(f"bound (3+sqrt(5))/2 = {POA_BOUND:.6f}: {'OK' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    print(f"dynamics off the equilibrium list: {unlisted}")
+    return 0 if ok and not unlisted else 1
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@ dynamics keep each edge's users in player order; a move re-sums the loads of
 only the edges the mover leaves or joins (O(N) each, in C, for N players),
 then the mover's own potential term in O(L) and the potential in O(E + N).
 
-Loads, path costs and deviations keep the floating-point operations and order
-of the original dict-based engine, so tie-breaks and moves are bit-identical
-to it: loads are summed from 0.0 in player order, a deviated load is
-(f - r) + r on an edge the current and alternative paths share and f + r
-elsewhere, and path costs are summed in path order. The potential and
+Loads are summed from 0.0 in player order, as in the original dict-based
+engine. Every deviation is decided by `CompiledGame.move_costs`, which the
+oracle's scan reads too: a player moving from path d sees each edge of d at
+its load f and every other edge at f + r, and path costs are summed in path
+order. So `is_equilibrium` and the oracle's equilibrium list agree on every
+profile at every eps_improve, and with eps_improve >= 0 the dynamics stop,
+short of max_moves, only on a profile both accept. The potential and
 `social_cost` are exact sums of their terms, correctly rounded (`math.fsum`),
 so they depend neither on the order of the terms nor on the Python version;
 `social_cost` evaluates the compiled table's one social-cost expression, which
@@ -64,8 +66,8 @@ class EdgeLoads:
 @dataclass(frozen=True)
 class DeviationWitness:
     player: int
-    path: int            # strictly better alternative path index
-    improvement: float   # current cost minus deviated cost, > 0
+    path: int            # the first path more than eps cheaper than the current one
+    improvement: float   # current cost minus the cost after the move, > eps
 
 
 @dataclass(frozen=True)
@@ -138,45 +140,6 @@ class _Flow:
         return exact_sum(chain(edge_terms, self.own))
 
 
-def _edge_costs(
-    g: CompiledGame, player: int, loads: list[float], edges: Sequence[int]
-) -> list[float]:
-    """`player`'s per-unit cost of each edge in `edges` at `loads`; entries of
-    other edges are left as loads."""
-    c1, a, b, price = g.c1, g.a, g.b, g.unit_price[player]
-    costs = loads[:]
-    for k in edges:
-        costs[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
-    return costs
-
-
-def _path_cost(costs: list[float], path: Sequence[int]) -> float:
-    total = 0.0
-    for k in path:
-        total += costs[k]
-    return total
-
-
-def _deviated_costs(
-    g: CompiledGame, f: list[float], player: int, current: int
-) -> list[float]:
-    """Per-unit edge costs for `player` at the deviated loads: its demand taken
-    off its current path, then put on the edge whose cost is read."""
-    r = g.demand[player]
-    shifted = f[:]
-    for k in g.paths[player][current]:
-        shifted[k] -= r
-    edges = g.edges_of[player]
-    for k in edges:
-        shifted[k] += r
-    return _edge_costs(g, player, shifted, edges)
-
-
-def _current_cost(g: CompiledGame, f: list[float], player: int, current: int) -> float:
-    path = g.paths[player][current]
-    return _path_cost(_edge_costs(g, player, f, path), path)
-
-
 def _best_response(
     g: CompiledGame,
     f: list[float],
@@ -186,16 +149,11 @@ def _best_response(
 ) -> tuple[int, float, float]:
     """(best path, its cost, current cost) as in `best_response`."""
     c = choice[player]
-    costs = _deviated_costs(g, f, player, c)
-    best_idx, best_cost = None, None
-    for j, path in enumerate(g.paths[player]):
-        cost = _path_cost(costs, path)
-        if best_cost is None or cost < best_cost:
-            best_idx, best_cost = j, cost
-    current_cost = _current_cost(g, f, player, c)
-    if current_cost - best_cost <= eps_improve:
-        return c, current_cost, current_cost
-    return best_idx, best_cost, current_cost
+    costs = g.move_costs(player, c, f)
+    best_cost = min(costs)
+    if costs[c] - best_cost <= eps_improve:
+        return c, costs[c], costs[c]
+    return costs.index(best_cost), best_cost, costs[c]
 
 
 def edge_loads(instance: GameInstance, profile: StrategyProfile) -> EdgeLoads:
@@ -214,13 +172,15 @@ def unit_path_cost(
     """Per-unit-flow cost player `player` pays to traverse `path` at the given
     loads. `path` must use only edges of the player's strategy set."""
     g = instance.compiled
+    c1, a, b, price = g.c1, g.a, g.b, g.unit_price[player]
     idx = tuple(g.edge_index[eid] for eid in path)
-    price = g.unit_price[player]
     for eid, k in zip(path, idx):
         if price[k] is None:
             raise ValueError(f"edge {eid!r} is on no path of commodity {player}")
-    f = [loads[e.id] for e in instance.edges]
-    return _path_cost(_edge_costs(g, player, f, idx), idx)
+    total = 0.0
+    for eid, k in zip(path, idx):
+        total += c1[k] * (a[k] * loads[eid] + b[k]) + price[k]
+    return total
 
 
 def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
@@ -228,8 +188,7 @@ def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
     g = _check_profile(instance, profile)
     f = _Flow(g, profile.choice).loads
     return g.social_cost(
-        [f[k] for k in g.active],
-        [g.load_free_cost(i, c) for i, c in enumerate(profile.choice)],
+        f, [g.load_free_cost(i, c) for i, c in enumerate(profile.choice)]
     )
 
 
@@ -244,21 +203,17 @@ def is_equilibrium(
     profile: StrategyProfile,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
 ) -> EquilibriumReport:
-    """Check every player against every alternative path; the witness is the first
-    strictly improving deviation in (player order, path order).
-
-    Alternative costs are evaluated at the deviated loads (the player's demand
-    moved onto the alternative path)."""
+    """Check every player against every path by `CompiledGame.move_costs`;
+    the witness is the first path j, in (player order, path order), whose
+    cost is more than eps_improve below the player's current cost."""
     g = _check_profile(instance, profile)
     flow = _Flow(g, profile.choice)
     f, phi = flow.loads, flow.potential()
-    costs = tuple(_current_cost(g, f, i, c) for i, c in enumerate(profile.choice))
-    for i, c in enumerate(profile.choice):
-        shifted = _deviated_costs(g, f, i, c)
-        for j, alt in enumerate(g.paths[i]):
-            if j == c:
-                continue
-            improvement = costs[i] - _path_cost(shifted, alt)
+    moves = [g.move_costs(i, c, f) for i, c in enumerate(profile.choice)]
+    costs = tuple(m[c] for m, c in zip(moves, profile.choice))
+    for i, m in enumerate(moves):
+        for j, cost in enumerate(m):
+            improvement = costs[i] - cost
             if improvement > eps_improve:
                 return EquilibriumReport(
                     False, costs, phi, DeviationWitness(i, j, improvement)
@@ -272,8 +227,9 @@ def best_response(
     player: int,
     eps_improve: float = 0.0,
 ) -> tuple[int, float]:
-    """Cheapest path for `player` at the deviated loads. Ties go to the lowest
-    path index, except that the current path wins ties (no churn)."""
+    """Cheapest path for `player` by `CompiledGame.move_costs`. Ties go to the
+    lowest path index, except that the player stays on its current path unless
+    that saves more than eps_improve (no churn)."""
     g = _check_profile(instance, profile)
     f = _Flow(g, profile.choice).loads
     j, cost, _ = _best_response(g, f, profile.choice, player, eps_improve)

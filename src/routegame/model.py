@@ -98,6 +98,10 @@ class CompiledGame:
     edges with c2 = 0 are 0.0 without evaluating u; a demand outside the
     domain of a c2 != 0 price on one of the commodity's paths raises
     PriceDomainError naming the commodity and the edge.
+
+    The engine and the oracle read two definitions from here and have none of
+    their own: the social cost of a profile (`social_cost`) and the costs that
+    decide whether a player can improve by switching paths (`move_costs`).
     """
 
     def __init__(self, instance: GameInstance):
@@ -111,9 +115,8 @@ class CompiledGame:
         self.a = tuple(e.a for e in edges)
         self.b = tuple(e.b for e in edges)
         self.demand = tuple(c.demand for c in instance.commodities)
-        #: edges with a nonzero slope c1 * a, ascending, and their slopes
-        self.active = tuple(k for k, e in enumerate(edges) if e.c1 * e.a != 0.0)
-        self.slope = tuple(edges[k].c1 * edges[k].a for k in self.active)
+        #: per edge: the slope c1 * a of its congestion cost
+        self.slope = tuple(e.c1 * e.a for e in edges)
         #: per (commodity, path): edge indices in path order
         self.paths: list[tuple[tuple[int, ...], ...]] = []
         #: per commodity: edge indices on any of its paths, ascending
@@ -165,11 +168,35 @@ class CompiledGame:
 
     def social_cost(self, loads: Sequence[float], load_free: Iterable[float]) -> float:
         """The social cost of a profile, the only one the package computes: the
-        exact sum of slope * f * f over the active edges at their `loads` and
-        of each player's `load_free_cost` on its chosen path, correctly
-        rounded. It depends on the multiset of terms only, so every profile
-        with the same loads and the same load-free terms costs the same."""
+        exact sum of slope * f * f over the edges at their `loads` (by edge
+        number) and of each player's `load_free_cost` on its chosen path,
+        correctly rounded. It depends on the multiset of terms only, so every
+        profile with the same loads and the same load-free terms costs the same."""
         return exact_sum(chain(map(mul, map(mul, self.slope, loads), loads), load_free))
+
+    def move_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
+        """Player i's per-unit cost on each of its paths j if it moved there
+        from its current path d, at the profile's `loads` (by edge number);
+        entry d is its current cost. The only test of a deviation: the player
+        can improve by more than eps exactly when costs[d] - min(costs) > eps.
+
+        An edge costs c1 * (a * x + b) + c2 * u(r), where x is the edge's load
+        on the edges of path d and its load plus the player's demand r on every
+        other edge; each path's cost is summed from 0.0 in path order."""
+        r, price = self.demand[i], self.unit_price[i]
+        c1, a, b = self.c1, self.a, self.b
+        cost = [0.0] * len(c1)
+        for k in self.edges_of[i]:
+            cost[k] = c1[k] * (a[k] * (loads[k] + r) + b[k]) + price[k]
+        for k in self.paths[i][d]:
+            cost[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
+        costs = []
+        for path in self.paths[i]:
+            total = 0.0
+            for k in path:
+                total += cost[k]
+            costs.append(total)
+        return costs
 
 
 def exact_sum(terms: Iterable[float]) -> float:

@@ -10,12 +10,13 @@ named by its canonical (lowest-index) digits, nondecreasing within the run. A
 run of one player is a plain path index, so an instance without repeated
 commodities scans one state per profile.
 
-All profiles of a state have the same loads: each slot adds its users' demands
-in player order, and the users a run puts on a slot all add the same r. Loads
-come from a stack of prefix sums, one level per run, with r added once per
-user, so every load has the bits of a full recompute. Equilibrium status is a
-function of the loads too; it is tested once per (run, used path), and a state
-counts its number of profiles, the product of the runs' multinomials.
+All profiles of a state have the same loads: each edge adds its users'
+demands in player order, and the users a run puts on an edge all add the same
+r. Loads come from a stack of prefix sums, one level per run, with r added once
+per user, so every load has the bits of a full recompute. Equilibrium status is
+a function of the loads too. It is decided by `CompiledGame.move_costs`, the
+engine's own test, once per (run, used path), and a state counts its number of
+profiles, the product of the runs' multinomials.
 
 Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
 of the terms, correctly rounded, so every profile of a state has the state's
@@ -33,7 +34,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterator, Optional, Sequence
 
 from .engine import StrategyProfile, DEFAULT_EPS_IMPROVE
-from .model import GameInstance
+from .model import CostOverflowError, GameInstance
 
 DEFAULT_PROFILE_CAP = 200_000
 
@@ -67,7 +68,10 @@ class PoAReport:
 
 def cost_ratio(cost: float, reference: float) -> float:
     """cost / reference, where a zero reference gives 1 for a zero cost and inf
-    otherwise: costs are nonnegative, and an all-zero game is not inefficient."""
+    otherwise: costs are nonnegative, and an all-zero game is not inefficient.
+    An infinite reference has no ratio and raises CostOverflowError."""
+    if reference == math.inf:
+        raise CostOverflowError("no cost ratio: the reference cost overflows")
     if reference == 0.0:
         return 1.0 if cost == 0.0 else math.inf
     return cost / reference
@@ -115,19 +119,12 @@ def _orderings(canonical: tuple[int, ...]) -> int:
 class _Indexed:
     """Precomputed tables for the state scan, one set per run.
 
-    Only the compiled table's active edges (c1*a != 0) need loads, kept by slot
-    in `active` order; every other cost contribution is linear in the path
-    counts. Deviations whose cost difference does not depend on loads are
-    resolved here once, into `static_bad`.
+    Loads are kept by edge number, as the engine keeps them.
     """
 
     def __init__(self, instance: GameInstance, eps_improve: float):
         self.eps = eps_improve
-        g = instance.compiled
-        c1a = [c1 * a for c1, a in zip(g.c1, g.a)]
-        c1b = [c1 * b for c1, b in zip(g.c1, g.b)]
-        slot = {k: s for s, k in enumerate(g.active)}
-        self.slope = g.slope
+        g = self.g = instance.compiled
 
         #: per run: its first player and one past its last
         self.spans: list[tuple[int, int]] = []
@@ -138,13 +135,7 @@ class _Indexed:
                 self.spans.append((i, i + 1))
 
         self.demand = [g.demand[lo] for lo, _ in self.spans]
-        # per (run, path): load-dependent deviations as
-        # (alt index, cur-exclusive slots, alt-exclusive slots, constant)
-        self.deviations: list[list[list[tuple[int, tuple, tuple, float]]]] = []
-        # digits that can never appear in an equilibrium, decided load-free
-        self.static_bad: list[list[bool]] = []
-        # per (run, path): active slots on the path
-        self.path_active: list[list[tuple[int, ...]]] = []
+        self.paths = [g.paths[lo] for lo, _ in self.spans]
         # per (run, state of the run): canonical digits, used paths, canonical
         # load-free terms, and the number of orderings
         self.canonical: list[list[tuple[int, ...]]] = []
@@ -152,72 +143,26 @@ class _Indexed:
         self.own: list[list[list[float]]] = []
         self.orderings: list[list[int]] = []
 
-        for lo, hi in self.spans:
-            r, unit_price = g.demand[lo], g.unit_price[lo]
-            idx_lists, act_lists, prices = [], [], []
-            for idxs in g.paths[lo]:
-                idx_lists.append(frozenset(idxs))
-                act_lists.append(tuple(slot[j] for j in idxs if j in slot))
-                prices.append(sum(unit_price[j] for j in idxs))
-            self.path_active.append(act_lists)
-            n_paths = len(prices)
-            load_free = [g.load_free_cost(lo, d) for d in range(n_paths)]
-
-            devs: list[list] = []
-            bad: list[bool] = []
-            for d in range(n_paths):
-                dlist = []
-                is_bad = False
-                for j in range(n_paths):
-                    if j == d:
-                        continue
-                    cur_excl = idx_lists[d] - idx_lists[j]
-                    alt_excl = idx_lists[j] - idx_lists[d]
-                    cur_act = tuple(slot[e] for e in sorted(cur_excl) if e in slot)
-                    alt_act = tuple(slot[e] for e in sorted(alt_excl) if e in slot)
-                    const = (
-                        prices[d]
-                        - prices[j]
-                        + sum(c1b[e] for e in cur_excl)
-                        - sum(c1b[e] for e in alt_excl)
-                        - r * sum(c1a[e] for e in alt_excl)
-                    )
-                    if not cur_act and not alt_act:
-                        if const > eps_improve:
-                            is_bad = True
-                            break
-                    else:
-                        dlist.append((j, cur_act, alt_act, const))
-                devs.append(dlist)
-                bad.append(is_bad)
-            self.deviations.append(devs)
-            self.static_bad.append(bad)
-
+        for (lo, hi), paths in zip(self.spans, self.paths):
+            load_free = [g.load_free_cost(lo, d) for d in range(len(paths))]
             # lists, and tuples built from lists: tuple() of an iterator is
             # resized, which moves blocks between the interpreter's per-size
             # tuple free lists and grew a long-running process by megabytes
-            canonical = list(combinations_with_replacement(range(n_paths), hi - lo))
+            canonical = list(combinations_with_replacement(range(len(paths)), hi - lo))
             self.canonical.append(canonical)
             self.used.append([tuple(dict.fromkeys(c)) for c in canonical])
             self.own.append([[load_free[d] for d in c] for c in canonical])
             self.orderings.append(list(map(_orderings, canonical)))
 
     def is_equilibrium(self, digits: list[int], f: list[float]) -> bool:
-        eps = self.eps
-        slope = self.slope
-        for j, c in enumerate(digits):
-            bad, devs = self.static_bad[j], self.deviations[j]
-            for d in self.used[j][c]:
-                if bad[d]:
+        """No player of the state can save more than eps by `move_costs`,
+        tested once per (run, used path)."""
+        eps, move_costs = self.eps, self.g.move_costs
+        for (lo, _), used, c in zip(self.spans, self.used, digits):
+            for d in used[c]:
+                costs = move_costs(lo, d, f)
+                if costs[d] - min(costs) > eps:
                     return False
-                for _, cur_act, alt_act, const in devs[d]:
-                    improvement = const
-                    for s in cur_act:
-                        improvement += slope[s] * f[s]
-                    for s in alt_act:
-                        improvement -= slope[s] * f[s]
-                    if improvement > eps:
-                        return False
         return True
 
     def states(self) -> Iterator[tuple[list[int], list[float], list[float], int]]:
@@ -226,14 +171,14 @@ class _Indexed:
         place; a yielded loads list itself is never changed later.
         levels[j] holds the loads of runs 0..j-1, so advancing run j rebuilds
         levels j+1.. and the terms of runs j.. only."""
-        demand, path_active, canonical = self.demand, self.path_active, self.canonical
+        demand, paths_of, canonical = self.demand, self.paths, self.canonical
         own_of, orderings = self.own, self.orderings
         runs = [slice(lo, hi) for lo, hi in self.spans]
         radices = [len(c) for c in canonical]
         k = len(radices)
         digits = [0] * k
         own = [0.0] * (self.spans[-1][1] if self.spans else 0)
-        levels = [[0.0] * len(self.slope)] + [[]] * k
+        levels = [[0.0] * len(self.g.c1)] + [[]] * k
         ways = [1] * (k + 1)
         i = 0
         while True:
@@ -241,10 +186,10 @@ class _Indexed:
                 d = digits[j]
                 f = levels[j].copy()
                 r = demand[j]
-                active = path_active[j]
+                paths = paths_of[j]
                 for path in canonical[j][d]:  # r once per user
-                    for s in active[path]:
-                        f[s] += r
+                    for e in paths[path]:
+                        f[e] += r
                 levels[j + 1] = f
                 ways[j + 1] = ways[j] * orderings[j][d]
                 own[runs[j]] = own_of[j][d]
@@ -260,8 +205,13 @@ class _Indexed:
     def canonical_profile(
         self, digits: Optional[Sequence[int]]
     ) -> Optional[StrategyProfile]:
-        """A state's lowest-index profile, or None for no state."""
-        return None if digits is None else StrategyProfile(next(self.profiles(digits)))
+        """A state's lowest-index profile, or None for no state: its runs'
+        canonical digits, concatenated."""
+        if digits is None:
+            return None
+        return StrategyProfile(
+            tuple([p for j, d in enumerate(digits) for p in self.canonical[j][d]])
+        )
 
     def profiles(self, digits: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """The profiles of a state, in index order."""

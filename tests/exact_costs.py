@@ -11,6 +11,11 @@ the package documents:
   its path of c1 * (a * r + b) * r + 2 * c2 * u(r) * r, rounded once.
 
 Loads f add the players' demands from 0.0 in player order.
+
+`ExactCosts.move_costs` is the documented deviation rule, written over dicts
+of edge ids: player i's cost on each of its paths if it moved there from its
+current path, with each edge of that path at its load f, every other edge at
+f + r, and each path summed from 0.0 in path order.
 """
 
 import math
@@ -72,3 +77,20 @@ class ExactCosts:
             [e.c1 * (e.a * x + e.b) * x for e, x in zip(self.inst.edges, f)]
             + [self.own[i][j] for i, j in enumerate(choice)]
         )
+
+    def move_costs(self, i: int, choice: Sequence[int]) -> list[float]:
+        inst = self.inst
+        edges = {e.id: e for e in inst.edges}
+        load = dict(zip(edges, self.loads(choice)))
+        r = inst.commodities[i].demand
+        current = set(inst.paths[i][choice[i]])
+        costs = []
+        for path in inst.paths[i]:
+            total = 0.0
+            for eid in path:
+                e = edges[eid]
+                x = load[eid] if eid in current else load[eid] + r
+                u = eval_u(e.price, r) if e.c2 else 0.0
+                total += e.c1 * (e.a * x + e.b) + e.c2 * u
+            costs.append(total)
+        return costs

@@ -229,6 +229,30 @@ def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
     assert len(costs) == 1
 
 
+def test_equilibrate_ends_on_an_enumerated_equilibrium_at_epsilon_0(capsys, tmp_path):
+    # The priced-identity n=6 "after" diamond has exact ties between paths. At
+    # --epsilon 0 a tie is no improvement, for the scan and the dynamics alike.
+    from routegame.braess import build_priced_braess
+    from routegame.pricing import PriceSpec
+
+    _, after = build_priced_braess(6, PriceSpec("identity"))
+    path = tmp_path / "identity6.json"
+    path.write_text(serialize_scenario(after))
+    code, doc, _ = run_json(capsys, "enumerate", str(path), "--epsilon", "0")
+    assert code == 0
+    assert doc["equilibrium_count"] == len(doc["equilibria"]) == 43
+    listed = [
+        [list(after.paths[i][j]) for i, j in enumerate(choice)]
+        for choice in doc["equilibria"]
+    ]
+    for seed in range(200):
+        code, doc, _ = run_json(
+            capsys, "equilibrate", str(path), "--epsilon", "0", "--seed", str(seed)
+        )
+        assert code == 0
+        assert list(doc["final_profile"].values()) in listed, seed
+
+
 def test_poa_classic(capsys, classic_after_file):
     code, doc, _ = run_json(capsys, "poa", classic_after_file)
     assert code == 0

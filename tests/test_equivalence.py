@@ -1,18 +1,20 @@
-"""The compiled engine against a frozen copy of the original dict-based engine.
+"""The compiled engine against a frozen copy of the original dict-based engine,
+and against the documented deviation rule.
 
-Every comparison is exact (==). Loads, path costs, best responses, moves,
-witnesses and final profiles must reproduce each float of the original,
-because tie-breaks depend on them. Social costs and potentials must instead
-equal the correctly rounded exact sums of their terms (`exact_costs`), which
-depend on no summation order.
+Every comparison is exact (==). Loads, path costs and the players' current
+costs must reproduce each float of the original. Best responses, witnesses and
+dynamics must follow the documented deviation rule over independent,
+dict-based move costs (`ExactCosts.move_costs`). They can differ from the
+original's, which saw an edge that a move keeps at (f - r) + r, not at its
+load f. Social costs and potentials must equal the correctly rounded exact
+sums of their terms (`exact_costs`), which depend on no summation order.
 """
 
-import dataclasses
 import json
 import random
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
@@ -34,6 +36,7 @@ def _random_profile(rng, inst):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(4619)  # a best response the original costs at 3.421049362381544, not ...443
 def test_engine_views_match_reference_bit_for_bit(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
@@ -48,28 +51,70 @@ def test_engine_views_match_reference_bit_for_bit(seed):
             assert engine.unit_path_cost(inst, loads, i, path) == ref.unit_path_cost(
                 inst, ref_loads, i, path
             )
-        assert engine.best_response(inst, prof, i, eps) == ref.best_response(
-            inst, prof, i, eps
-        )
     exact = ExactCosts(inst)
     assert engine.social_cost(inst, prof) == exact.social_cost(prof.choice)
     assert engine.potential(inst, prof) == exact.potential(prof.choice)
-    _assert_equilibrium_report_matches(inst, prof, eps)
+    report = engine.is_equilibrium(inst, prof, eps)
+    assert report.player_costs == ref.is_equilibrium(inst, prof, eps).player_costs
+    assert report.potential == exact.potential(prof.choice)
+    _assert_moves_follow_move_costs(inst, prof, eps)
 
 
-def _assert_equilibrium_report_matches(inst, prof, eps):
-    got = engine.is_equilibrium(inst, prof, eps)
-    want = ref.is_equilibrium(inst, prof, eps)
-    assert got.potential == ExactCosts(inst).potential(prof.choice)
-    assert dataclasses.replace(got, potential=want.potential) == want
+def _assert_moves_follow_move_costs(inst, prof, eps):
+    # a player can improve when its current cost exceeds one of its move costs
+    # by more than eps; it then moves to the lowest-index cheapest path
+    exact = ExactCosts(inst)
+    moves = [exact.move_costs(i, prof.choice) for i in range(len(prof.choice))]
+    costs = tuple(m[c] for m, c in zip(moves, prof.choice))
+    witness = next(
+        (
+            engine.DeviationWitness(i, j, costs[i] - x)
+            for i, m in enumerate(moves)
+            for j, x in enumerate(m)
+            if costs[i] - x > eps
+        ),
+        None,
+    )
+    report = engine.is_equilibrium(inst, prof, eps)
+    assert (report.player_costs, report.witness) == (costs, witness)
+    assert report.is_equilibrium == (witness is None)
+    for i, (m, c) in enumerate(zip(moves, prof.choice)):
+        best = min(range(len(m)), key=m.__getitem__)
+        if costs[i] - m[best] <= eps:
+            best = c
+        assert engine.best_response(inst, prof, i, eps) == (best, m[best])
+
+
+def _rule_dynamics(inst, start, config):
+    """Round-robin best responses by the documented rule over the independent
+    move costs, as (moves, final choice, converged)."""
+    exact, eps = ExactCosts(inst), config.eps_improve
+    choice, moves = list(start.choice), []
+    while True:
+        moved = False
+        for i, d in enumerate(choice):
+            if len(moves) >= config.max_moves:
+                break
+            m = exact.move_costs(i, choice)
+            best = min(range(len(m)), key=m.__getitem__)
+            if m[d] - m[best] > eps and best != d:
+                moves.append(engine.Move(i, d, best, m[d] - m[best]))
+                choice[i] = best
+                moved = True
+        if len(moves) >= config.max_moves:
+            costs = [exact.move_costs(i, choice) for i in range(len(choice))]
+            stable = all(m[d] - min(m) <= eps for m, d in zip(costs, choice))
+            return moves, choice, stable
+        if not moved:
+            return moves, choice, True
 
 
 def _assert_dynamics_match(inst, start, config=DynamicsConfig()):
     got = engine.run_best_response_dynamics(inst, start, config)
-    want = ref.run_best_response_dynamics(inst, start, config)
-    assert got.moves == want.moves
-    assert got.final == want.final
-    assert got.converged == want.converged
+    moves, final, converged = _rule_dynamics(inst, start, config)
+    assert got.moves == tuple(moves)
+    assert got.final.choice == tuple(final)
+    assert got.converged == converged
     exact = ExactCosts(inst)
     choice = list(start.choice)
     trace = [exact.potential(choice)]
@@ -92,9 +137,10 @@ def test_dynamics_result_matches_reference_bit_for_bit(seed):
     _assert_dynamics_match(inst, start, config)
 
 
-def test_deviated_loads_keep_the_original_rounding():
-    # With demands 0.1, 0.2, 0.4 on edge sv, the load is 0.7000000000000001 but
-    # (load - 0.2) + 0.2 is 0.7: a deviation that keeps sv must see the latter.
+def test_a_move_sees_a_kept_edge_at_its_load():
+    # With demands 0.1, 0.2, 0.4 on edge sv, the load f is 0.7000000000000001
+    # but (f - 0.2) + 0.2 is 0.7: the player of demand 0.2, moving from
+    # (sv, vt1) to (sv, vt2), keeps sv and sees it at f.
     inst = prepare(
         GameInstance(
             ("s", "v", "t"),
@@ -111,14 +157,33 @@ def test_deviated_loads_keep_the_original_rounding():
     prof = StrategyProfile((0, 0, 0))
     f = engine.edge_loads(inst, prof)["sv"]
     assert (f - 0.2) + 0.2 != f
-    _assert_equilibrium_report_matches(inst, prof, -1.0)
-    report = engine.is_equilibrium(inst, prof, eps_improve=-1.0)
-    assert report.witness.improvement == report.player_costs[0] - ((f - 0.1) + 0.1 + 0.1)
-    for i in range(3):
-        assert engine.best_response(inst, prof, i, -1.0) == ref.best_response(
-            inst, prof, i, -1.0
-        )
+    costs = inst.compiled.move_costs(1, 0, [f, f, 0.0])
+    assert costs == [f + f, f + 0.2] == ExactCosts(inst).move_costs(1, prof.choice)
+    assert costs[1] != ((f - 0.2) + 0.2) + 0.2
+    for eps in (0.0, 1e-9, 0.05):
+        _assert_moves_follow_move_costs(inst, prof, eps)
+    report = engine.is_equilibrium(inst, prof)
+    assert report.witness == engine.DeviationWitness(0, 1, (f + f) - (f + 0.1))
     _assert_dynamics_match(inst, prof)
+
+
+def test_a_tie_is_no_improvement():
+    # one player on the second of two equal parallel edges: the first costs
+    # exactly as much after the move, so at eps 0 the player stays
+    inst = prepare(
+        GameInstance(
+            ("s", "t"),
+            (EdgeSpec("e0", "s", "t", 1.0, 0.0), EdgeSpec("e1", "s", "t", 1.0, 0.0)),
+            (Commodity("p", "s", "t", 1.0),),
+        )
+    )
+    prof = StrategyProfile((1,))
+    assert ExactCosts(inst).move_costs(0, prof.choice) == [1.0, 1.0]
+    assert engine.best_response(inst, prof, 0, 0.0) == (1, 1.0)
+    assert engine.is_equilibrium(inst, prof, 0.0).is_equilibrium
+    for eps in (0.0, 1e-9, 0.05):
+        _assert_moves_follow_move_costs(inst, prof, eps)
+        _assert_dynamics_match(inst, prof, DynamicsConfig(eps_improve=eps))
 
 
 def _equilibrate_stdout(capsys, scenario):

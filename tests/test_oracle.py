@@ -83,6 +83,14 @@ def test_optimal_profile_classic_split(classic_pair_2):
     assert sorted(prof.choice) == [0, 2]
 
 
+def test_optimal_profile_of_a_large_run_is_its_canonical_digits():
+    # 2**40 profiles in 41 states: the optimum's lowest-index profile is built
+    # from its state's digits, not found among its C(40, 20) orderings
+    before, _ = build_classic_braess(40)
+    prof, _ = oracle.optimal_profile(before, cap=2**63)
+    assert prof.choice == (0,) * 20 + (1,) * 20
+
+
 def test_optimal_profile_priced_identity():
     _, after = build_priced_braess(2, PriceSpec("identity"))
     prof, sc = oracle.optimal_profile(after)
