@@ -2,10 +2,11 @@
 
 Commands: validate, equilibrate, enumerate, poa, braess {classic|priced|pair},
 price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
-violations, a demand outside an edge's price domain, costs beyond the float
-range, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
-error. Every flag is checked before anything is written to stdout. All output
-is deterministic for fixed flags and seed.
+violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
+error. Every scenario file is checked by `validate_instance`, and a command
+exits 1 with its first violation. Each command accepts only the flags it reads,
+all checked before anything is written to stdout. All output is deterministic
+for fixed flags and seed.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ from typing import Optional, Sequence
 from . import braess as braess_mod
 from . import engine, oracle
 from .model import (
-    CostOverflowError,
     GameInstance,
+    InvalidInstanceError,
     PathEnumerationError,
     ScenarioError,
-    cost_overflow,
     parse_scenario,
     prepare,
     serialize_scenario,
     validate_instance,
 )
-from .pricing import PRICE_FAMILIES, PriceDomainError, PriceSpec, eval_F, eval_u
+from .pricing import PRICE_FAMILIES, PriceSpec, eval_F, eval_u
 
 FORMATS = ("table", "json", "csv")
 
@@ -68,18 +68,18 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(f"{k.ljust(width)}  {v}\n")
 
 
-def _read_scenario(path: str, strict: bool = True) -> GameInstance:
+def _read_scenario(path: str) -> GameInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), strict=strict)
+        return parse_scenario(fh.read())
 
 
 def _prepared(path: str) -> GameInstance:
     """A scenario file's instance with its strategy sets; raises
-    CostOverflowError when some cost of it may overflow the float range."""
+    InvalidInstanceError with the first violation `validate` would list."""
     instance = _read_scenario(path)
-    overflow = cost_overflow(instance)
-    if overflow is not None:
-        raise CostOverflowError(overflow)
+    violations = validate_instance(instance).violations
+    if violations:
+        raise InvalidInstanceError(violations[0])
     return prepare(instance)
 
 
@@ -95,7 +95,7 @@ def _profile_report(instance: GameInstance, profile: engine.StrategyProfile) -> 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    instance = _read_scenario(args.scenario, strict=False)
+    instance = _read_scenario(args.scenario)
     report = validate_instance(instance)
     _emit(
         {
@@ -268,14 +268,17 @@ def cmd_price_curves(args: argparse.Namespace) -> int:
 # parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--epsilon", type=float, default=engine.DEFAULT_EPS_IMPROVE)
-    p.add_argument("--max-moves", type=int, default=engine.DEFAULT_MAX_MOVES)
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_PROFILE_CAP)
-    p.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; no effect"
-    )
+_FLAGS = {
+    "--format": dict(choices=FORMATS, default="table"),
+    "--epsilon": dict(type=float, default=engine.DEFAULT_EPS_IMPROVE),
+    "--max-moves": dict(type=int, default=engine.DEFAULT_MAX_MOVES),
+    "--cap": dict(type=int, default=oracle.DEFAULT_PROFILE_CAP),
+}
+
+
+def _flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,23 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario file against all invariants")
     p.add_argument("scenario")
-    _common_flags(p)
+    _flags(p, "--format")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("equilibrate", help="run best-response dynamics")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None, help="random initial profile")
-    _common_flags(p)
+    _flags(p, "--format", "--epsilon", "--max-moves")
     p.set_defaults(func=cmd_equilibrate)
 
     p = sub.add_parser("enumerate", help="list all pure equilibria exhaustively")
     p.add_argument("scenario")
-    _common_flags(p)
+    _flags(p, "--format", "--epsilon", "--cap")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("poa", help="exhaustive Price of Anarchy report")
     p.add_argument("scenario")
-    _common_flags(p)
+    _flags(p, "--format", "--epsilon", "--cap")
     p.set_defaults(func=cmd_poa)
 
     p = sub.add_parser("braess", help="edge-addition experiments")
@@ -318,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
             bp.add_argument("--c2", type=float, default=0.5)
         bp.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
         bp.add_argument("--emit-scenario", metavar="PREFIX")
-        _common_flags(bp)
+        _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
         bp.set_defaults(func=cmd_braess, variant=variant)
     bp = bsub.add_parser("pair")
     bp.add_argument("before")
     bp.add_argument("after")
     bp.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
-    _common_flags(bp)
+    _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
     bp.set_defaults(func=cmd_braess, variant="pair")
 
     p = sub.add_parser("price-curves", help="emit CSV samples of the price catalog")
@@ -345,8 +348,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _usage_error("--epsilon must be finite")
     if getattr(args, "cap", 1) < 1:
         return _usage_error("--cap must be at least 1")
-    if getattr(args, "workers", 1) < 1:
-        return _usage_error("--workers must be at least 1")
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -357,8 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (
         PathEnumerationError,
-        PriceDomainError,
-        CostOverflowError,
+        InvalidInstanceError,
         oracle.ProfileCapError,
         oracle.NoEquilibriumError,
         braess_mod.NotConvergedError,

@@ -269,13 +269,14 @@ def run_best_response_dynamics(
 ) -> DynamicsResult:
     """Round-robin best responses until no player can improve by more than
     eps_improve. Once max_moves moves are made, no further move is taken and
-    convergence is decided by an equilibrium check of the final profile."""
+    convergence is decided by an equilibrium check of the final profile. At a
+    negative eps_improve staying put counts as an improvement, so no profile
+    with a player is an equilibrium and the dynamics never converge."""
     g = _check_profile(instance, initial)
     choice = list(initial.choice)
     moves: list[Move] = []
     flow = _Flow(g, choice)
     trace = [flow.potential()]
-    converged = True
     while True:
         moved = False
         for i in range(len(choice)):
@@ -298,6 +299,7 @@ def run_best_response_dynamics(
             ).is_equilibrium
             break
         if not moved:
+            converged = config.eps_improve >= 0 or not choice
             break
     return DynamicsResult(
         StrategyProfile(tuple(choice)), tuple(moves), tuple(trace), converged

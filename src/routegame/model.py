@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -35,6 +35,10 @@ class PathEnumerationError(RuntimeError):
 
 class CostOverflowError(ValueError):
     """Some cost of an instance can exceed the float range."""
+
+
+class InvalidInstanceError(ValueError):
+    """An instance violates an invariant that validate_instance reports."""
 
 
 @dataclass(frozen=True)
@@ -284,24 +288,24 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
 # validation
 
 
-def _reachable(instance: GameInstance, source: str, sink: str) -> bool:
-    adj = _adjacency(instance)
+def _reach(adj: Mapping[str, list[EdgeSpec]], source: str) -> set[str]:
+    """Every node reachable from `source` in the adjacency `adj`, itself included."""
     seen = {source}
     stack = [source]
     while stack:
-        node = stack.pop()
-        if node == sink:
-            return True
-        for e in adj.get(node, ()):
+        for e in adj.get(stack.pop(), ()):
             if e.head not in seen:
                 seen.add(e.head)
                 stack.append(e.head)
-    return False
+    return seen
 
 
 def validate_instance(instance: GameInstance) -> ValidationReport:
-    """Collect every invariant violation; an empty report means the instance is valid."""
+    """Collect every invariant violation; an empty report means the instance is
+    valid. The one rule set of a valid instance: the CLI gates every scenario on it."""
     out: list[str] = []
+    adj = _adjacency(instance)
+    reach = cache(lambda node: _reach(adj, node))  # one reach set per source node
     nodes = set()
     for n in instance.nodes:
         if not n:
@@ -356,14 +360,14 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
         elif not math.isfinite(c.demand):
             out.append(f"{where}: demand must be finite")
         elif c.source in nodes and c.sink in nodes:
-            if not _reachable(instance, c.source, c.sink):
+            if c.sink not in reach(c.source):
                 out.append(f"{where}: no s-t path")
             # every edge on some source-sink walk, a superset of the path edges
             for e in bounded:
                 if (
                     c.demand > e.price.x_max
-                    and _reachable(instance, c.source, e.tail)
-                    and _reachable(instance, e.head, c.sink)
+                    and e.tail in reach(c.source)
+                    and c.sink in reach(e.head)
                 ):
                     out.append(
                         f"{where}: demand {c.demand} outside the price domain"
@@ -480,12 +484,12 @@ def _finite_number(text: str) -> float:
     return x
 
 
-def parse_scenario(text: str, strict: bool = True) -> GameInstance:
-    """Parse a scenario JSON document into a validated (pathless) game instance.
+def parse_scenario(text: str) -> GameInstance:
+    """Parse a scenario JSON document into a (pathless) game instance.
 
-    With strict=False, value-range violations (normalization, sign constraints,
-    self-loops, nonpositive demand) are left for validate_instance to report
-    instead of raising; schema, type, and reference errors always raise."""
+    Raises ScenarioError for anything that cannot become an instance: JSON
+    syntax, non-finite numbers, schema, types, duplicate ids or labels, unknown
+    node references. Value ranges are left to validate_instance."""
     try:
         doc = json.loads(
             text,
@@ -538,17 +542,6 @@ def parse_scenario(text: str, strict: bool = True) -> GameInstance:
         b = _number(item, "b", what)
         c1 = _number(item, "c1", what)
         c2 = _number(item, "c2", what)
-        if strict:
-            if tail == head:
-                raise ScenarioError(f"{what}: self-loop forbidden")
-            if a < 0 or b < 0:
-                raise ScenarioError(
-                    f"{what}: congestion coefficients must be nonnegative"
-                )
-            if abs(c1 + c2 - 1.0) > NORMALIZATION_TOL:
-                raise ScenarioError(f"{what}: mixing coefficients not normalized")
-            if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-                raise ScenarioError(f"{what}: mixing coefficients outside [0, 1]")
         price = _parse_price(item["price"], what)
         edges.append(EdgeSpec(eid, tail, head, a, b, c1, c2, price))
 
@@ -575,11 +568,6 @@ def parse_scenario(text: str, strict: bool = True) -> GameInstance:
         if source not in node_set or sink not in node_set:
             raise ScenarioError(f"{what}: unknown node reference")
         demand = _number(item, "demand", what)
-        if strict:
-            if source == sink:
-                raise ScenarioError(f"{what}: source equals sink")
-            if not demand > 0:
-                raise ScenarioError(f"{what}: demand must be positive")
         commodities.append(Commodity(cid, source, sink, demand))
 
     return GameInstance(nodes, tuple(edges), tuple(commodities))

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
 from routegame.braess import build_classic_braess
-from routegame.cli import main
+from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
 
 
@@ -111,8 +112,6 @@ def test_equilibrate_negative_move_cap_is_usage_error(capsys, classic_after_file
         ("--epsilon", "-inf"),
         ("--cap", "0"),
         ("--cap", "-5"),
-        ("--workers", "0"),
-        ("--workers", "-3"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, classic_after_file, flag, value):
@@ -127,6 +126,14 @@ def test_finite_negative_epsilon_is_accepted(capsys, classic_after_file):
     code, out, err = run(capsys, "poa", classic_after_file, "--epsilon=-1")
     assert code == 1
     assert "no pure equilibrium" in err
+
+
+def test_negative_epsilon_dynamics_never_converge(capsys, classic_after_file):
+    # staying put saves 0 > -1, so no profile passes the deviation rule, and
+    # the dynamics must not report convergence once nobody moves
+    code, doc, _ = run_json(capsys, "equilibrate", classic_after_file, "--epsilon=-1")
+    assert code == 1
+    assert doc["converged"] is False
 
 
 @pytest.mark.parametrize("command", ["validate", "poa"])
@@ -210,6 +217,67 @@ def test_cost_overflow_is_a_domain_failure(capsys, overflow_files, argv):
     assert code == 1
     assert out == ""
     assert err == f"error: {OVERFLOW}\n"
+
+
+def _invalid(doc, case):
+    """The classic n=2 "after" diamond `doc`, broken in one way."""
+    sv, vt, _, wt, vw = doc["edges"]
+    u1 = doc["commodities"][0]
+    if case == "negative-a":
+        sv["a"] = -1.0
+    elif case == "negative-b":
+        vt["b"] = -1.0
+    elif case == "unnormalized":
+        sv.update(c1=0.6, c2=0.5)
+    elif case == "self-loop":
+        vw["to"] = "v"
+    elif case == "source-is-sink":
+        u1["sink"] = "s"
+    elif case == "zero-demand":
+        u1["demand"] = 0.0
+    elif case == "no-path":
+        doc["nodes"].append("x")
+        u1["sink"] = "x"
+    elif case == "walk-only-sin":
+        # v -> s lies on the walk s, v, s, w, t but on no simple s-t path
+        doc["edges"].append(dict(vw, id="vs", to="s", c1=0.5, c2=0.5,
+                                 price={"fn": "sin", "params": {}}))
+        u1["demand"] = 2.0
+    else:  # overflow
+        sv["a"] = wt["a"] = 1e308
+        for c in doc["commodities"]:
+            c["demand"] = 1e10
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case, violation",
+    [
+        ("negative-a", "edge 'sv': negative congestion slope"),
+        ("negative-b", "edge 'vt': negative congestion intercept"),
+        ("unnormalized", "edge 'sv': mixing coefficients not normalized"),
+        ("self-loop", "edge 'vw': self-loop forbidden"),
+        ("source-is-sink", "commodity 'u1': source equals sink"),
+        ("zero-demand", "commodity 'u1': demand must be positive"),
+        ("no-path", "commodity 'u1': no s-t path"),
+        ("walk-only-sin",
+         "commodity 'u1': demand 2.0 outside the price domain of edge 'vs' ('sin')"),
+        ("overflow", OVERFLOW),
+    ],
+)
+def test_every_command_rejects_what_validate_rejects(
+    capsys, tmp_path, classic_after_file, case, violation
+):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(_invalid(json.loads(open(classic_after_file).read()), case)))
+    code, doc, _ = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert doc["violations"][0] == violation
+    before = tmp_path / "before.json"
+    before.write_text(serialize_scenario(build_classic_braess(2)[0]))
+    for argv in (["poa"], ["enumerate"], ["equilibrate"], ["braess", "pair", str(before)]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (1, "", f"error: {violation}\n"), argv
 
 
 def test_equilibrate_seeds_agree_on_social_cost(capsys, tmp_path):
@@ -457,18 +525,6 @@ def test_reports_are_byte_identical(capsys):
     assert len(outputs) == 1
 
 
-def test_workers_do_not_change_output(capsys, classic_after_file):
-    results = set()
-    for workers in ("1", "3"):
-        code, out, _ = run(
-            capsys, "poa", classic_after_file, "--workers", workers,
-            "--format", "json",
-        )
-        assert code == 0
-        results.add(out)
-    assert len(results) == 1
-
-
 def test_table_and_csv_formats(capsys):
     code, out, _ = run(capsys, "braess", "classic", "--n", "2", "--format", "csv")
     assert code == 0
@@ -477,3 +533,55 @@ def test_table_and_csv_formats(capsys):
     code, out, _ = run(capsys, "braess", "classic", "--n", "2", "--format", "table")
     assert code == 0
     assert any(line.startswith("rho") for line in out.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# flag sets
+
+SCENARIO_FLAGS = {"--format", "--epsilon", "--max-moves", "--cap"}
+FLAG_SETS = {
+    "validate": {"--format"},
+    "equilibrate": {"--seed", "--format", "--epsilon", "--max-moves"},
+    "enumerate": {"--format", "--epsilon", "--cap"},
+    "poa": {"--format", "--epsilon", "--cap"},
+    "braess classic": {"--n", "--method", "--emit-scenario"} | SCENARIO_FLAGS,
+    "braess priced": {"--n", "--price", "--beta", "--c1", "--c2", "--method",
+                      "--emit-scenario"} | SCENARIO_FLAGS,
+    "braess pair": {"--method"} | SCENARIO_FLAGS,
+    "price-curves": {"--functions", "--samples", "--x-max", "--beta"},
+}
+
+
+def _commands(parser, prefix=""):
+    """(command name, its parser) for every leaf subcommand of `parser`."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in _commands(build_parser())
+    }
+    assert flags == FLAG_SETS
+    assert sum(map(len, flags.values())) == 38
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("poa", "--workers", "1"), ("validate", "--epsilon", "0"),
+     ("equilibrate", "--cap", "5")],
+)
+def test_flag_a_command_does_not_read_is_usage_error(
+    capsys, classic_after_file, command, flag, value
+):
+    with pytest.raises(SystemExit) as exc:
+        main([command, classic_after_file, flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err

@@ -68,11 +68,6 @@ def _doc_with_edge(**overrides):
     return json.dumps(doc)
 
 
-def test_parse_rejects_unnormalized_mixing():
-    with pytest.raises(ScenarioError, match="not normalized"):
-        parse_scenario(_doc_with_edge(c1=0.6, c2=0.5))
-
-
 def test_parse_rejects_schema_violations():
     with pytest.raises(ScenarioError, match="unknown fields"):
         parse_scenario(json.dumps({**json.loads(MINIMAL_DOC), "extra": 1}))
@@ -92,13 +87,18 @@ def test_parse_rejects_duplicates_and_bad_demand():
     with pytest.raises(ScenarioError, match="duplicate commodity"):
         parse_scenario(json.dumps(doc))
     doc = json.loads(MINIMAL_DOC)
-    doc["commodities"][0]["demand"] = 0
-    with pytest.raises(ScenarioError, match="demand"):
+    doc["commodities"][0]["demand"] = "1"
+    with pytest.raises(ScenarioError, match="'demand' must be a number"):
         parse_scenario(json.dumps(doc))
+    # a number out of range is an instance; validation rejects it
+    doc["commodities"][0]["demand"] = 0
+    assert validate_instance(parse_scenario(json.dumps(doc))).violations == (
+        "commodity 'c1': demand must be positive",
+    )
 
 
 def test_lenient_parse_defers_value_checks_to_validation():
-    inst = parse_scenario(_doc_with_edge(c1=0.6, c2=0.5), strict=False)
+    inst = parse_scenario(_doc_with_edge(c1=0.6, c2=0.5))
     report = validate_instance(inst)
     assert any("not normalized" in v for v in report.violations)
 
@@ -266,7 +266,7 @@ def test_parse_rejects_non_finite_numbers():
     for number in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400):
         text = MINIMAL_DOC.replace('"a": 1.0', f'"a": {number}')
         with pytest.raises(ScenarioError, match="non-finite number"):
-            parse_scenario(text, strict=False)
+            parse_scenario(text)
     doc = json.loads(MINIMAL_DOC)
     doc["edges"][0]["price"] = {"fn": "saturating", "params": {"beta": 2.5}}
     with pytest.raises(ScenarioError, match="non-finite number"):
