@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import engine, oracle
-from .model import Commodity, EdgeSpec, GameInstance, NORMALIZATION_TOL, prepare
+from .model import Commodity, EdgeSpec, GameInstance, mixing_violations, prepare
 from .pricing import PriceSpec, ZERO_PRICE, eval_u
 
 
@@ -37,11 +37,15 @@ def rho_formula(u: float, c1: float, c2: float) -> float:
     and u = 1 the paradox vanishes (ratio 1)."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"unit price {u} outside [0, 1]")
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError("mixing coefficients outside [0, 1]")
-    if abs(c1 + c2 - 1.0) > NORMALIZATION_TOL:
-        raise ValueError("mixing coefficients not normalized")
+    _check_mixing(c1, c2)
     return 4.0 * (c1 + c2 * u) / (2.0 + c1 + 2.0 * c2 * u)
+
+
+def _check_mixing(c1: float, c2: float) -> None:
+    """Raise ValueError with the first of `mixing_violations`, validate's rule."""
+    violations = mixing_violations(c1, c2)
+    if violations:
+        raise ValueError(violations[0])
 
 
 def _check_n(n: int) -> None:
@@ -100,10 +104,7 @@ def build_priced_braess(
     weights c1/c2. With c2 = 0 the output is structurally identical to the
     classic construction."""
     _check_n(n)
-    if abs(c1 + c2 - 1.0) > NORMALIZATION_TOL:
-        raise ValueError("mixing coefficients not normalized")
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError("mixing coefficients outside [0, 1]")
+    _check_mixing(c1, c2)
     meta = {
         "construction": "priced",
         "n": n,
@@ -145,11 +146,7 @@ def _worst_equilibrium_unit_cost(
         worst = result.final
     else:
         raise ValueError(f"unknown method {method!r}")
-    loads = engine.edge_loads(instance, worst)
-    return max(
-        engine.unit_path_cost(instance, loads, i, instance.paths[i][c])
-        for i, c in enumerate(worst.choice)
-    )
+    return max(engine.profile_costs(instance, worst).unit_costs)
 
 
 def _recognized_formula(before: GameInstance, after: GameInstance) -> Optional[dict]:

@@ -121,20 +121,16 @@ def cmd_equilibrate(args: argparse.Namespace) -> int:
         engine.StrategyProfile(choice),
         engine.DynamicsConfig(max_moves=args.max_moves, eps_improve=args.epsilon),
     )
-    loads = engine.edge_loads(instance, result.final)
-    costs = {
-        c.id: engine.unit_path_cost(
-            instance, loads, i, instance.paths[i][result.final.choice[i]]
-        )
-        for i, c in enumerate(instance.commodities)
-    }
+    costs = engine.profile_costs(instance, result.final)
     _emit(
         {
             "converged": result.converged,
             "moves": len(result.moves),
             "final_profile": _profile_report(instance, result.final),
-            "player_unit_costs": costs,
-            "social_cost": engine.social_cost(instance, result.final),
+            "player_unit_costs": {
+                c.id: cost for c, cost in zip(instance.commodities, costs.unit_costs)
+            },
+            "social_cost": costs.social_cost,
             "potential": result.potential_trace[-1],
         },
         args.format,

@@ -8,11 +8,15 @@ which makes every strict best-response move a strict potential descent.
 Every function here is a view over the instance's compiled table
 (`GameInstance.compiled`): edge indices per (commodity, path), and the
 load-free unit price c2 * u(r) and potential term per (commodity, edge), each
-evaluated once per instance. With E edges and a player's P paths of at most L
-edges, one best response costs O(E + P * L) and evaluates no price. The
-dynamics keep each edge's users in player order; a move re-sums the loads of
-only the edges the mover leaves or joins (O(N) each, in C, for N players),
-then the mover's own potential term in O(L) and the potential in O(E + N).
+evaluated once per class of identical commodities. `profile_costs` reports
+every player's unit cost and the social cost from one set of loads, costing
+each (class, path) once by `CompiledGame.path_cost`, the cost `unit_path_cost`
+reads too; `social_cost` is its social cost. With E edges and a player's P
+paths of at most L edges, one best response costs O(E + P * L) and evaluates
+no price. The dynamics keep each edge's users in player order; a move re-sums
+the loads of only the edges the mover leaves or joins (O(N) each, in C, for N
+players), then the mover's own potential term in O(L) and the potential in
+O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.move_costs`, which the
@@ -64,6 +68,14 @@ class EdgeLoads:
 
 
 @dataclass(frozen=True)
+class ProfileCosts:
+    """The costs a report prints for one profile, from one set of loads."""
+
+    unit_costs: tuple[float, ...]   # each player's per-unit cost on its chosen path
+    social_cost: float
+
+
+@dataclass(frozen=True)
 class DeviationWitness:
     player: int
     path: int            # the first path more than eps cheaper than the current one
@@ -108,7 +120,7 @@ class _Flow:
             for k in g.paths[i][c]:
                 self.users[k].append(i)
                 self.demands[k].append(r)
-        self.loads = [reduce(add, d, 0.0) for d in self.demands]
+        self.loads = _loads(g, choice)
         self.own = [self._own(i, c) for i, c in enumerate(choice)]
 
     def _own(self, player: int, path: int) -> float:
@@ -140,6 +152,17 @@ class _Flow:
         return exact_sum(chain(edge_terms, self.own))
 
 
+def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
+    """Each edge's load under a profile, by edge number: its users' demands
+    summed from 0.0 in player order."""
+    f = [0.0] * len(g.c1)
+    for i, c in enumerate(choice):
+        r = g.demand[i]
+        for k in g.paths[i][c]:
+            f[k] += r
+    return f
+
+
 def _best_response(
     g: CompiledGame,
     f: list[float],
@@ -159,7 +182,7 @@ def _best_response(
 def edge_loads(instance: GameInstance, profile: StrategyProfile) -> EdgeLoads:
     """Aggregate each player's demand over its chosen path."""
     g = _check_profile(instance, profile)
-    f = _Flow(g, profile.choice).loads
+    f = _loads(g, profile.choice)
     return EdgeLoads({eid: f[k] for eid, k in g.edge_index.items()})
 
 
@@ -172,24 +195,36 @@ def unit_path_cost(
     """Per-unit-flow cost player `player` pays to traverse `path` at the given
     loads. `path` must use only edges of the player's strategy set."""
     g = instance.compiled
-    c1, a, b, price = g.c1, g.a, g.b, g.unit_price[player]
     idx = tuple(g.edge_index[eid] for eid in path)
     for eid, k in zip(path, idx):
-        if price[k] is None:
+        if g.unit_price[player][k] is None:
             raise ValueError(f"edge {eid!r} is on no path of commodity {player}")
-    total = 0.0
-    for eid, k in zip(path, idx):
-        total += c1[k] * (a[k] * loads[eid] + b[k]) + price[k]
-    return total
+    return g.path_cost(player, idx, {k: loads[eid] for eid, k in zip(path, idx)})
 
 
 def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
     """Total cost over all players, as `CompiledGame.social_cost` defines it."""
+    return profile_costs(instance, profile).social_cost
+
+
+def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCosts:
+    """Each player's per-unit cost on its chosen path and the social cost, from
+    one set of loads, with the bits of `unit_path_cost` at `edge_loads`. Each
+    (class, path) of `CompiledGame` is costed once: its players pay the same
+    unit cost and have the same load-free cost."""
     g = _check_profile(instance, profile)
-    f = _Flow(g, profile.choice).loads
-    return g.social_cost(
-        f, [g.load_free_cost(i, c) for i, c in enumerate(profile.choice)]
-    )
+    f = _loads(g, profile.choice)
+    per_path: dict[tuple[int, int], tuple[float, float]] = {}
+    unit, load_free = [], []
+    for i, d in enumerate(profile.choice):
+        costs = per_path.get((g.class_of[i], d))
+        if costs is None:
+            costs = per_path[g.class_of[i], d] = (
+                g.path_cost(i, g.paths[i][d], f), g.load_free_cost(i, d)
+            )
+        unit.append(costs[0])
+        load_free.append(costs[1])
+    return ProfileCosts(tuple(unit), g.social_cost(f, load_free))
 
 
 def potential(instance: GameInstance, profile: StrategyProfile) -> float:

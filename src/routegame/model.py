@@ -96,12 +96,15 @@ class CompiledGame:
     """A prepared instance as integer-indexed tables; read-only by convention.
 
     Edges are numbered in instance order; per-edge lists are indexed by that
-    number. Every term that depends on a player's own demand but not on loads
-    is evaluated here exactly once per (commodity, edge on one of its paths);
-    entries for edges on none of a commodity's paths are None. Price terms of
-    edges with c2 = 0 are 0.0 without evaluating u; a demand outside the
-    domain of a c2 != 0 price on one of the commodity's paths raises
-    PriceDomainError naming the commodity and the edge.
+    number. Commodities fall into classes: those that share one strategy-set
+    tuple (`prepare()` gives every commodity of an endpoint pair the same one)
+    and one demand. Every commodity of a class reads the same row objects, and
+    every term that depends on a player's own demand but not on loads is
+    evaluated exactly once per (class, edge on one of its paths); entries for
+    edges on none of a class's paths are None. Price terms of edges with
+    c2 = 0 are 0.0 without evaluating u; a demand outside the domain of a
+    c2 != 0 price on one of the commodity's paths raises PriceDomainError
+    naming the first such commodity and the edge.
 
     The engine and the oracle read two definitions from here and have none of
     their own: the social cost of a profile (`social_cost`) and the costs that
@@ -121,6 +124,8 @@ class CompiledGame:
         self.demand = tuple(c.demand for c in instance.commodities)
         #: per edge: the slope c1 * a of its congestion cost
         self.slope = tuple(e.c1 * e.a for e in edges)
+        #: per commodity: its class, numbered in order of first appearance
+        self.class_of: list[int] = []
         #: per (commodity, path): edge indices in path order
         self.paths: list[tuple[tuple[int, ...], ...]] = []
         #: per commodity: edge indices on any of its paths, ascending
@@ -131,34 +136,50 @@ class CompiledGame:
         #: player's own term of the potential
         self.potential_term: list[list[Optional[float]]] = []
 
-        # commodities with equal strategy sets share one compiled copy
-        strategies: dict[tuple[Path, ...], tuple] = {}
+        # Keyed by the strategy-set tuple's identity, not its value: hashing a
+        # large strategy set once per commodity costs more than the rows shared.
+        strategies: dict[int, tuple] = {}
+        classes: dict[tuple[int, float], tuple] = {}
         for c, plist in zip(instance.commodities, instance.paths):
-            if plist not in strategies:
-                compiled = tuple(
-                    tuple(self.edge_index[eid] for eid in p) for p in plist
-                )
-                on_paths = tuple(sorted({k for p in compiled for k in p}))
-                strategies[plist] = compiled, on_paths
-            compiled, on_paths = strategies[plist]
-            r = c.demand
-            price: list[Optional[float]] = [None] * len(edges)
-            own: list[Optional[float]] = [None] * len(edges)
-            for k in on_paths:
-                e = edges[k]
-                try:
-                    u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
-                except PriceDomainError:
-                    raise PriceDomainError(
-                        f"commodity {c.id!r}: demand {r} outside the price domain"
-                        f" of edge {e.id!r} ({e.price.fn!r})"
-                    ) from None
-                price[k] = e.c2 * u
-                own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
+            row = classes.get((id(plist), c.demand))
+            if row is None:
+                if id(plist) not in strategies:
+                    compiled = tuple(
+                        tuple(self.edge_index[eid] for eid in p) for p in plist
+                    )
+                    on_paths = tuple(sorted({k for p in compiled for k in p}))
+                    strategies[id(plist)] = compiled, on_paths
+                compiled, on_paths = strategies[id(plist)]
+                price, own = self._own_rows(edges, c, on_paths)
+                row = len(classes), compiled, on_paths, price, own
+                classes[id(plist), c.demand] = row
+            cls, compiled, on_paths, price, own = row
+            self.class_of.append(cls)
             self.paths.append(compiled)
             self.edges_of.append(on_paths)
             self.unit_price.append(price)
             self.potential_term.append(own)
+
+    @staticmethod
+    def _own_rows(
+        edges: Sequence[EdgeSpec], c: Commodity, on_paths: Sequence[int]
+    ) -> tuple[list[Optional[float]], list[Optional[float]]]:
+        """Commodity c's `unit_price` and `potential_term` rows."""
+        r = c.demand
+        price: list[Optional[float]] = [None] * len(edges)
+        own: list[Optional[float]] = [None] * len(edges)
+        for k in on_paths:
+            e = edges[k]
+            try:
+                u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
+            except PriceDomainError:
+                raise PriceDomainError(
+                    f"commodity {c.id!r}: demand {r} outside the price domain"
+                    f" of edge {e.id!r} ({e.price.fn!r})"
+                ) from None
+            price[k] = e.c2 * u
+            own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
+        return price, own
 
     def path_constant(self, i: int, j: int) -> float:
         """Load-free unit cost of commodity i's path j: the exact sum of its
@@ -177,6 +198,18 @@ class CompiledGame:
         correctly rounded. It depends on the multiset of terms only, so every
         profile with the same loads and the same load-free terms costs the same."""
         return exact_sum(chain(map(mul, map(mul, self.slope, loads), loads), load_free))
+
+    def path_cost(
+        self, i: int, path: Sequence[int], loads: Mapping[int, float] | Sequence[float]
+    ) -> float:
+        """Player i's per-unit cost on `path` (edge numbers on its strategy set)
+        at `loads` (by edge number): c1 * (a * f + b) + c2 * u(r) per edge,
+        summed from 0.0 in path order."""
+        c1, a, b, price = self.c1, self.a, self.b, self.unit_price[i]
+        total = 0.0
+        for k in path:
+            total += c1[k] * (a[k] * loads[k] + b[k]) + price[k]
+        return total
 
     def move_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
         """Player i's per-unit cost on each of its paths j if it moved there
@@ -240,29 +273,9 @@ def enumerate_paths(
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
-    adj = _adjacency(instance)
     found: list[Path] = []
-    trail: list[str] = []
-    visited = {commodity.source}
-
-    def dfs(node: str) -> None:
-        if node == commodity.sink:
-            found.append(tuple(trail))
-            if len(found) > cap:
-                raise PathEnumerationError(
-                    f"commodity {commodity.id!r} has more than {cap} simple paths"
-                )
-            return
-        for e in adj.get(node, ()):
-            if e.head in visited:
-                continue
-            visited.add(e.head)
-            trail.append(e.id)
-            dfs(e.head)
-            trail.pop()
-            visited.remove(e.head)
-
-    dfs(commodity.source)
+    source = commodity.source
+    _extend_paths(source, commodity, cap, _adjacency(instance), {source}, [], found)
     if not found:
         raise PathEnumerationError(
             f"no path from {commodity.source!r} to {commodity.sink!r}"
@@ -270,6 +283,36 @@ def enumerate_paths(
         )
     found.sort()
     return found
+
+
+def _extend_paths(
+    node: str,
+    commodity: Commodity,
+    cap: int,
+    adj: Mapping[str, list[EdgeSpec]],
+    visited: set[str],
+    trail: list[str],
+    found: list[Path],
+) -> None:
+    """Depth first, append to `found` every simple path to the commodity's
+    sink that continues `trail`, the edge ids of a walk that ends at `node` and
+    visits the nodes `visited`. A module-level function, not a closure that
+    calls itself: such a closure is a reference cycle left for the collector."""
+    if node == commodity.sink:
+        found.append(tuple(trail))
+        if len(found) > cap:
+            raise PathEnumerationError(
+                f"commodity {commodity.id!r} has more than {cap} simple paths"
+            )
+        return
+    for e in adj.get(node, ()):
+        if e.head in visited:
+            continue
+        visited.add(e.head)
+        trail.append(e.id)
+        _extend_paths(e.head, commodity, cap, adj, visited, trail, found)
+        trail.pop()
+        visited.remove(e.head)
 
 
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
@@ -332,10 +375,7 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             out.append(f"{where}: negative congestion slope")
         if e.b < 0:
             out.append(f"{where}: negative congestion intercept")
-        if not (0.0 <= e.c1 <= 1.0 and 0.0 <= e.c2 <= 1.0):
-            out.append(f"{where}: mixing coefficients outside [0, 1]")
-        if abs(e.c1 + e.c2 - 1.0) > NORMALIZATION_TOL:
-            out.append(f"{where}: mixing coefficients not normalized")
+        out.extend(f"{where}: {v}" for v in mixing_violations(e.c1, e.c2))
         if not all(map(math.isfinite, (e.a, e.b, e.c1, e.c2))):
             out.append(f"{where}: non-finite number")
 
@@ -393,6 +433,18 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                     if not _is_simple_path(p, known, c.source, c.sink):
                         out.append(f"{where}: invalid path {p}")
     return ValidationReport(tuple(out))
+
+
+def mixing_violations(c1: float, c2: float) -> list[str]:
+    """The one rule for the mixing weights of an edge: each lies in [0, 1] and
+    they sum to 1 within NORMALIZATION_TOL. Lists what is wrong, in that order;
+    empty for valid weights."""
+    out = []
+    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
+        out.append("mixing coefficients outside [0, 1]")
+    if abs(c1 + c2 - 1.0) > NORMALIZATION_TOL:
+        out.append("mixing coefficients not normalized")
+    return out
 
 
 def cost_overflow(instance: GameInstance) -> Optional[str]:

@@ -78,15 +78,24 @@ def cost_ratio(cost: float, reference: float) -> float:
 
 
 def profile_count(instance: GameInstance) -> int:
-    """Product of strategy-set sizes over all commodities."""
+    """Product of strategy-set sizes over all commodities, an exact int of
+    any size, so the cap check rejects any instance too large to scan."""
     if not instance.prepared:
         raise ValueError("instance has no enumerated paths; call prepare() first")
-    count = 1
-    for plist in instance.paths:
-        count *= len(plist)
-        if count > 2**63:
-            raise OverflowError("profile count exceeds 2^63")
-    return count
+    return math.prod(map(len, instance.paths))
+
+
+def _count_text(total: int) -> str:
+    """`total` in decimal below 10^100, else "at least 10^k" with 10^k <= total
+    < 10^(k+1): Python refuses to print an int of more than 4,300 digits."""
+    if total < 10**100:
+        return str(total)
+    k = int(math.log10(total))
+    while 10**k > total:
+        k -= 1
+    while 10 ** (k + 1) <= total:
+        k += 1
+    return f"at least 10^{k}"
 
 
 def _arrangements(canonical: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -259,7 +268,7 @@ def _scan(
     only when the optimum is wanted, otherwise for equilibria only."""
     total = profile_count(instance)
     if total > cap:
-        raise ProfileCapError(f"{total} profiles exceed cap {cap}")
+        raise ProfileCapError(f"{_count_text(total)} profiles exceed cap {cap}")
     idx = _Indexed(instance, eps_improve)
     social_cost = instance.compiled.social_cost
     equilibrium_states: list[tuple[int, ...]] = []

@@ -1,7 +1,9 @@
 import importlib.util
 import itertools
 import math
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from routegame.braess import (
     rho_formula,
 )
 from routegame.engine import StrategyProfile, is_equilibrium, social_cost
-from routegame.model import serialize_scenario
+from routegame.model import mixing_violations, serialize_scenario, validate_instance
 from routegame.pricing import PriceSpec, eval_u
 
 FAMILIES = [
@@ -88,6 +90,28 @@ def test_rho_formula_rejects_out_of_range():
         rho_formula(0.5, 0.7, 0.5)
     with pytest.raises(ValueError):
         rho_formula(0.5, 1.2, -0.2)
+
+
+@pytest.mark.parametrize(
+    "c1, c2", [(0.6, 0.5), (2.0, 0.5), (-1.0, 2.0), (math.nan, 0.5), (0.5, 0.5)]
+)
+def test_one_mixing_rule_for_flags_and_scenarios(c1, c2):
+    # rho_formula and the priced builder raise the first violation that
+    # validate lists for an edge with the same weights
+    violations = mixing_violations(c1, c2)
+    _, after = build_priced_braess(2, PriceSpec("sin"))
+    sv = replace(after.edges[0], c1=c1, c2=c2)
+    report = validate_instance(replace(after, edges=(sv, *after.edges[1:])))
+    mixing = [v for v in report.violations if "mixing" in v]
+    assert mixing == [f"edge 'sv': {v}" for v in violations]
+    if not violations:
+        rho_formula(0.5, c1, c2)
+        build_priced_braess(2, PriceSpec("sin"), c1, c2)
+        return
+    with pytest.raises(ValueError, match=re.escape(violations[0])):
+        rho_formula(0.5, c1, c2)
+    with pytest.raises(ValueError, match=re.escape(violations[0])):
+        build_priced_braess(2, PriceSpec("sin"), c1, c2)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.fn)

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from routegame.braess import build_classic_braess
+from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
+from routegame.pricing import PriceSpec
 
 
 @pytest.fixture()
@@ -342,8 +343,34 @@ def test_poa_cap_exceeded(capsys, classic_after_file):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["poa", "enumerate"])
+@pytest.mark.parametrize(
+    "n, count",
+    [
+        (40, str(3**40)),  # above 2**63: counted exactly, then rejected by the cap
+        (10_000, "at least 10^4771"),  # 4,772 digits, more than Python prints
+    ],
+)
+def test_more_profiles_than_a_machine_word_exceed_the_cap(
+    capsys, tmp_path, command, n, count
+):
+    _, after = build_priced_braess(n, PriceSpec("log1p"))
+    path = tmp_path / "after.json"
+    path.write_text(serialize_scenario(after))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {count} profiles exceed cap 200000\n")
+
+
 # ---------------------------------------------------------------------------
 # braess
+
+
+@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("variant", [["classic"], ["priced", "--price", "sin"]])
+def test_braess_beyond_the_cap_is_a_domain_failure(capsys, variant, n):
+    # the "before" diamond, scanned first, has 2**n profiles
+    code, out, err = run(capsys, "braess", *variant, "--n", str(n))
+    assert (code, out, err) == (1, "", f"error: {2**n} profiles exceed cap 200000\n")
 
 
 def test_braess_classic_cli(capsys):

@@ -402,11 +402,16 @@ def test_unweighted_price_outside_its_domain_is_never_evaluated():
 
 def test_weighted_price_outside_its_domain_still_raises():
     inst = _sin_instance(0.5, 0.5)
-    with pytest.raises(PriceDomainError):
+    with pytest.raises(PriceDomainError, match="commodity 'p'"):
         potential(inst, StrategyProfile((0, 0)))
+    # the first offending commodity is named, not its class's later members
+    q, p = inst.commodities[1], inst.commodities[0]
+    inst = prepare(replace(inst, commodities=(q, p, replace(p, id="p2")), paths=()))
+    with pytest.raises(PriceDomainError, match="commodity 'p'"):
+        potential(inst, StrategyProfile((0, 0, 0)))
 
 
-def test_prices_are_evaluated_once_per_commodity_and_edge(monkeypatch):
+def test_prices_are_evaluated_once_per_class_and_edge(monkeypatch):
     calls = []
     real = model.eval_u
     monkeypatch.setattr(model, "eval_u", lambda spec, x: calls.append(x) or real(spec, x))
@@ -415,8 +420,10 @@ def test_prices_are_evaluated_once_per_commodity_and_edge(monkeypatch):
     result = run_best_response_dynamics(inst, half_split(10, True))
     social_cost(inst, result.final)
     is_equilibrium(inst, result.final)
-    # 10 players; of the diamond's 5 edges only sv and wt carry a price weight
-    assert len(calls) == 10 * 2
+    # 10 players of one class; of the diamond's 5 edges only sv and wt carry
+    # a price weight
+    assert len(calls) == 2
+    assert len(set(map(id, inst.compiled.unit_price))) == 1
 
 
 def test_compiled_table_is_cached_and_not_part_of_the_value(classic_pair_10):

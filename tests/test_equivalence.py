@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from exact_costs import ExactCosts
+from tie_rich import tie_rich_instances
 from routegame import engine
 from routegame.braess import build_priced_braess
 from routegame.cli import main
 from routegame.engine import DynamicsConfig, StrategyProfile
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare, serialize_scenario
-from routegame.pricing import PriceSpec
+from routegame.pricing import PriceSpec, eval_u
 from routegame.random_instances import random_affine_instance
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +59,45 @@ def test_engine_views_match_reference_bit_for_bit(seed):
     assert report.player_costs == ref.is_equilibrium(inst, prof, eps).player_costs
     assert report.potential == exact.potential(prof.choice)
     _assert_moves_follow_move_costs(inst, prof, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_rich_instances(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, seed):
+    # Commodities of a class share their compiled rows, and profile_costs
+    # costs each (class, path) once; every entry must equal what evaluating
+    # each commodity, and each player through the string-keyed views, gives.
+    g = inst.compiled
+    for i, (c, plist) in enumerate(zip(inst.commodities, inst.paths)):
+        r = c.demand
+        assert g.paths[i] == tuple(tuple(g.edge_index[e] for e in p) for p in plist)
+        assert g.edges_of[i] == tuple(sorted({k for p in g.paths[i] for k in p}))
+        for k, e in enumerate(inst.edges):
+            price = own = None
+            if k in g.edges_of[i]:
+                u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
+                price = e.c2 * u
+                own = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
+            assert g.unit_price[i][k] == price
+            assert g.potential_term[i][k] == own
+    first = {}  # (strategy-set tuple, demand) -> first commodity of that class
+    for i, (c, plist) in enumerate(zip(inst.commodities, inst.paths)):
+        j = first.setdefault((id(plist), c.demand), i)
+        assert g.class_of[i] == g.class_of[j]
+        assert g.unit_price[i] is g.unit_price[j]
+    assert len(set(g.class_of)) == len(first)
+    rng = random.Random(seed)
+    for _ in range(5):
+        prof = _random_profile(rng, inst)
+        costs = engine.profile_costs(inst, prof)
+        loads = engine.edge_loads(inst, prof)
+        ref_loads = ref.edge_loads(inst, prof)
+        assert len(costs.unit_costs) == len(prof.choice)
+        for i, d in enumerate(prof.choice):
+            path = inst.paths[i][d]
+            assert costs.unit_costs[i] == engine.unit_path_cost(inst, loads, i, path)
+            assert costs.unit_costs[i] == ref.unit_path_cost(inst, ref_loads, i, path)
+        assert costs.social_cost == ExactCosts(inst).social_cost(prof.choice)
 
 
 def _assert_moves_follow_move_costs(inst, prof, eps):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,24 @@ def test_parallel_edges_yield_distinct_paths():
         (Commodity("x", "a", "b", 1.0),),
     )
     assert enumerate_paths(inst, inst.commodities[0]) == [("e0",), ("e1",)]
+
+
+def test_prepare_leaves_no_cyclic_garbage():
+    # A reference cycle per call (such as a closure that calls itself) is
+    # freed only by the cycle collector; DEBUG_SAVEALL keeps what it finds.
+    inst = parse_scenario(
+        (Path(__file__).parent / "data" / "grid6.json").read_text(encoding="utf-8")
+    )
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        prepare(inst)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_prepare_shares_strategy_sets_of_equal_endpoints():

@@ -11,7 +11,6 @@ cost, as a scan of every profile in index order with a strict `<` or `>`
 finds them.
 """
 
-import dataclasses
 import math
 import random
 import sys
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 import reference_oracle as ref
 from exact_costs import ExactCosts
+from tie_rich import repeated, seeded_instances, tie_rich_instances
 from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
@@ -104,41 +104,13 @@ def test_entry_points_match_reference_bit_for_bit(seed):
     _assert_entry_points_match(inst, cap, eps)
 
 
-def _repeated(inst, rng, max_profiles=2000):
-    """`inst` with commodity i repeated reps[i] (1-4) times in place and, when
-    there are two or more commodities, commodity 0 once more at the end: equal
-    to the first run but not adjacent to it (A, B, A). Repeats are cut down,
-    largest first, until the profile count is at most `max_profiles`."""
-    commodities = inst.commodities
-    sizes = [len(p) for p in inst.paths]
-    reps = [rng.randint(1, 4) for _ in commodities]
-    extra = [0] if len(commodities) > 1 else []
-
-    def count():
-        return math.prod(s**r for s, r in zip(sizes, reps)) * math.prod(
-            sizes[i] for i in extra
-        )
-
-    while count() > max_profiles and max(reps) > 1:
-        reps[reps.index(max(reps))] -= 1
-    if count() > max_profiles:
-        extra = []
-    repeated = [
-        dataclasses.replace(c, id=f"{c.id}.{k}")
-        for c, r in zip(commodities, reps)
-        for k in range(r)
-    ]
-    repeated += [dataclasses.replace(commodities[i], id="again") for i in extra]
-    return prepare(dataclasses.replace(inst, commodities=tuple(repeated), paths=()))
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_every_ordering_of_a_state_has_one_social_cost(seed):
     # Permuting the choices within a run of equal consecutive commodities keeps
     # the loads and the multiset of load-free terms, so the cost is unchanged.
     rng = random.Random(seed)
-    inst = _repeated(random_affine_instance(rng), rng)
+    inst = repeated(random_affine_instance(rng), rng)
     choice = [rng.randrange(len(p)) for p in inst.paths]
     runs, start = [], 0
     for _, group in groupby(zip(inst.paths, (c.demand for c in inst.commodities))):
@@ -158,7 +130,7 @@ def test_every_ordering_of_a_state_has_one_social_cost(seed):
 def test_repeated_commodities_match_reference_bit_for_bit(seed):
     # Runs of equal commodities are scanned as path-count states.
     rng = random.Random(seed)
-    inst = _repeated(random_affine_instance(rng), rng)
+    inst = repeated(random_affine_instance(rng), rng)
     eps = rng.choice([0.0, 1e-9, 0.05])
     total = oracle.profile_count(inst)
     cap = rng.choice([total, max(total - 1, 1), total + 1])
@@ -292,12 +264,8 @@ def _assert_oracle_lists_the_engine_equilibria(inst):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_oracle_lists_exactly_the_engine_equilibria(seed, repeated):
-    rng = random.Random(seed)
-    inst = random_affine_instance(rng)
-    if repeated:
-        inst = _repeated(inst, rng)
+@given(st.one_of(tie_rich_instances(), seeded_instances()))
+def test_oracle_lists_exactly_the_engine_equilibria(inst):
     _assert_oracle_lists_the_engine_equilibria(inst)
 
 
