@@ -13,10 +13,14 @@ every player's unit cost and the social cost from one set of loads, costing
 each (class, path) once by `CompiledGame.path_cost`, the cost `unit_path_cost`
 reads too; `social_cost` is its social cost. With E edges and a player's P
 paths of at most L edges, one best response costs O(E + P * L) and evaluates
-no price. The dynamics keep each edge's users in player order; a move re-sums
-the loads of only the edges the mover leaves or joins (O(N) each, in C, for N
-players), then the mover's own potential term in O(L) and the potential in
-O(E + N).
+no price; between two moves the dynamics compute it once per (class, current
+path), since a player's move costs read only its class's rows and the loads.
+A move updates the loads of only the edges the mover leaves or joins: in O(1)
+each from `CompiledGame.repeated_sums` when every player has the same demand,
+otherwise by re-summing each edge's users in player order (O(N) each, in C,
+for N players). It then updates the mover's own potential term in O(L) and a
+running exact sum of all players' own terms, kept as at most a few dozen
+nonoverlapping partials, so the potential costs O(E), not O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.move_costs`, which the
@@ -33,17 +37,19 @@ the oracle's scan evaluates too.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add
+from operator import add, neg
 from typing import Mapping, Optional, Sequence
 
 from .model import CompiledGame, GameInstance, exact_sum
 
 DEFAULT_EPS_IMPROVE = 1e-9
 DEFAULT_MAX_MOVES = 100_000
+_RUNNING_LIMIT = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -102,54 +108,131 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> Compiled
 
 
 class _Flow:
-    """The users of each edge under a profile, in player order, their loads,
-    and each player's own term of the potential.
+    """The number of users of each edge under a profile, their loads, each
+    player's own term of the potential, and the exact sum of those terms.
 
-    A move edits the user lists of the edges the mover leaves or joins and
-    re-sums only their loads. Every load still runs over all users in player
-    order, so each float equals that of a rebuild from scratch.
+    Loads are summed from 0.0 in player order, so each float equals that of a
+    rebuild from scratch. When every player has the same demand, an edge's load
+    depends only on its number of users and is read from
+    `CompiledGame.repeated_sums`. Otherwise the flow keeps each edge's users in
+    player order, and a move re-sums the loads of the edges the mover leaves or
+    joins.
     """
 
     def __init__(self, g: CompiledGame, choice: Sequence[int]):
         n = len(g.c1)
         self.g = g
+        self.sums = g.repeated_sums
+        self.count = [0] * n
         self.users: list[list[int]] = [[] for _ in range(n)]
         self.demands: list[list[float]] = [[] for _ in range(n)]
         for i, c in enumerate(choice):
-            r = g.demand[i]
             for k in g.paths[i][c]:
-                self.users[k].append(i)
-                self.demands[k].append(r)
+                self.count[k] += 1
+                if self.sums is None:
+                    self.users[k].append(i)
+                    self.demands[k].append(g.demand[i])
         self.loads = _loads(g, choice)
         self.own = [self._own(i, c) for i, c in enumerate(choice)]
+        # The exact sum of `own` as nonoverlapping partials, or None where it
+        # cannot stand in for `own` in `potential`: an instance with a negative
+        # coefficient or demand, or an own term that is negative, not finite or
+        # makes the partials overflow.
+        self.partials: Optional[list[float]] = None
+        if min(chain(g.c1, g.a, g.b, g.demand, self.own), default=0.0) >= 0.0:
+            self.partials = _exact_parts(self.own)
 
     def _own(self, player: int, path: int) -> float:
         term = self.g.potential_term[player]
         return exact_sum([term[k] for k in self.g.paths[player][path]])
 
+    def _add_own(self, term: float, old: float) -> None:
+        """Replace the own term `old` by `term` in `partials`, or give them up."""
+        p = self.partials
+        if p is not None and not (
+            0.0 <= term < math.inf and _add_exact(p, -old) and _add_exact(p, term)
+        ):
+            self.partials = None
+
+    def _edit(self, k: int, player: int, step: int) -> None:
+        """Take the player off edge k (step -1) or put it on (step 1)."""
+        self.count[k] += step
+        if self.sums is not None:
+            self.loads[k] = self.sums[self.count[k]]
+            return
+        users, demands = self.users[k], self.demands[k]
+        pos = bisect_left(users, player)
+        if step < 0:
+            del users[pos], demands[pos]
+        else:
+            users.insert(pos, player)
+            demands.insert(pos, self.g.demand[player])
+        self.loads[k] = reduce(add, demands, 0.0)
+
     def move(self, player: int, old: int, new: int) -> None:
-        g = self.g
-        old_path, new_path = g.paths[player][old], g.paths[player][new]
+        old_path, new_path = self.g.paths[player][old], self.g.paths[player][new]
         for k in old_path:
             if k not in new_path:
-                pos = bisect_left(self.users[k], player)
-                del self.users[k][pos], self.demands[k][pos]
-                self.loads[k] = reduce(add, self.demands[k], 0.0)
+                self._edit(k, player, -1)
         for k in new_path:
             if k not in old_path:
-                pos = bisect_left(self.users[k], player)
-                self.users[k].insert(pos, player)
-                self.demands[k].insert(pos, g.demand[player])
-                self.loads[k] = reduce(add, self.demands[k], 0.0)
-        self.own[player] = self._own(player, new)
+                self._edit(k, player, 1)
+        term = self._own(player, new)
+        self._add_own(term, self.own[player])
+        self.own[player] = term
 
     def potential(self) -> float:
         """The exact sum of c1 * (a * f + b) * f over the edges and of each
         player's own term, correctly rounded. A player's own term is the exact
-        sum of its `potential_term`s over its path, correctly rounded."""
+        sum of its `potential_term`s over its path, correctly rounded.
+
+        The partials have the exact sum of the own terms, so a sum over them
+        is the same correctly rounded float in O(E + len(partials)). It is
+        used only where every term is nonnegative and the result positive and
+        below 2**1000: then no intermediate sum of either overflows, and no
+        signed zero or inf of the full sum is lost."""
         c1, a, b = self.g.c1, self.g.a, self.g.b
         edge_terms = [c1[k] * (a[k] * f + b[k]) * f for k, f in enumerate(self.loads)]
+        if self.partials is not None:
+            phi = exact_sum(chain(edge_terms, self.partials))
+            if 0.0 < phi < _RUNNING_LIMIT:
+                return phi
         return exact_sum(chain(edge_terms, self.own))
+
+
+def _exact_parts(terms: Sequence[float]) -> Optional[list[float]]:
+    """Nonoverlapping floats, in increasing magnitude, whose exact sum is that
+    of `terms`: their correctly rounded sum, then that of what remains, until
+    nothing does. None where a sum is not finite."""
+    parts: list[float] = []
+    while True:
+        try:
+            x = math.fsum(chain(terms, map(neg, parts)))
+        except OverflowError:
+            return None
+        if not x:
+            return parts[::-1]
+        if not math.isfinite(x):
+            return None
+        parts.append(x)
+
+
+def _add_exact(partials: list[float], x: float) -> bool:
+    """Add x to `partials`, nonoverlapping floats in increasing magnitude whose
+    sum is kept exact (Shewchuk's msum, as in `math.fsum`). False where an
+    intermediate sum overflows, which leaves `partials` unusable."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+    return math.isfinite(x)
 
 
 def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
@@ -312,16 +395,21 @@ def run_best_response_dynamics(
     moves: list[Move] = []
     flow = _Flow(g, choice)
     trace = [flow.potential()]
+    # best responses by (class, current path) since the last move: a player's
+    # move costs read only its class's rows and the loads
+    memo: dict[tuple[int, int], tuple[int, float, float]] = {}
     while True:
         moved = False
         for i in range(len(choice)):
             if len(moves) >= config.max_moves:
                 break
-            j, cost, current_cost = _best_response(
-                g, flow.loads, choice, i, config.eps_improve
-            )
+            key = g.class_of[i], choice[i]
+            if key not in memo:
+                memo[key] = _best_response(g, flow.loads, choice, i, config.eps_improve)
+            j, cost, current_cost = memo[key]
             if j == choice[i]:
                 continue
+            memo.clear()
             moves.append(Move(i, choice[i], j, current_cost - cost))
             flow.move(i, choice[i], j)
             choice[i] = j

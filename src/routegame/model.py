@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -180,6 +180,16 @@ class CompiledGame:
             price[k] = e.c2 * u
             own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
         return price, own
+
+    @cached_property
+    def repeated_sums(self) -> Optional[tuple[float, ...]]:
+        """When every commodity has the same demand r, S[k] = 0.0 + r + ... + r
+        with k terms, for k = 0 .. N: the load of an edge with k users,
+        whichever players they are. None when two demands differ."""
+        r = self.demand[0] if self.demand else 0.0
+        if any(d != r for d in self.demand):
+            return None
+        return tuple(accumulate(repeat(r, len(self.demand)), initial=0.0))
 
     def path_constant(self, i: int, j: int) -> float:
         """Load-free unit cost of commodity i's path j: the exact sum of its

@@ -1,6 +1,9 @@
 import math
 import random
 from dataclasses import replace
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from routegame.engine import (
     unit_path_cost,
 )
 from routegame import model
-from routegame.model import Commodity, EdgeSpec, GameInstance, prepare
+from routegame.model import Commodity, EdgeSpec, GameInstance, exact_sum, prepare
 from routegame.pricing import PriceDomainError, PriceSpec, eval_u
 from routegame.random_instances import random_affine_instance
 
@@ -373,6 +376,140 @@ def test_loads_recomputable_after_move_sequence(classic_pair_10):
 
 
 # ---------------------------------------------------------------------------
+# the running potential
+
+
+def _full_potential(inst, choice):
+    """The potential summed from scratch: the exact sum of every edge's
+    c1 * (a * f + b) * f and every player's own term over its path."""
+    g = inst.compiled
+    f = [0.0] * len(inst.edges)
+    for i, j in enumerate(choice):
+        for k in g.paths[i][j]:
+            f[k] += g.demand[i]
+    edge_terms = [g.c1[k] * (g.a[k] * x + g.b[k]) * x for k, x in enumerate(f)]
+    own = [
+        exact_sum([g.potential_term[i][k] for k in g.paths[i][j]])
+        for i, j in enumerate(choice)
+    ]
+    return exact_sum(chain(edge_terms, own))
+
+
+def _same_float(x, y):
+    """x and y are the same float: equal with the same sign, or both NaN."""
+    return (math.isnan(x) and math.isnan(y)) or (
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    )
+
+
+def _assert_trace_is_full_sums(inst, start, config=DynamicsConfig()):
+    result = run_best_response_dynamics(inst, start, config)
+    choice = list(start.choice)
+    full = [_full_potential(inst, choice)]
+    for move in result.moves:
+        choice[move.player] = move.new_path
+        full.append(_full_potential(inst, choice))
+    assert len(result.potential_trace) == len(full)
+    for got, want in zip(result.potential_trace, full):
+        assert _same_float(got, want), (got, want)
+    return result
+
+
+def _parallel(lines, demands, c1=1.0):
+    """Players of the given demands on parallel s-t edges with congestion
+    a * x + b for each (a, b) of `lines`, unpriced."""
+    return prepare(
+        GameInstance(
+            ("s", "t"),
+            tuple(
+                EdgeSpec(f"e{k}", "s", "t", a, b, c1=c1, c2=0.0)
+                for k, (a, b) in enumerate(lines)
+            ),
+            tuple(Commodity(f"p{i}", "s", "t", r) for i, r in enumerate(demands)),
+        )
+    )
+
+
+def test_running_potential_with_infinite_own_terms():
+    # on e0 each player's own term (1e308 * 2) * 2 is inf
+    inst = _parallel([(1e308, 0.0), (1.0, 0.0)], [2.0, 2.0, 2.0])
+    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
+    assert result.potential_trace[0] == math.inf
+    assert math.isfinite(result.potential_trace[-1])
+    assert len(result.moves) == 3
+
+
+def test_running_potential_past_the_float_limit():
+    # each own term on e0 is 8e307 and three of them overflow a running sum
+    inst = _parallel([(0.0, 8e307), (0.0, 1e307), (0.0, 1e307)], [1.0] * 3)
+    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
+    assert result.potential_trace[0] == math.inf
+    assert math.isfinite(result.potential_trace[-1])
+    # the own terms' sum (1e308) is finite, the edge term (1e308 * 2) * 2 not
+    inst = _parallel([(1e308, 0.0), (1.0, 0.0)], [0.5] * 4)
+    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0, 0)))
+    assert result.potential_trace[0] == math.inf
+    assert math.isfinite(result.potential_trace[-1])
+    # every term is finite, and the whole sum passes the limit after a move
+    inst = _parallel([(0.0, 5e307), (0.0, 4e307)], [1.0, 1.0])
+    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0)))
+    assert result.potential_trace == (math.inf, math.inf, 1.6e308)
+
+
+@pytest.mark.parametrize("c1", [0.0, -0.0, 1.0])
+def test_running_potential_of_an_all_zero_cost_instance(c1):
+    # every term is a zero, signed with c1; at eps -1 each player moves once,
+    # from e1 to e0
+    inst = _parallel([(0.0, 0.0), (0.0, 0.0)], [1.0, 0.5, 1.0], c1=c1)
+    config = DynamicsConfig(eps_improve=-1.0, max_moves=3)
+    result = _assert_trace_is_full_sums(inst, StrategyProfile((1, 1, 1)), config)
+    assert len(result.potential_trace) == 4
+    assert not any(result.potential_trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_running_potential_is_the_full_sum_after_any_moves(seed):
+    # random moves, not best responses, on instances whose costs are scaled up
+    # to and past the float range, or negated
+    rng = random.Random(seed)
+    inst = random_affine_instance(rng)
+    scale = rng.choice([1.0, 1e150, 1e300, 1e306, 1e307, 1e308, -1.0])
+    edges = tuple(replace(e, a=e.a * scale, b=e.b * scale) for e in inst.edges)
+    inst = prepare(replace(inst, edges=edges, paths=()))
+    choice = list(random_profile(rng, inst).choice)
+    flow = engine._Flow(inst.compiled, choice)
+    for _ in range(30):
+        assert _same_float(flow.potential(), _full_potential(inst, choice))
+        i = rng.randrange(len(choice))
+        j = rng.randrange(len(inst.paths[i]))
+        if j != choice[i]:
+            flow.move(i, choice[i], j)
+            choice[i] = j
+
+
+def test_dynamics_cost_one_best_response_per_class_and_path(monkeypatch):
+    calls = []
+    real = model.CompiledGame.move_costs
+    monkeypatch.setattr(
+        model.CompiledGame,
+        "move_costs",
+        lambda self, i, d, f: calls.append(i) or real(self, i, d, f),
+    )
+    _, after = build_priced_braess(200, PriceSpec("log1p"))
+    # one class of 200 players: at all-zigzag, an equilibrium, one best
+    # response serves the whole converged sweep
+    result = run_best_response_dynamics(after, all_zigzag(200))
+    assert result.moves == () and result.converged
+    assert len(calls) == 1
+    # between two moves, at most one per (class, path): 3 pairs here
+    calls.clear()
+    result = run_best_response_dynamics(after, random_profile(random.Random(7), after))
+    assert result.converged and result.moves
+    assert len(calls) <= (len(result.moves) + 1) * 3
+
+
+# ---------------------------------------------------------------------------
 # compiled tables
 
 
@@ -424,6 +561,15 @@ def test_prices_are_evaluated_once_per_class_and_edge(monkeypatch):
     # a price weight
     assert len(calls) == 2
     assert len(set(map(id, inst.compiled.unit_price))) == 1
+
+
+def test_repeated_sums_only_where_every_demand_is_one(classic_pair_10):
+    # the loads of k players of demand 0.1, summed from 0.0 left to right
+    _, after = classic_pair_10
+    assert after.compiled.repeated_sums == tuple(
+        reduce(add, [0.1] * k, 0.0) for k in range(11)
+    )
+    assert _sin_instance(1.0, 0.0).compiled.repeated_sums is None  # demands 2, 0.5
 
 
 def test_compiled_table_is_cached_and_not_part_of_the_value(classic_pair_10):

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from exact_costs import ExactCosts
-from tie_rich import tie_rich_instances
+from tie_rich import one_demand_instances, tie_rich_instances
 from routegame import engine
-from routegame.braess import build_priced_braess
+from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
 from routegame.engine import DynamicsConfig, StrategyProfile
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare, serialize_scenario
@@ -164,17 +164,54 @@ def _assert_dynamics_match(inst, start, config=DynamicsConfig()):
     assert got.potential_trace == tuple(trace)
 
 
+def _random_config(rng):
+    return DynamicsConfig(
+        max_moves=rng.choice([1, 2, 5, engine.DEFAULT_MAX_MOVES]),
+        eps_improve=rng.choice([0.0, engine.DEFAULT_EPS_IMPROVE, 0.05]),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_dynamics_result_matches_reference_bit_for_bit(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
     start = _random_profile(rng, inst)
-    config = DynamicsConfig(
-        max_moves=rng.choice([1, 2, 5, engine.DEFAULT_MAX_MOVES]),
-        eps_improve=rng.choice([0.0, engine.DEFAULT_EPS_IMPROVE, 0.05]),
-    )
-    _assert_dynamics_match(inst, start, config)
+    _assert_dynamics_match(inst, start, _random_config(rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_demand_instances(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_demand_dynamics_match_bit_for_bit(inst, seed):
+    # every commodity has the same demand, so the engine reads each load from
+    # the table of repeated sums instead of summing the edge's users
+    assert inst.compiled.repeated_sums is not None
+    rng = random.Random(seed)
+    _assert_dynamics_match(inst, _random_profile(rng, inst), _random_config(rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [None]
+        + [PriceSpec(fn) for fn in ("identity", "sin", "log1p")]
+        + [PriceSpec("saturating", {"beta": 1.0})]
+    ),
+    st.integers(min_value=1, max_value=32),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(PriceSpec("log1p"), 32, True, 901)
+@example(None, 32, True, 902)
+def test_diamond_dynamics_match_bit_for_bit(price, half, shortcut, seed):
+    # the classic (price None) and priced diamonds, n = 2 to 64 players of
+    # demand 1/n, from a seeded random start
+    n = 2 * half
+    pair = build_classic_braess(n) if price is None else build_priced_braess(n, price)
+    inst = pair[shortcut]
+    assert inst.compiled.repeated_sums is not None
+    rng = random.Random(seed)
+    _assert_dynamics_match(inst, _random_profile(rng, inst), _random_config(rng))
 
 
 def test_a_move_sees_a_kept_edge_at_its_load():

@@ -4,6 +4,8 @@
 paths (almost) never cost the same and two demands are never equal; rounding
 faults that only show on a tie go unseen. `tie_rich_instances` snaps its
 numbers to multiples of 1/4, and `repeated` adds equal commodities.
+`one_demand_instances` gives every commodity the same demand, so the loads
+come from `CompiledGame.repeated_sums`.
 """
 
 import dataclasses
@@ -68,14 +70,25 @@ def repeated(inst, rng, max_profiles=2000):
     return prepare(dataclasses.replace(inst, commodities=tuple(players), paths=()))
 
 
+def one_demand(inst, rng):
+    """`inst` with every commodity's demand set to one of its demands, drawn
+    by `rng`."""
+    r = rng.choice([c.demand for c in inst.commodities])
+    commodities = tuple(dataclasses.replace(c, demand=r) for c in inst.commodities)
+    return prepare(dataclasses.replace(inst, commodities=commodities, paths=()))
+
+
 @st.composite
-def seeded_instances(draw, snap=False):
-    """A `random_affine_instance`, snapped on request, with repeated
-    commodities half the time."""
+def seeded_instances(draw, snap=False, same_demand=False):
+    """A `random_affine_instance`, snapped on request, with one demand for
+    every commodity on request (snapped, so inside every price domain), and
+    with repeated commodities half the time."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     inst = random_affine_instance(rng)
-    if snap:
+    if snap or same_demand:
         inst = snapped(inst)
+    if same_demand:
+        inst = one_demand(inst, rng)
     if draw(st.booleans()):
         inst = repeated(inst, rng)
     return inst
@@ -85,3 +98,9 @@ def tie_rich_instances():
     """A snapped `random_affine_instance`, with repeated commodities half the
     time."""
     return seeded_instances(snap=True)
+
+
+def one_demand_instances():
+    """A snapped `random_affine_instance` whose commodities all have the same
+    demand, with repeated commodities half the time."""
+    return seeded_instances(same_demand=True)
