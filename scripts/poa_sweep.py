@@ -3,10 +3,12 @@
 the priced Braess diamonds.
 
 Checks equilibrium existence on every instance and reports the worst ratio
-observed against the (3 + sqrt(5))/2 ceiling. On every instance, at epsilon 0
-and at the default, best-response dynamics from the all-zero profile must
-converge to an equilibrium the exhaustive scan lists. Exits 1 if the ceiling
-is exceeded or the dynamics end anywhere else. The diamonds (n = 2, 4, 6, every
+observed against the proven (3 + sqrt(5))/2 bound for weighted affine games,
+and the worst over the instances whose players all have one demand against
+that case's bound, 5/2. On every instance, at epsilon 0 and at the default,
+best-response dynamics from the all-zero profile must converge to an
+equilibrium the exhaustive scan lists. Exits 1 if a bound is exceeded or the
+dynamics end anywhere else. The diamonds (n = 2, 4, 6, every
 price family, without and with the shortcut) have exact ties between paths,
 which random instances almost never have.
 """
@@ -21,7 +23,7 @@ from routegame.engine import (
     StrategyProfile,
     run_best_response_dynamics,
 )
-from routegame.oracle import POA_BOUND, equilibria_and_poa
+from routegame.oracle import POA_BOUND, POA_BOUND_EQUAL_DEMANDS, equilibria_and_poa
 from routegame.pricing import PRICE_FAMILIES, PriceSpec
 from routegame.random_instances import random_affine_instance
 
@@ -47,8 +49,8 @@ def main() -> int:
         for _ in range(args.instances)
     ]
     instances += diamonds()
-    worst = 1.0
-    unlisted = 0
+    worst = worst_equal = 1.0
+    equal = unlisted = 0
     for k, inst in enumerate(instances):
         start = StrategyProfile((0,) * len(inst.commodities))
         for eps in (0.0, DEFAULT_EPS_IMPROVE):
@@ -62,6 +64,9 @@ def main() -> int:
                     f"[{k}] epsilon {eps}: dynamics ended on {result.final.choice}"
                     f" (converged: {result.converged}), not a listed equilibrium"
                 )
+        if len({c.demand for c in inst.commodities}) == 1:
+            equal += 1
+            worst_equal = max(worst_equal, report.poa)
         if report.poa > worst:
             worst = report.poa
             print(
@@ -72,8 +77,13 @@ def main() -> int:
     ok = worst <= POA_BOUND + 1e-6
     print(f"\nswept {len(instances)} instances; max PoA {worst:.6f}")
     print(f"bound (3+sqrt(5))/2 = {POA_BOUND:.6f}: {'OK' if ok else 'VIOLATED'}")
+    ok_equal = worst_equal <= POA_BOUND_EQUAL_DEMANDS + 1e-6
+    print(
+        f"bound 5/2 on {equal} equal-demand instances: max PoA {worst_equal:.6f}:"
+        f" {'OK' if ok_equal else 'VIOLATED'}"
+    )
     print(f"dynamics off the equilibrium list: {unlisted}")
-    return 0 if ok and not unlisted else 1
+    return 0 if ok and ok_equal and not unlisted else 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,13 @@ evaluated once per class of identical commodities. `profile_costs` reports
 every player's unit cost and the social cost from one set of loads, costing
 each (class, path) once by `CompiledGame.path_cost`, the cost `unit_path_cost`
 reads too; `social_cost` is its social cost. With E edges and a player's P
-paths of at most L edges, one best response costs O(E + P * L) and evaluates
-no price; between two moves the dynamics compute it once per (class, current
-path), since a player's move costs read only its class's rows and the loads.
+paths of at most L edges, one best response by the scan costs O(E + P * L) and
+evaluates no price; a strategy set with more than `model.SEARCH_CROSSOVER`
+edge slots per edge of its graph is searched instead, in time that grows with
+its graph, not with P (`CompiledGame.best_move`). Between two moves the
+dynamics compute a best response once per (class, current path), and
+`is_equilibrium` checks each (class, current path) once, since a player's move
+costs read only its class's rows and the loads.
 A move updates the loads of only the edges the mover leaves or joins: in O(1)
 each from `CompiledGame.repeated_sums` when every player has the same demand,
 otherwise by re-summing each edge's users in player order (O(N) each, in C,
@@ -23,16 +27,16 @@ running exact sum of all players' own terms, kept as at most a few dozen
 nonoverlapping partials, so the potential costs O(E), not O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
-engine. Every deviation is decided by `CompiledGame.move_costs`, which the
-oracle's scan reads too: a player moving from path d sees each edge of d at
-its load f and every other edge at f + r, and path costs are summed in path
-order. So `is_equilibrium` and the oracle's equilibrium list agree on every
-profile at every eps_improve, and with eps_improve >= 0 the dynamics stop,
-short of max_moves, only on a profile both accept. The potential and
-`social_cost` are exact sums of their terms, correctly rounded (`math.fsum`),
-so they depend neither on the order of the terms nor on the Python version;
-`social_cost` evaluates the compiled table's one social-cost expression, which
-the oracle's scan evaluates too.
+engine. Every deviation is decided by `CompiledGame.best_move`, which the
+oracle's scan reads too, with the bits of `CompiledGame.move_costs`: a player
+moving from path d sees each edge of d at its load f and every other edge at
+f + r, and path costs are summed in path order. So `is_equilibrium` and the
+oracle's equilibrium list agree on every profile at every eps_improve, and
+with eps_improve >= 0 the dynamics stop, short of max_moves, only on a profile
+both accept. The potential and `social_cost` are exact sums of their terms,
+correctly rounded (`math.fsum`), so they depend neither on the order of the
+terms nor on the Python version; `social_cost` evaluates the compiled table's
+one social-cost expression, which the oracle's scan evaluates too.
 """
 
 from __future__ import annotations
@@ -246,20 +250,26 @@ def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
     return f
 
 
-def _best_response(
-    g: CompiledGame,
-    f: list[float],
-    choice: Sequence[int],
-    player: int,
-    eps_improve: float,
-) -> tuple[int, float, float]:
-    """(best path, its cost, current cost) as in `best_response`."""
-    c = choice[player]
-    costs = g.move_costs(player, c, f)
-    best_cost = min(costs)
-    if costs[c] - best_cost <= eps_improve:
-        return c, costs[c], costs[c]
-    return costs.index(best_cost), best_cost, costs[c]
+def _deviations(
+    g: CompiledGame, f: Sequence[float], choice: Sequence[int], eps_improve: float
+) -> tuple[tuple[float, ...], Optional[DeviationWitness]]:
+    """Each player's current cost and the first (player, path), in player and
+    then path order, more than eps_improve cheaper, or None. A player's costs
+    read only its class's rows, so `best_move` runs once per (class, current
+    path)."""
+    moves: dict[tuple[int, int], tuple[float, float, Optional[int], float]] = {}
+    costs = []
+    witness = None
+    for i, d in enumerate(choice):
+        key = g.class_of[i], d
+        move = moves.get(key)
+        if move is None:
+            move = moves[key] = g.best_move(i, d, f, eps_improve, witness=True)
+        current, _, j, cost = move
+        costs.append(current)
+        if j is not None and witness is None:
+            witness = DeviationWitness(i, j, current - cost)
+    return tuple(costs), witness
 
 
 def edge_loads(instance: GameInstance, profile: StrategyProfile) -> EdgeLoads:
@@ -321,22 +331,13 @@ def is_equilibrium(
     profile: StrategyProfile,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
 ) -> EquilibriumReport:
-    """Check every player against every path by `CompiledGame.move_costs`;
+    """Check every player against every path by `CompiledGame.best_move`;
     the witness is the first path j, in (player order, path order), whose
     cost is more than eps_improve below the player's current cost."""
     g = _check_profile(instance, profile)
     flow = _Flow(g, profile.choice)
-    f, phi = flow.loads, flow.potential()
-    moves = [g.move_costs(i, c, f) for i, c in enumerate(profile.choice)]
-    costs = tuple(m[c] for m, c in zip(moves, profile.choice))
-    for i, m in enumerate(moves):
-        for j, cost in enumerate(m):
-            improvement = costs[i] - cost
-            if improvement > eps_improve:
-                return EquilibriumReport(
-                    False, costs, phi, DeviationWitness(i, j, improvement)
-                )
-    return EquilibriumReport(True, costs, phi)
+    costs, witness = _deviations(g, flow.loads, profile.choice, eps_improve)
+    return EquilibriumReport(witness is None, costs, flow.potential(), witness)
 
 
 def best_response(
@@ -345,13 +346,13 @@ def best_response(
     player: int,
     eps_improve: float = 0.0,
 ) -> tuple[int, float]:
-    """Cheapest path for `player` by `CompiledGame.move_costs`. Ties go to the
+    """Cheapest path for `player` by `CompiledGame.best_move`. Ties go to the
     lowest path index, except that the player stays on its current path unless
     that saves more than eps_improve (no churn)."""
     g = _check_profile(instance, profile)
-    f = _Flow(g, profile.choice).loads
-    j, cost, _ = _best_response(g, f, profile.choice, player, eps_improve)
-    return j, cost
+    d, f = profile.choice[player], _Flow(g, profile.choice).loads
+    current, best, j, _ = g.best_move(player, d, f, eps_improve)
+    return (d, current) if j is None else (j, best)
 
 
 @dataclass(frozen=True)
@@ -391,38 +392,37 @@ def run_best_response_dynamics(
     negative eps_improve staying put counts as an improvement, so no profile
     with a player is an equilibrium and the dynamics never converge."""
     g = _check_profile(instance, initial)
+    eps = config.eps_improve
     choice = list(initial.choice)
     moves: list[Move] = []
     flow = _Flow(g, choice)
     trace = [flow.potential()]
-    # best responses by (class, current path) since the last move: a player's
+    # best moves by (class, current path) since the last move: a player's
     # move costs read only its class's rows and the loads
-    memo: dict[tuple[int, int], tuple[int, float, float]] = {}
+    memo: dict[tuple[int, int], tuple[float, float, Optional[int], float]] = {}
     while True:
         moved = False
         for i in range(len(choice)):
             if len(moves) >= config.max_moves:
                 break
-            key = g.class_of[i], choice[i]
-            if key not in memo:
-                memo[key] = _best_response(g, flow.loads, choice, i, config.eps_improve)
-            j, cost, current_cost = memo[key]
-            if j == choice[i]:
+            d = choice[i]
+            move = memo.get((g.class_of[i], d))
+            if move is None:
+                move = memo[g.class_of[i], d] = g.best_move(i, d, flow.loads, eps)
+            current, best, j, _ = move
+            if j is None or j == d:
                 continue
             memo.clear()
-            moves.append(Move(i, choice[i], j, current_cost - cost))
-            flow.move(i, choice[i], j)
+            moves.append(Move(i, d, j, current - best))
+            flow.move(i, d, j)
             choice[i] = j
             trace.append(flow.potential())
             moved = True
         if len(moves) >= config.max_moves:
-            final = StrategyProfile(tuple(choice))
-            converged = is_equilibrium(
-                instance, final, config.eps_improve
-            ).is_equilibrium
+            converged = _deviations(g, flow.loads, choice, eps)[1] is None
             break
         if not moved:
-            converged = config.eps_improve >= 0 or not choice
+            converged = eps >= 0 or not choice
             break
     return DynamicsResult(
         StrategyProfile(tuple(choice)), tuple(moves), tuple(trace), converged

@@ -4,7 +4,11 @@ A strategy set is the full list of simple source-to-sink paths of a commodity,
 stored as edge-id sequences and sorted lexicographically so that path indices
 are stable across runs and platforms. A prepared instance compiles, once, into
 the integer-indexed cost tables of `CompiledGame` that the engine and the
-oracle read, including the one definition of social cost.
+oracle read, including the one definition of social cost and the one test of
+a deviation, `CompiledGame.best_move`. That test has two evaluators with the
+same bits: the scan (`move_costs`), which costs every path, and for strategy
+sets with many paths per edge the shortest-path search of `search.PathSearch`
+on the set's graph, whose tables are built here once per strategy set.
 """
 
 from __future__ import annotations
@@ -15,12 +19,22 @@ from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
 
+if TYPE_CHECKING:
+    from .search import PathSearch
+
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
+#: `CompiledGame.best_move` searches a strategy set whose paths have more than
+#: this many edge slots (the sum of the path lengths) per edge of its graph,
+#: and scans the others. Measured per call on a 2-vCPU VM (Python 3.11),
+#: search time over scan time: 2.6-3.0 on the Braess diamonds (1.0-1.4 slots
+#: per edge), 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5 grid (14),
+#: 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths).
+SEARCH_CROSSOVER = 10
 
 Path = tuple[str, ...]  # ordered edge-id sequence
 
@@ -108,7 +122,8 @@ class CompiledGame:
 
     The engine and the oracle read two definitions from here and have none of
     their own: the social cost of a profile (`social_cost`) and the costs that
-    decide whether a player can improve by switching paths (`move_costs`).
+    decide whether a player can improve by switching paths (`move_costs`),
+    which they read through `best_move`.
     """
 
     def __init__(self, instance: GameInstance):
@@ -135,30 +150,49 @@ class CompiledGame:
         #: per (commodity, edge): c1 * (a * r + b) * r + 2 * c2 * u(r) * r, the
         #: player's own term of the potential
         self.potential_term: list[list[Optional[float]]] = []
+        #: per commodity: the search tables of its strategy set, or None where
+        #: `best_move` scans it
+        self.search: list[Optional[PathSearch]] = []
 
         # Keyed by the strategy-set tuple's identity, not its value: hashing a
         # large strategy set once per commodity costs more than the rows shared.
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
+        unique_ids = len(self.edge_index) == len(edges)
         for c, plist in zip(instance.commodities, instance.paths):
             row = classes.get((id(plist), c.demand))
             if row is None:
                 if id(plist) not in strategies:
-                    compiled = tuple(
-                        tuple(self.edge_index[eid] for eid in p) for p in plist
-                    )
-                    on_paths = tuple(sorted({k for p in compiled for k in p}))
-                    strategies[id(plist)] = compiled, on_paths
-                compiled, on_paths = strategies[id(plist)]
+                    to_index = self.edge_index.__getitem__
+                    compiled = tuple(tuple(map(to_index, p)) for p in plist)
+                    on_paths = tuple(sorted(set().union(*compiled)))
+                    search = None
+                    if unique_ids and (
+                        sum(map(len, compiled)) > SEARCH_CROSSOVER * len(on_paths)
+                    ):
+                        # imported here: a process that never searches does
+                        # not compile the module
+                        from .search import path_search
+
+                        search = path_search(
+                            compiled,
+                            on_paths,
+                            [e.tail for e in edges],
+                            [e.head for e in edges],
+                            [e.id for e in edges],
+                        )
+                    strategies[id(plist)] = compiled, on_paths, search
+                compiled, on_paths, search = strategies[id(plist)]
                 price, own = self._own_rows(edges, c, on_paths)
-                row = len(classes), compiled, on_paths, price, own
+                row = len(classes), compiled, on_paths, price, own, search
                 classes[id(plist), c.demand] = row
-            cls, compiled, on_paths, price, own = row
+            cls, compiled, on_paths, price, own, search = row
             self.class_of.append(cls)
             self.paths.append(compiled)
             self.edges_of.append(on_paths)
             self.unit_price.append(price)
             self.potential_term.append(own)
+            self.search.append(search)
 
     @staticmethod
     def _own_rows(
@@ -221,15 +255,11 @@ class CompiledGame:
             total += c1[k] * (a[k] * loads[k] + b[k]) + price[k]
         return total
 
-    def move_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
-        """Player i's per-unit cost on each of its paths j if it moved there
-        from its current path d, at the profile's `loads` (by edge number);
-        entry d is its current cost. The only test of a deviation: the player
-        can improve by more than eps exactly when costs[d] - min(costs) > eps.
-
-        An edge costs c1 * (a * x + b) + c2 * u(r), where x is the edge's load
-        on the edges of path d and its load plus the player's demand r on every
-        other edge; each path's cost is summed from 0.0 in path order."""
+    def edge_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
+        """Player i's per-unit cost of each edge (by edge number) if it moved
+        from its current path d: c1 * (a * x + b) + c2 * u(r), where x is the
+        edge's load on the edges of path d and its load plus the player's
+        demand r on every other edge of its strategy set; 0.0 on the rest."""
         r, price = self.demand[i], self.unit_price[i]
         c1, a, b = self.c1, self.a, self.b
         cost = [0.0] * len(c1)
@@ -237,6 +267,15 @@ class CompiledGame:
             cost[k] = c1[k] * (a[k] * (loads[k] + r) + b[k]) + price[k]
         for k in self.paths[i][d]:
             cost[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
+        return cost
+
+    def move_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
+        """Player i's per-unit cost on each of its paths j if it moved there
+        from its current path d, at the profile's `loads` (by edge number);
+        entry d is its current cost. Each path's cost is its `edge_costs`
+        summed from 0.0 in path order. This defines a deviation: the player
+        can improve by more than eps exactly when costs[d] - min(costs) > eps."""
+        cost = self.edge_costs(i, d, loads)
         costs = []
         for path in self.paths[i]:
             total = 0.0
@@ -244,6 +283,37 @@ class CompiledGame:
                 total += cost[k]
             costs.append(total)
         return costs
+
+    def best_move(
+        self, i: int, d: int, loads: Sequence[float], eps: float, witness: bool = False
+    ) -> tuple[float, float, Optional[int], float]:
+        """(current cost, least cost, j, cost of j) of player i on path d by
+        `move_costs`, with its bits: the one test of a deviation, which the
+        engine and the oracle read. j is None, and its cost the current cost,
+        when no path is more than eps cheaper (current - least <= eps).
+        Otherwise j is the first path at the least cost or, with `witness`,
+        the first path more than eps cheaper.
+
+        Strategy sets with many edge slots per edge (`SEARCH_CROSSOVER`) are
+        searched on their graph (`search.PathSearch`) wherever every edge cost
+        is >= 0 and their sum finite. All others, and instances with a
+        duplicate edge id, are scanned: every path is costed by `move_costs`."""
+        search = self.search[i]
+        if search is not None:
+            cost = self.edge_costs(i, d, loads)
+            found = search.best_move(cost, self.paths[i][d], eps, witness)
+            if found is not None:
+                return found
+        costs = self.move_costs(i, d, loads)
+        current, best = costs[d], min(costs)
+        if current - best <= eps:
+            return current, best, None, current
+        if not witness:
+            return current, best, costs.index(best), best
+        for j, cost in enumerate(costs):
+            if current - cost > eps:
+                return current, best, j, cost
+        return current, best, None, current  # only where a cost is NaN
 
 
 def exact_sum(terms: Iterable[float]) -> float:

@@ -14,7 +14,7 @@ All profiles of a state have the same loads: each edge adds its users'
 demands in player order, and the users a run puts on an edge all add the same
 r. Loads come from a stack of prefix sums, one level per run, with r added once
 per user, so every load has the bits of a full recompute. Equilibrium status is
-a function of the loads too. It is decided by `CompiledGame.move_costs`, the
+a function of the loads too. It is decided by `CompiledGame.best_move`, the
 engine's own test, once per (run, used path), and a state counts its number of
 profiles, the product of the runs' multinomials.
 
@@ -38,8 +38,14 @@ from .model import CostOverflowError, GameInstance
 
 DEFAULT_PROFILE_CAP = 200_000
 
-#: Empirical ceiling on the Price of Anarchy for affine congestion.
+#: The tight bound on the pure Price of Anarchy of weighted congestion games
+#: with affine costs (Awerbuch, Azar & Epstein, STOC 2005). A player's price
+#: term c2 * u(r) is a load-free constant per player and edge, which the same
+#: smoothness argument covers.
 POA_BOUND = (3.0 + math.sqrt(5.0)) / 2.0
+#: The tight bound when every player has the same demand, an unweighted affine
+#: congestion game (Christodoulou & Koutsoupias, STOC 2005).
+POA_BOUND_EQUAL_DEMANDS = 2.5
 POA_BOUND_TOL = 1e-6
 
 
@@ -164,13 +170,13 @@ class _Indexed:
             self.orderings.append(list(map(_orderings, canonical)))
 
     def is_equilibrium(self, digits: list[int], f: list[float]) -> bool:
-        """No player of the state can save more than eps by `move_costs`,
+        """No player of the state can save more than eps by `best_move`,
         tested once per (run, used path)."""
-        eps, move_costs = self.eps, self.g.move_costs
+        eps, best_move = self.eps, self.g.best_move
         for (lo, _), used, c in zip(self.spans, self.used, digits):
             for d in used[c]:
-                costs = move_costs(lo, d, f)
-                if costs[d] - min(costs) > eps:
+                current, best, _, _ = best_move(lo, d, f, eps)
+                if current - best > eps:
                     return False
         return True
 
@@ -334,7 +340,8 @@ def price_of_anarchy(
     eps_improve: float = DEFAULT_EPS_IMPROVE,
 ) -> PoAReport:
     """Worst-equilibrium social cost over optimal social cost, with the
-    empirical affine bound attached."""
+    proven tight bound (3 + sqrt(5)) / 2 for weighted affine games attached
+    (`POA_BOUND`)."""
     return _scan(instance, cap, eps_improve, optimum=True).report()
 
 

@@ -509,6 +509,28 @@ def test_dynamics_cost_one_best_response_per_class_and_path(monkeypatch):
     assert len(calls) <= (len(result.moves) + 1) * 3
 
 
+def test_equilibrium_checks_cost_one_best_move_per_class_and_path(monkeypatch):
+    calls = []
+    real = model.CompiledGame.best_move
+    monkeypatch.setattr(
+        model.CompiledGame,
+        "best_move",
+        lambda self, *args, **kw: calls.append(args[:2]) or real(self, *args, **kw),
+    )
+    _, after = build_priced_braess(2000, PriceSpec("log1p"))
+    prof = random_profile(random.Random(3), after)
+    report = is_equilibrium(after, prof)
+    pairs = {(after.compiled.class_of[i], d) for i, d in enumerate(prof.choice)}
+    assert len(calls) == len(pairs) == 3
+    assert not report.is_equilibrium and len(report.player_costs) == 2000
+    # the check at the dynamics' move cap: once per (class, path) as well
+    calls.clear()
+    config = DynamicsConfig(max_moves=100)
+    result = run_best_response_dynamics(after, StrategyProfile((0,) * 2000), config)
+    assert len(result.moves) == 100 and not result.converged
+    assert len(calls) <= (100 + 1) * 3 + 3
+
+
 # ---------------------------------------------------------------------------
 # compiled tables
 

@@ -281,3 +281,11 @@ def test_equilibrate_log1p_diamond_n200_matches_golden(capsys, tmp_path):
 def test_equilibrate_grid_matches_golden(capsys):
     out = _equilibrate_stdout(capsys, DATA / "grid6.json")
     assert out == (DATA / "grid6-seed7.json").read_text()
+
+
+def test_equilibrate_7x7_grid_matches_golden(capsys):
+    # 924 paths per commodity, so best responses come from the path search;
+    # the golden was printed when every best response came from the scan
+    out = _equilibrate_stdout(capsys, DATA / "grid7.json")
+    assert out == (DATA / "grid7-seed7.json").read_text()
+    assert json.loads(out)["moves"] > 0
