@@ -350,7 +350,7 @@ def best_response(
     lowest path index, except that the player stays on its current path unless
     that saves more than eps_improve (no churn)."""
     g = _check_profile(instance, profile)
-    d, f = profile.choice[player], _Flow(g, profile.choice).loads
+    d, f = profile.choice[player], _loads(g, profile.choice)
     current, best, j, _ = g.best_move(player, d, f, eps_improve)
     return (d, current) if j is None else (j, best)
 

@@ -3,12 +3,12 @@ profile, the worst equilibrium, and the Price of Anarchy.
 
 Profiles are indexed by a mixed-radix counter over per-commodity path indices
 (commodity 0 most significant); that index is the universal tie-breaker.
-Players are grouped into runs: maximal blocks of consecutive commodities with
-equal demand and strategy set, and hence equal cost tables. Every entry point
-makes one pass, in one thread, over the states: one path-count vector per run,
-named by its canonical (lowest-index) digits, nondecreasing within the run. A
-run of one player is a plain path index, so an instance without repeated
-commodities scans one state per profile.
+Players are grouped into runs: maximal blocks of consecutive commodities of
+one class (`CompiledGame.class_of`), and hence with equal cost tables. Every
+entry point makes one pass, in one thread, over the states: one path-count
+vector per run, named by its canonical (lowest-index) digits, nondecreasing
+within the run. A run of one player is a plain path index, so an instance
+without repeated commodities scans one state per profile.
 
 All profiles of a state have the same loads: each edge adds its users'
 demands in player order, and the users a run puts on an edge all add the same
@@ -143,8 +143,8 @@ class _Indexed:
 
         #: per run: its first player and one past its last
         self.spans: list[tuple[int, int]] = []
-        for i, (r, paths) in enumerate(zip(g.demand, g.paths)):
-            if i and r == g.demand[i - 1] and paths == g.paths[i - 1]:
+        for i, cls in enumerate(g.class_of):
+            if i and cls == g.class_of[i - 1]:
                 self.spans[-1] = (self.spans[-1][0], i + 1)
             else:
                 self.spans.append((i, i + 1))
@@ -170,12 +170,12 @@ class _Indexed:
             self.orderings.append(list(map(_orderings, canonical)))
 
     def is_equilibrium(self, digits: list[int], f: list[float]) -> bool:
-        """No player of the state can save more than eps by `best_move`,
-        tested once per (run, used path)."""
+        """No player of the state saves more than eps by `best_move`, once per
+        (run, used path), asked at eps = inf: only the saving is read."""
         eps, best_move = self.eps, self.g.best_move
         for (lo, _), used, c in zip(self.spans, self.used, digits):
             for d in used[c]:
-                current, best, _, _ = best_move(lo, d, f, eps)
+                current, best, _, _ = best_move(lo, d, f, math.inf)
                 if current - best > eps:
                     return False
         return True

@@ -1,15 +1,15 @@
-"""The compiled engine against a frozen copy of the original dict-based engine,
-and against the documented deviation rule.
+"""The compiled engine against the exact model (`exact_costs`).
 
-Every comparison is exact (==). Loads, path costs and the players' current
-costs must reproduce each float of the original. Best responses, witnesses and
-dynamics must follow the documented deviation rule over independent,
-dict-based move costs (`ExactCosts.move_costs`). They can differ from the
-original's, which saw an edge that a move keeps at (f - r) + r, not at its
-load f. Social costs and potentials must equal the correctly rounded exact
-sums of their terms (`exact_costs`), which depend on no summation order.
+Every comparison is exact (==). Loads, unit path costs and the players'
+current costs must equal the model's dict-based ones: loads summed from 0.0 in
+player order, path costs summed from 0.0 in path order. Best responses,
+witnesses and dynamics must follow the documented deviation rule over the
+model's move costs (`ExactCosts.move_costs`), ties included. Social costs and
+potentials must equal the correctly rounded exact sums of their terms, which
+depend on no summation order.
 """
 
+import ast
 import json
 import random
 from pathlib import Path
@@ -17,7 +17,6 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reference_engine as ref
 from exact_costs import ExactCosts
 from tie_rich import one_demand_instances, tie_rich_instances
 from routegame import engine
@@ -31,32 +30,49 @@ from routegame.random_instances import random_affine_instance
 DATA = Path(__file__).parent / "data"
 
 
+def test_the_exact_model_shares_no_code_with_the_engine_or_oracle():
+    # the model checks the engine and the oracle only while it reads neither
+    # them, nor the search, nor the compiled tables they share
+    tree = ast.parse((Path(__file__).parent / "exact_costs.py").read_text())
+    banned = {"routegame.engine", "routegame.oracle", "routegame.search"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {a.name for a in node.names} & banned
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module not in banned
+            assert not {f"{node.module}.{a.name}" for a in node.names} & banned
+        assert not (isinstance(node, ast.Attribute) and node.attr == "compiled")
+
+
 def _random_profile(rng, inst):
     return StrategyProfile(tuple(rng.randrange(len(p)) for p in inst.paths))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@example(4619)  # a best response the original costs at 3.421049362381544, not ...443
-def test_engine_views_match_reference_bit_for_bit(seed):
+@example(4619)  # a best response the original engine cost at 3.421049362381544, not ...443
+def test_engine_views_match_exact_model_bit_for_bit(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
     prof = _random_profile(rng, inst)
     eps = rng.choice([0.0, 1e-9, 0.05])
 
+    exact = ExactCosts(inst)
     loads = engine.edge_loads(inst, prof)
-    ref_loads = ref.edge_loads(inst, prof)
-    assert list(loads.load.items()) == list(ref_loads.load.items())
+    exact_loads = exact.loads(prof.choice)
+    assert list(loads.load.items()) == list(exact_loads.items())
     for i, plist in enumerate(inst.paths):
         for path in plist:
-            assert engine.unit_path_cost(inst, loads, i, path) == ref.unit_path_cost(
-                inst, ref_loads, i, path
+            assert engine.unit_path_cost(inst, loads, i, path) == exact.unit_path_cost(
+                i, path, exact_loads
             )
-    exact = ExactCosts(inst)
     assert engine.social_cost(inst, prof) == exact.social_cost(prof.choice)
     assert engine.potential(inst, prof) == exact.potential(prof.choice)
     report = engine.is_equilibrium(inst, prof, eps)
-    assert report.player_costs == ref.is_equilibrium(inst, prof, eps).player_costs
+    assert report.player_costs == tuple(
+        exact.unit_path_cost(i, inst.paths[i][d], exact_loads)
+        for i, d in enumerate(prof.choice)
+    )
     assert report.potential == exact.potential(prof.choice)
     _assert_moves_follow_move_costs(inst, prof, eps)
 
@@ -91,13 +107,14 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
         prof = _random_profile(rng, inst)
         costs = engine.profile_costs(inst, prof)
         loads = engine.edge_loads(inst, prof)
-        ref_loads = ref.edge_loads(inst, prof)
+        exact = ExactCosts(inst)
+        exact_loads = exact.loads(prof.choice)
         assert len(costs.unit_costs) == len(prof.choice)
         for i, d in enumerate(prof.choice):
             path = inst.paths[i][d]
             assert costs.unit_costs[i] == engine.unit_path_cost(inst, loads, i, path)
-            assert costs.unit_costs[i] == ref.unit_path_cost(inst, ref_loads, i, path)
-        assert costs.social_cost == ExactCosts(inst).social_cost(prof.choice)
+            assert costs.unit_costs[i] == exact.unit_path_cost(i, path, exact_loads)
+        assert costs.social_cost == exact.social_cost(prof.choice)
 
 
 def _assert_moves_follow_move_costs(inst, prof, eps):
@@ -173,7 +190,7 @@ def _random_config(rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_dynamics_result_matches_reference_bit_for_bit(seed):
+def test_dynamics_result_matches_move_cost_rule_bit_for_bit(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
     start = _random_profile(rng, inst)

@@ -1,14 +1,13 @@
-"""The single-pass oracle against a frozen copy of the original multi-pass one,
-against a brute force over exact social costs, and against the engine.
+"""The oracle against a brute force over the exact model (`exact_costs`), and
+against the engine.
 
 Every comparison is exact (==). Equilibrium lists, counts and errors equal
-the reference's, except where the reference's load-difference test rounds
-a tie into an improvement; the list is always the profiles that
-`engine.is_equilibrium` accepts, in index order. Social costs are the
-correctly rounded exact sums of their terms (`exact_costs`), and the optimum
-and the worst equilibrium are the lowest-index argmin and argmax of that exact
-cost, as a scan of every profile in index order with a strict `<` or `>`
-finds them.
+those of a scan of every profile in index order by the documented deviation
+rule over the model's move costs (`ExactCosts.equilibria`), ties included, and
+the list is the profiles that `engine.is_equilibrium` accepts. Social costs are
+the correctly rounded exact sums of their terms, and the optimum and the worst
+equilibrium are the lowest-index argmin and argmax of that exact cost, as a
+scan of every profile in index order with a strict `<` or `>` finds them.
 """
 
 import math
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reference_oracle as ref
+import exact_costs
 from exact_costs import ExactCosts
 from tie_rich import repeated, seeded_instances, tie_rich_instances
 from routegame import engine, oracle
@@ -47,61 +46,72 @@ def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except (oracle.ProfileCapError, oracle.NoEquilibriumError, CostOverflowError,
-            ref.ProfileCapError, ref.NoEquilibriumError) as exc:
+            exact_costs.ProfileCapError) as exc:
         return type(exc).__name__
 
 
-def _assert_entry_points_match(inst, cap, eps):
-    equilibria = _outcome(ref.find_all_equilibria, inst, cap, eps)
-    assert _outcome(oracle.find_all_equilibria, inst, cap, eps) == equilibria
-    scans = (oracle.worst_equilibrium, oracle.price_of_anarchy, oracle.equilibria_and_poa)
-    if equilibria == "ProfileCapError":
-        for fn in scans:
-            assert _outcome(fn, inst, cap, eps) == equilibria, fn.__name__
-        assert _outcome(oracle.optimal_profile, inst, cap) == equilibria
-        return
+EPSILONS = (0.0, 1e-9, 0.05)
 
+
+def _assert_entry_points_match(inst, cap, epsilons=EPSILONS):
+    """Every oracle entry point at each eps against the exact model's brute
+    force: the same equilibria, count, optimum, worst equilibrium and PoA, or
+    the same error."""
     exact = ExactCosts(inst)
-    profiles = list(product(*(range(len(p)) for p in inst.paths)))  # index order
-    cost = {p: exact.social_cost(p) for p in profiles}
-    optimum = min(profiles, key=cost.__getitem__)  # the first, lowest-index minimum
-    assert oracle.optimal_profile(inst, cap) == (StrategyProfile(optimum), cost[optimum])
-    if not equilibria:
-        for fn in scans:
-            assert _outcome(fn, inst, cap, eps) == "NoEquilibriumError", fn.__name__
-        return
+    scans = (oracle.worst_equilibrium, oracle.price_of_anarchy, oracle.equilibria_and_poa)
+    cost = optimum = None
+    for eps in epsilons:
+        found = _outcome(exact.equilibria, eps, cap)
+        if found == "ProfileCapError":
+            for fn in (oracle.find_all_equilibria,) + scans:
+                assert _outcome(fn, inst, cap, eps) == found, fn.__name__
+            assert _outcome(oracle.optimal_profile, inst, cap) == found
+            continue
+        equilibria = list(map(StrategyProfile, found))
+        assert oracle.find_all_equilibria(inst, cap, eps) == equilibria
+        if cost is None:
+            profiles = list(exact.profiles())
+            cost = {p: exact.social_cost(p) for p in profiles}
+            optimum = min(profiles, key=cost.__getitem__)  # the lowest-index minimum
+            assert oracle.optimal_profile(inst, cap) == (
+                StrategyProfile(optimum), cost[optimum]
+            )
+        if not equilibria:
+            for fn in scans:
+                assert _outcome(fn, inst, cap, eps) == "NoEquilibriumError", fn.__name__
+            continue
 
-    worst = max((p.choice for p in equilibria), key=cost.__getitem__)
-    count = len(equilibria)
-    assert oracle.worst_equilibrium(inst, cap, eps) == (
-        StrategyProfile(worst), cost[worst], count
-    )
-    poa = _outcome(oracle.cost_ratio, cost[worst], cost[optimum])
-    if poa == "CostOverflowError":
-        for fn in (oracle.price_of_anarchy, oracle.equilibria_and_poa):
-            assert _outcome(fn, inst, cap, eps) == poa, fn.__name__
-        return
-    want = oracle.PoAReport(
-        StrategyProfile(optimum),
-        cost[optimum],
-        StrategyProfile(worst),
-        cost[worst],
-        count,
-        poa,
-    )
-    assert oracle.equilibria_and_poa(inst, cap, eps) == (equilibria, want)
-    assert oracle.price_of_anarchy(inst, cap, eps) == want
+        worst = max(found, key=cost.__getitem__)
+        count = len(equilibria)
+        assert oracle.worst_equilibrium(inst, cap, eps) == (
+            StrategyProfile(worst), cost[worst], count
+        )
+        poa = _outcome(oracle.cost_ratio, cost[worst], cost[optimum])
+        if poa == "CostOverflowError":
+            for fn in (oracle.price_of_anarchy, oracle.equilibria_and_poa):
+                assert _outcome(fn, inst, cap, eps) == poa, fn.__name__
+            continue
+        want = oracle.PoAReport(
+            StrategyProfile(optimum),
+            cost[optimum],
+            StrategyProfile(worst),
+            cost[worst],
+            count,
+            poa,
+        )
+        assert oracle.equilibria_and_poa(inst, cap, eps) == (equilibria, want)
+        assert oracle.price_of_anarchy(inst, cap, eps) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_entry_points_match_reference_bit_for_bit(seed):
+def test_entry_points_match_brute_force_bit_for_bit(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
     eps = rng.choice([0.0, 1e-9, 0.05])
     total = oracle.profile_count(inst)
     cap = rng.choice([total, max(total - 1, 1), oracle.DEFAULT_PROFILE_CAP])
-    _assert_entry_points_match(inst, cap, eps)
+    _assert_entry_points_match(inst, cap, (eps,))
 
 
 @settings(max_examples=120, deadline=None)
@@ -127,14 +137,14 @@ def test_every_ordering_of_a_state_has_one_social_cost(seed):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @example(317)
-def test_repeated_commodities_match_reference_bit_for_bit(seed):
+def test_repeated_commodities_match_brute_force_bit_for_bit(seed):
     # Runs of equal commodities are scanned as path-count states.
     rng = random.Random(seed)
     inst = repeated(random_affine_instance(rng), rng)
     eps = rng.choice([0.0, 1e-9, 0.05])
     total = oracle.profile_count(inst)
     cap = rng.choice([total, max(total - 1, 1), total + 1])
-    _assert_entry_points_match(inst, cap, eps)
+    _assert_entry_points_match(inst, cap, (eps,))
 
 
 def _parallel_edges(b0, b1):
@@ -174,8 +184,7 @@ def test_exact_ties_go_to_the_lowest_index():
     assert report.worst_equilibrium_profile.choice == (0, 0)
     assert (report.worst_equilibrium_cost, report.equilibrium_count) == (5.0, 9)
     for inst in (cheap, dear, even):
-        for eps in (0.0, 1e-9, 0.05):
-            _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
+        _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
 
 
 def test_overflowing_social_costs_are_inf():
@@ -200,36 +209,23 @@ def test_overflowing_social_costs_are_inf():
     assert oracle.optimal_profile(inst) == (StrategyProfile((0, 0)), math.inf)
     with pytest.raises(CostOverflowError):  # inf / inf is no PoA
         oracle.price_of_anarchy(inst)
-    for eps in (0.0, 1e-9, 0.05):
-        _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
+    _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
 
 
-def test_no_equilibrium_raises_like_reference():
+def test_no_equilibrium_raises_like_brute_force():
     # with a negative tolerance every profile has an "improving" deviation
     _, after = build_classic_braess(2)
     assert oracle.find_all_equilibria(after, eps_improve=-1.0) == []
     cap = oracle.DEFAULT_PROFILE_CAP
-    _assert_entry_points_match(after, cap, -1.0)
+    _assert_entry_points_match(after, cap, (-1.0,))
     assert _outcome(oracle.price_of_anarchy, after, cap, -1.0) == "NoEquilibriumError"
-
-
-def _move_cost_equilibria(inst, eps):
-    """The profiles, in index order, where no player's current cost exceeds one
-    of its independent move costs by more than eps."""
-    exact = ExactCosts(inst)
-    found = []
-    for p in product(*(range(len(paths)) for paths in inst.paths)):
-        moves = [exact.move_costs(i, p) for i in range(len(p))]
-        if all(m[d] - min(m) <= eps for m, d in zip(moves, p)):
-            found.append(StrategyProfile(p))
-    return found
 
 
 def test_loads_sum_demands_in_player_order():
     # Three players with demands 0.1, 0.2, 0.3 share edge sv, where the sum
     # depends on the grouping; the scan must add them in player order. In
-    # (0, 0, 1) and (1, 0, 1) player 0's two paths cost the same; at eps 0
-    # that tie is no improvement, though the reference's load-difference test
+    # (0, 0, 1) and (1, 0, 1) player 0's two paths cost exactly the same, and
+    # at eps 0 that tie is no improvement, though a test by load differences
     # rounds it into one.
     r0, r1, r2 = demands = (0.1, 0.2, 0.3)
     assert (r0 + r1) + r2 != r0 + (r1 + r2)
@@ -244,29 +240,55 @@ def test_loads_sum_demands_in_player_order():
             tuple(Commodity(f"p{i}", "s", "t", r) for i, r in enumerate(demands)),
         )
     )
+    exact = ExactCosts(inst)
+    for tie in ((0, 0, 1), (1, 0, 1)):
+        costs = exact.move_costs(0, tie)
+        assert costs[0] == costs[1]
     cap = oracle.DEFAULT_PROFILE_CAP
-    assert [p.choice for p in ref.find_all_equilibria(inst, cap, 0.0)] == [(1, 1, 0)]
-    for eps in (0.0, 1e-9, 0.05):
+    for eps in EPSILONS:
         found = oracle.find_all_equilibria(inst, cap, eps)
-        assert found == _move_cost_equilibria(inst, eps)
         assert [p.choice for p in found] == [(0, 0, 1), (1, 0, 1), (1, 1, 0)]
-    for eps in (1e-9, 0.05):
-        _assert_entry_points_match(inst, cap, eps)
+    _assert_entry_points_match(inst, cap)
 
 
 def _assert_oracle_lists_the_engine_equilibria(inst):
     profiles = [StrategyProfile(p) for p in product(*map(range, map(len, inst.paths)))]
-    for eps in (0.0, 1e-9, 0.05):
+    for eps in EPSILONS:
         accepted = [
             p for p in profiles if engine.is_equilibrium(inst, p, eps).is_equilibrium
         ]
         assert oracle.find_all_equilibria(inst, len(profiles), eps) == accepted, eps
 
 
+def test_a_deviation_compares_whole_path_costs():
+    # At (1, 0) player p (demand 0.5) pays 0.7 + 0.8 = 1.5 on (sv, vt2) and
+    # would pay exactly 1.5 on (sv, vt1), though vt1's cost after the move,
+    # (0.2 + 0.5) + 0.1, is one ulp below vt2's 0.5 + 0.3: a rule that
+    # differences only the edges the two paths do not share sees a saving.
+    inst = prepare(
+        GameInstance(
+            ("s", "v", "t"),
+            (
+                EdgeSpec("sv", "s", "v", 1.0, 0.0),
+                EdgeSpec("vt1", "v", "t", 1.0, 0.1),
+                EdgeSpec("vt2", "v", "t", 1.0, 0.3),
+            ),
+            (Commodity("p", "s", "t", 0.5), Commodity("q", "s", "t", 0.2)),
+        )
+    )
+    assert (0.2 + 0.5) + 0.1 < 0.5 + 0.3
+    assert ExactCosts(inst).move_costs(0, (1, 0)) == [1.5, 1.5]
+    found = oracle.find_all_equilibria(inst, eps_improve=0.0)
+    assert [p.choice for p in found] == [(0, 1), (1, 0)]
+    _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
+    _assert_oracle_lists_the_engine_equilibria(inst)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(tie_rich_instances(), seeded_instances()))
 def test_oracle_lists_exactly_the_engine_equilibria(inst):
     _assert_oracle_lists_the_engine_equilibria(inst)
+    _assert_entry_points_match(inst, oracle.profile_count(inst))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -300,7 +322,7 @@ def test_an_edge_whose_slope_underflows_keeps_its_load():
     _assert_oracle_lists_the_engine_equilibria(inst)
 
 
-def test_load_free_deviations_match_reference():
+def test_load_free_deviations_match_brute_force():
     # Paths that differ only in zero-slope edges are compared without loads;
     # random instances almost never have such edges.
     inst = prepare(
@@ -315,8 +337,7 @@ def test_load_free_deviations_match_reference():
             (Commodity("p0", "s", "t", 0.5), Commodity("p1", "s", "t", 1.0)),
         )
     )
-    for eps in (0.0, 1e-9, 0.05):
-        _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP, eps)
+    _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
     assert [p.choice for p in oracle.find_all_equilibria(inst)] == [
         (0, 0), (0, 2), (2, 0), (2, 2)
     ]

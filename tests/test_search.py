@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from test_equivalence import _assert_dynamics_match, _assert_moves_follow_move_costs
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
-from routegame import engine, search
+from routegame import engine, oracle, search
 from routegame.braess import build_priced_braess
 from routegame.model import (
     Commodity,
@@ -326,3 +326,25 @@ def test_search_tables_form_no_reference_cycle():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+def test_the_oracle_runs_no_path_search_it_discards(monkeypatch):
+    # the oracle reads only a player's saving, so on a searched strategy set it
+    # takes the least cost from the search and never looks for its path
+    inst = _grid7()
+    inst = prepare(replace(inst, commodities=inst.commodities[:1], paths=()))
+    scanned = prepare(replace(inst, paths=()))
+    scanned.compiled.search[0] = None
+    want = oracle.price_of_anarchy(scanned)
+    runs = []
+    real = search._simple_paths
+
+    def simple_paths(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_simple_paths", simple_paths)
+    answers = _search_answers(monkeypatch)
+    assert oracle.price_of_anarchy(inst) == want
+    assert len(answers) == len(inst.paths[0]) and None not in answers
+    assert runs == []
