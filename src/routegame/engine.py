@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, neg
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import CompiledGame, GameInstance, exact_sum
 
@@ -137,7 +137,7 @@ class _Flow:
                     self.users[k].append(i)
                     self.demands[k].append(g.demand[i])
         self.loads = _loads(g, choice)
-        self.own = [self._own(i, c) for i, c in enumerate(choice)]
+        self.own = _own_terms(g, choice)
         # The exact sum of `own` as nonoverlapping partials, or None where it
         # cannot stand in for `own` in `potential`: an instance with a negative
         # coefficient or demand, or an own term that is negative, not finite or
@@ -145,10 +145,6 @@ class _Flow:
         self.partials: Optional[list[float]] = None
         if min(chain(g.c1, g.a, g.b, g.demand, self.own), default=0.0) >= 0.0:
             self.partials = _exact_parts(self.own)
-
-    def _own(self, player: int, path: int) -> float:
-        term = self.g.potential_term[player]
-        return exact_sum([term[k] for k in self.g.paths[player][path]])
 
     def _add_own(self, term: float, old: float) -> None:
         """Replace the own term `old` by `term` in `partials`, or give them up."""
@@ -181,27 +177,35 @@ class _Flow:
         for k in new_path:
             if k not in old_path:
                 self._edit(k, player, 1)
-        term = self._own(player, new)
+        term = exact_sum([self.g.potential_term[player][k] for k in new_path])
         self._add_own(term, self.own[player])
         self.own[player] = term
 
     def potential(self) -> float:
-        """The exact sum of c1 * (a * f + b) * f over the edges and of each
-        player's own term, correctly rounded. A player's own term is the exact
-        sum of its `potential_term`s over its path, correctly rounded.
-
-        The partials have the exact sum of the own terms, so a sum over them
-        is the same correctly rounded float in O(E + len(partials)). It is
-        used only where every term is nonnegative and the result positive and
-        below 2**1000: then no intermediate sum of either overflows, and no
-        signed zero or inf of the full sum is lost."""
-        c1, a, b = self.g.c1, self.g.a, self.g.b
-        edge_terms = [c1[k] * (a[k] * f + b[k]) * f for k, f in enumerate(self.loads)]
+        """`_potential` at the flow's loads and own terms, in O(E +
+        len(partials)) where the partials, whose exact sum is that of the own
+        terms, can stand in for them: where every term is nonnegative and the
+        result positive and below 2**1000, no intermediate sum overflows and
+        no signed zero or inf of the full sum is lost."""
         if self.partials is not None:
-            phi = exact_sum(chain(edge_terms, self.partials))
+            phi = _potential(self.g, self.loads, self.partials)
             if 0.0 < phi < _RUNNING_LIMIT:
                 return phi
-        return exact_sum(chain(edge_terms, self.own))
+        return _potential(self.g, self.loads, self.own)
+
+
+def _own_terms(g: CompiledGame, choice: Sequence[int]) -> list[float]:
+    """Each player's own term of the potential: `potential_term`s summed exactly."""
+    term = g.potential_term
+    return [exact_sum([term[i][k] for k in g.paths[i][c]]) for i, c in enumerate(choice)]
+
+
+def _potential(g: CompiledGame, f: Sequence[float], own: Iterable[float]) -> float:
+    """The exact sum of c1 * (a * x + b) * x over the edges at their loads f
+    and of the players' `own` terms, correctly rounded."""
+    c1, a, b = g.c1, g.a, g.b
+    edge_terms = [c1[k] * (a[k] * x + b[k]) * x for k, x in enumerate(f)]
+    return exact_sum(chain(edge_terms, own))
 
 
 def _exact_parts(terms: Sequence[float]) -> Optional[list[float]]:
@@ -323,7 +327,8 @@ def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCo
 def potential(instance: GameInstance, profile: StrategyProfile) -> float:
     """Scalar whose change under any unilateral switch is twice the mover's
     demand times the mover's cost change; its minima are equilibria."""
-    return _Flow(_check_profile(instance, profile), profile.choice).potential()
+    g = _check_profile(instance, profile)
+    return _potential(g, _loads(g, profile.choice), _own_terms(g, profile.choice))
 
 
 def is_equilibrium(
@@ -335,9 +340,9 @@ def is_equilibrium(
     the witness is the first path j, in (player order, path order), whose
     cost is more than eps_improve below the player's current cost."""
     g = _check_profile(instance, profile)
-    flow = _Flow(g, profile.choice)
-    costs, witness = _deviations(g, flow.loads, profile.choice, eps_improve)
-    return EquilibriumReport(witness is None, costs, flow.potential(), witness)
+    f, own = _loads(g, profile.choice), _own_terms(g, profile.choice)
+    costs, witness = _deviations(g, f, profile.choice, eps_improve)
+    return EquilibriumReport(witness is None, costs, _potential(g, f, own), witness)
 
 
 def best_response(

@@ -1,14 +1,14 @@
 """Game instances: directed graph, priced edges, commodities, and strategy sets.
 
-A strategy set is the full list of simple source-to-sink paths of a commodity,
-stored as edge-id sequences and sorted lexicographically so that path indices
-are stable across runs and platforms. A prepared instance compiles, once, into
-the integer-indexed cost tables of `CompiledGame` that the engine and the
-oracle read, including the one definition of social cost and the one test of
-a deviation, `CompiledGame.best_move`. That test has two evaluators with the
-same bits: the scan (`move_costs`), which costs every path, and for strategy
-sets with many paths per edge the shortest-path search of `search.PathSearch`
-on the set's graph, whose tables are built here once per strategy set.
+A strategy set is the full list of simple source-to-sink paths of a commodity:
+edge-id sequences built in lexicographic order, not sorted afterwards, so that
+path indices are stable across runs and platforms. A prepared instance
+compiles, once, into the integer-indexed cost tables of `CompiledGame` that
+the engine and the oracle read: the one definition of social cost and the
+one test of a deviation, `CompiledGame.best_move`. That test has two
+evaluators with the same bits: the scan (`move_costs`), which costs every
+path, and for sets with many paths per edge the shortest-path search of
+`search.PathSearch` on the set's graph, its tables built once per set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -163,8 +163,10 @@ class CompiledGame:
             row = classes.get((id(plist), c.demand))
             if row is None:
                 if id(plist) not in strategies:
-                    to_index = self.edge_index.__getitem__
-                    compiled = tuple(tuple(map(to_index, p)) for p in plist)
+                    compiled = getattr(plist, "rows", None)
+                    if not (unique_ids and getattr(plist, "edges", None) is edges):
+                        to_index = self.edge_index.__getitem__
+                        compiled = tuple(tuple(map(to_index, p)) for p in plist)
                     on_paths = tuple(sorted(set().union(*compiled)))
                     search = None
                     if unique_ids and (
@@ -339,70 +341,100 @@ class ValidationReport:
 # path enumeration
 
 
-def _adjacency(instance: GameInstance) -> dict[str, list[EdgeSpec]]:
-    adj: dict[str, list[EdgeSpec]] = {n: [] for n in instance.nodes}
-    for e in instance.edges:
-        adj.setdefault(e.tail, []).append(e)
-    return adj
+class StrategySet(tuple):
+    """The paths `prepare` finds, with `rows`: the same paths as numbers of `edges`."""
+
+
+class _PathList(list):
+    __slots__ = ("rows",)  # `enumerate_paths`' list carries `rows` for `prepare`
 
 
 def enumerate_paths(
     instance: GameInstance, commodity: Commodity, cap: int = DEFAULT_PATH_CAP
 ) -> list[Path]:
-    """All simple source->sink paths of a commodity, lexicographic by edge ids.
+    """All simple source->sink paths of a commodity, lexicographic by edge ids,
+    with their edge numbers in the list's `rows`.
+
+    Out-edges are taken in edge-id order, so paths are built in lexicographic
+    order (sorted only where ids repeat). An acyclic graph's paths are counted
+    per node, so the cap is checked first, and built from the sink back; a
+    cyclic graph's come from `search._simple_paths`. No path enters a node
+    that cannot reach the sink.
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
-    found: list[Path] = []
-    source = commodity.source
-    _extend_paths(source, commodity, cap, _adjacency(instance), {source}, [], found)
-    if not found:
+    edges, source, sink = instance.edges, commodity.source, commodity.sink
+    out: dict[str, list[tuple[str, int, str]]] = {}  # (id, number, head) per edge
+    for k, e in enumerate(edges):
+        out.setdefault(e.tail, []).append((e.id, k, e.head))
+    for arcs in out.values():
+        arcs.sort()
+    out[sink] = []
+    # per node reached: its number of paths to the sink, False while on the stack
+    post, count, acyclic = [], {source: False}, True
+    stack = [(source, iter(out.get(source, ())))]
+    while stack:
+        v, arcs = stack[-1]
+        for _, _, w in arcs:
+            if w not in count:
+                count[w] = False
+                stack.append((w, iter(out.get(w, ()))))
+                break
+            acyclic = acyclic and count[w] is not False
+        else:
+            post.append(stack.pop()[0])
+            heads = [count[w] for _, _, w in out.get(v, ())]
+            count[v] = 1 if v == sink else sum(heads)
+    if sink not in count:
         raise PathEnumerationError(
-            f"no path from {commodity.source!r} to {commodity.sink!r}"
-            f" for commodity {commodity.id!r}"
+            f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
         )
-    found.sort()
+    if not acyclic:  # the counts hold on acyclic graphs only
+        from .search import _simple_paths
+
+        post.reverse()  # the source is node 0
+        number = {v: j for j, v in enumerate(post)}
+        arcs = [tuple([(k, number[w]) for _, k, w in out.get(v, ())]) for v in post]
+        into: dict[str, list[str]] = {}  # per node: the tails of its in-edges
+        for v in post:
+            for _, _, w in out.get(v, ()):
+                into.setdefault(w, []).append(v)
+        live = _reach(into, sink)
+        h = [0.0 if v in live else math.inf for v in post]
+        zero = [0.0] * len(edges)
+        walk = _simple_paths(arcs, number[sink], zero, h, math.inf.__gt__, 1.0)
+        rows = [row for row, _ in islice(walk, max(cap, 0) + 1)]
+        paths = [tuple([edges[k].id for k in row]) for row in rows]
+        count[source] = len(rows)
+    if count[source] > cap:
+        raise PathEnumerationError(
+            f"commodity {commodity.id!r} has more than {cap} simple paths"
+        )
+    if acyclic:
+        to_sink, rows_to_sink = {sink: [()]}, {sink: [()]}  # per node: its paths
+        for v in post:
+            if count[v] and v != sink:
+                arcs = [((eid,), (k,), w) for eid, k, w in out[v] if count[w]]
+                to_sink[v] = [e + p for e, _, w in arcs for p in to_sink[w]]
+                rows_to_sink[v] = [k + r for _, k, w in arcs for r in rows_to_sink[w]]
+        paths, rows = to_sink[source], rows_to_sink[source]
+    if len({e.id for e in edges}) < len(edges):
+        paths, rows = map(list, zip(*sorted(zip(paths, rows))))
+    found = _PathList(paths)
+    found.rows = tuple(rows)
     return found
-
-
-def _extend_paths(
-    node: str,
-    commodity: Commodity,
-    cap: int,
-    adj: Mapping[str, list[EdgeSpec]],
-    visited: set[str],
-    trail: list[str],
-    found: list[Path],
-) -> None:
-    """Depth first, append to `found` every simple path to the commodity's
-    sink that continues `trail`, the edge ids of a walk that ends at `node` and
-    visits the nodes `visited`. A module-level function, not a closure that
-    calls itself: such a closure is a reference cycle left for the collector."""
-    if node == commodity.sink:
-        found.append(tuple(trail))
-        if len(found) > cap:
-            raise PathEnumerationError(
-                f"commodity {commodity.id!r} has more than {cap} simple paths"
-            )
-        return
-    for e in adj.get(node, ()):
-        if e.head in visited:
-            continue
-        visited.add(e.head)
-        trail.append(e.id)
-        _extend_paths(e.head, commodity, cap, adj, visited, trail, found)
-        trail.pop()
-        visited.remove(e.head)
 
 
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
     """Return a copy of the instance with every commodity's strategy set populated.
 
-    Commodities with the same source and sink share one strategy-set tuple."""
-    by_endpoints: dict[tuple[str, str], tuple[Path, ...]] = {}
+    Commodities with the same source and sink share one `StrategySet`."""
+    by_endpoints: dict[tuple[str, str], StrategySet] = {}
     for c in instance.commodities:
         if (c.source, c.sink) not in by_endpoints:
-            by_endpoints[c.source, c.sink] = tuple(enumerate_paths(instance, c, cap))
+            found = enumerate_paths(instance, c, cap)
+            plist = by_endpoints[c.source, c.sink] = StrategySet(found)
+            plist.rows, plist.edges = found.rows, instance.edges
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
     return replace(instance, paths=all_paths)
 
@@ -411,15 +443,15 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
 # validation
 
 
-def _reach(adj: Mapping[str, list[EdgeSpec]], source: str) -> set[str]:
-    """Every node reachable from `source` in the adjacency `adj`, itself included."""
+def _reach(succ: Mapping[str, list[str]], source: str) -> set[str]:
+    """Every node reachable from `source` by the successor lists `succ`."""
     seen = {source}
     stack = [source]
     while stack:
-        for e in adj.get(stack.pop(), ()):
-            if e.head not in seen:
-                seen.add(e.head)
-                stack.append(e.head)
+        for w in succ.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return seen
 
 
@@ -427,8 +459,10 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
     """Collect every invariant violation; an empty report means the instance is
     valid. The one rule set of a valid instance: the CLI gates every scenario on it."""
     out: list[str] = []
-    adj = _adjacency(instance)
-    reach = cache(lambda node: _reach(adj, node))  # one reach set per source node
+    succ: dict[str, list[str]] = {}
+    for e in instance.edges:
+        succ.setdefault(e.tail, []).append(e.head)
+    reach = cache(lambda node: _reach(succ, node))  # one reach set per source node
     nodes = set()
     for n in instance.nodes:
         if not n:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -465,6 +466,44 @@ def test_running_potential_of_an_all_zero_cost_instance(c1):
     result = _assert_trace_is_full_sums(inst, StrategyProfile((1, 1, 1)), config)
     assert len(result.potential_trace) == 4
     assert not any(result.potential_trace)
+
+
+def _assert_one_shot_potential_is_the_flows(inst):
+    """`potential` and `is_equilibrium` sum the potential once, without a
+    `_Flow`; on every profile they give the bits of `_Flow.potential`."""
+    for choice in itertools.product(*(range(len(p)) for p in inst.paths)):
+        want = engine._Flow(inst.compiled, choice).potential()
+        profile = StrategyProfile(choice)
+        assert _same_float(potential(inst, profile), want)
+        assert _same_float(is_equilibrium(inst, profile).potential, want)
+
+
+@pytest.mark.parametrize(
+    "lines, demands, c1",
+    [
+        ([(0.0, 0.0), (0.0, 0.0)], [1.0, 0.5, 1.0], 0.0),  # all zero
+        ([(0.0, 0.0), (0.0, 0.0)], [1.0, 0.5, 1.0], -0.0),
+        ([(0.0, 0.0), (0.0, 0.0)], [1.0, 0.5, 1.0], 1.0),
+        ([(-1.0, 2.0), (1.0, -3.0)], [1.0, 0.5], 1.0),  # negative
+        ([(1.0, 1.0), (2.0, 0.0)], [-1.0, 0.5], 1.0),
+        ([(0.0, 5e307), (0.0, 4e307)], [1.0, 1.0], 1.0),  # past the limit
+        ([(0.0, 8e307), (0.0, 1e307), (0.0, 1e307)], [1.0] * 3, 1.0),
+        ([(1e308, 0.0), (1.0, 0.0)], [2.0, 2.0, 2.0], 1.0),  # infinite own terms
+    ],
+)
+def test_one_shot_potential_is_the_flows(lines, demands, c1):
+    _assert_one_shot_potential_is_the_flows(_parallel(lines, demands, c1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_shot_potential_is_the_flows_on_random_instances(seed):
+    rng = random.Random(seed)
+    inst = random_affine_instance(rng, max_profiles=200)
+    scale = rng.choice([1.0, 1e300, 1e308, -1.0])
+    edges = tuple(replace(e, a=e.a * scale, b=e.b * scale) for e in inst.edges)
+    inst = prepare(replace(inst, edges=edges, paths=()))
+    _assert_one_shot_potential_is_the_flows(inst)
 
 
 @settings(max_examples=100, deadline=None)

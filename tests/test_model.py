@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import gc
 import json
 import random
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +144,12 @@ def test_path_cap_is_enforced():
     assert len(enumerate_paths(inst, inst.commodities[0], cap=16)) == 16
     with pytest.raises(PathEnumerationError, match="more than 15"):
         enumerate_paths(inst, inst.commodities[0], cap=15)
+    # a back edge makes the graph cyclic and adds no simple path
+    back = EdgeSpec("b", "n3", "n1", 1.0, 0.0)
+    inst = dataclasses.replace(inst, edges=inst.edges + (back,))
+    assert len(enumerate_paths(inst, inst.commodities[0], cap=16)) == 16
+    with pytest.raises(PathEnumerationError, match="more than 15"):
+        enumerate_paths(inst, inst.commodities[0], cap=15)
 
 
 def _count_simple_paths_oracle(inst, source, sink):
@@ -230,6 +239,175 @@ def test_prepare_shares_strategy_sets_of_equal_endpoints():
     assert inst.paths[0] is inst.paths[2]
     for c, plist in zip(inst.commodities, inst.paths):
         assert list(plist) == enumerate_paths(inst, c)
+
+
+def _all_simple_paths(inst, source, sink):
+    """Every simple source-sink path as edge ids, by breadth-first extension
+    of walks over the edges in instance order, then sorted: no ordered walk,
+    no counting and no pruning."""
+    walks = [((), (source,))]
+    found = []
+    while walks:
+        ids, nodes = walks.pop(0)
+        if nodes[-1] == sink:
+            found.append(ids)
+            continue
+        for e in inst.edges:
+            if e.tail == nodes[-1] and e.head not in nodes:
+                walks.append((ids + (e.id,), nodes + (e.head,)))
+    return sorted(found)
+
+
+def _random_graph(rng):
+    """Up to 7 nodes and 14 edges: cycles, parallel edges and ids such as e2
+    and e10 (which sort as strings), a sink that may be unreachable or equal
+    to the source, and rarely an id used twice."""
+    n = rng.randint(1, 7)
+    nodes = tuple(f"n{i}" for i in range(n))
+    edges = []
+    for j in rng.sample(range(20), rng.randint(0, 14)):
+        tail, head = rng.choice(nodes), rng.choice(nodes)
+        if tail != head:
+            eid = f"e{rng.randrange(20)}" if rng.random() < 0.05 else f"e{j}"
+            edges.append(EdgeSpec(eid, tail, head, 1.0, 0.0))
+    source, sink = rng.choice(nodes), rng.choice(nodes)
+    return GameInstance(nodes, tuple(edges), (Commodity("x", source, sink, 1.0),))
+
+
+def _assert_rows_match(inst, c, paths):
+    assert len(paths.rows) == len(paths)
+    for path, row in zip(paths, paths.rows):
+        assert tuple(inst.edges[k].id for k in row) == path
+        assert _is_walk(inst, row, c.source, c.sink)
+    for j in range(len(paths) - 1):  # equal id tuples: in edge-number order
+        if paths[j] == paths[j + 1]:
+            assert paths.rows[j] < paths.rows[j + 1]
+
+
+def _is_walk(inst, row, source, sink):
+    node = source
+    for k in row:
+        if inst.edges[k].tail != node:
+            return False
+        node = inst.edges[k].head
+    return node == sink
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_enumeration_matches_an_independent_enumerator(seed):
+    rng = random.Random(seed)
+    inst = _random_graph(rng)
+    c = inst.commodities[0]
+    expected = _all_simple_paths(inst, c.source, c.sink)
+    if not expected:
+        with pytest.raises(PathEnumerationError, match="no path"):
+            enumerate_paths(inst, c)
+        return
+    paths = enumerate_paths(inst, c)
+    assert paths == expected
+    _assert_rows_match(inst, c, paths)
+    # the cap, at exactly the count and one below it
+    assert enumerate_paths(inst, c, cap=len(expected)) == expected
+    with pytest.raises(PathEnumerationError, match=f"more than {len(expected) - 1} "):
+        enumerate_paths(inst, c, cap=len(expected) - 1)
+    plist = prepare(inst).paths[0]
+    assert plist == tuple(expected) and plist.edges is inst.edges
+
+
+def _grid(k):
+    node = "g{}_{}".format
+    edges = [
+        EdgeSpec(f"{tag}{i}_{j}", node(i, j), node(i + di, j + dj), 1.0, 0.0)
+        for i in range(k) for j in range(k)
+        for di, dj, tag in ((0, 1, "r"), (1, 0, "d")) if i + di < k and j + dj < k
+    ]
+    nodes = tuple(node(i, j) for i in range(k) for j in range(k))
+    return GameInstance(
+        nodes, tuple(edges), (Commodity("x", node(0, 0), node(k - 1, k - 1), 1.0),)
+    )
+
+
+@contextlib.contextmanager
+def _seconds_at_most(limit):
+    """Fail when the block takes `limit` seconds or more; where the platform
+    has an interval timer, stop the block at ten times that instead of letting
+    an exponential walk run on."""
+    timer = getattr(signal, "setitimer", None)
+    if timer is not None:
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {10 * limit} s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        timer(signal.ITIMER_REAL, 10 * limit)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if timer is not None:
+            timer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    assert time.perf_counter() - start < limit
+
+
+def test_a_30x30_grid_hits_the_cap_before_building_a_path():
+    # C(58, 29), about 3e16 paths: counted per node, none built
+    inst = _grid(30)
+    too_many = pytest.raises(PathEnumerationError, match="more than 10000 simple paths")
+    with _seconds_at_most(1.0), too_many:
+        prepare(inst)
+
+
+def _dead_end_chain(diamonds, back_edge):
+    """One s-t edge, and a chain of diamonds off s that never reaches t: 2**n
+    walks into the dead branch, with a back edge inside it if asked."""
+    edges = [EdgeSpec("st", "s", "t", 1.0, 0.0)]
+    for i in range(diamonds):
+        for mid in "ab":
+            edges.append(EdgeSpec(f"{mid}{i}in", f"c{i}", f"{mid}{i}", 1.0, 0.0))
+            edges.append(EdgeSpec(f"{mid}{i}out", f"{mid}{i}", f"c{i + 1}", 1.0, 0.0))
+    edges.append(EdgeSpec("sc", "s", "c0", 1.0, 0.0))
+    if back_edge:
+        edges.append(EdgeSpec("back", f"c{diamonds}", "c1", 1.0, 0.0))
+    nodes = ("s", "t") + tuple(
+        f"{x}{i}" for i in range(diamonds + 1) for x in ("c", "a", "b")
+    )
+    return GameInstance(nodes, tuple(edges), (Commodity("x", "s", "t", 1.0),))
+
+
+@pytest.mark.parametrize("back_edge", [False, True])
+def test_dead_ends_cost_nothing(back_edge):
+    inst = _dead_end_chain(40, back_edge)
+    assert validate_instance(inst).ok
+    with _seconds_at_most(1.0):
+        prepared = prepare(inst)
+    assert prepared.paths == ((("st",),),)
+
+
+def test_compile_reads_the_rows_of_its_own_edges_only():
+    inst = build_classic_braess(2)[1]
+    g = inst.compiled
+    assert all(rows is plist.rows for rows, plist in zip(g.paths, inst.paths))
+    # the same strategy sets over the edges in another order: mapped by id
+    flipped = dataclasses.replace(inst, edges=inst.edges[::-1])
+    assert flipped.paths[0].edges is not flipped.edges
+    index = {e.id: k for k, e in enumerate(flipped.edges)}
+    assert flipped.compiled.paths[0] == tuple(
+        tuple(index[eid] for eid in p) for p in flipped.paths[0]
+    )
+    assert flipped.compiled.paths[0] != inst.compiled.paths[0]
+
+
+def test_compile_maps_a_duplicate_id_to_its_first_edge():
+    inst = prepare(
+        GameInstance(
+            ("s", "t"),
+            (EdgeSpec("e", "s", "t", 1.0, 0.0), EdgeSpec("e", "s", "t", 2.0, 0.0)),
+            (Commodity("x", "s", "t", 1.0),),
+        )
+    )
+    assert inst.paths[0] == (("e",), ("e",)) and inst.paths[0].rows == ((0,), (1,))
+    assert inst.compiled.paths[0] == ((0,), (0,))
 
 
 # ---------------------------------------------------------------------------
