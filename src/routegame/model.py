@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -345,84 +345,113 @@ class StrategySet(tuple):
     """The paths `prepare` finds, with `rows`: the same paths as numbers of `edges`."""
 
 
-class _PathList(list):
-    __slots__ = ("rows",)  # `enumerate_paths`' list carries `rows` for `prepare`
-
-
 def enumerate_paths(
-    instance: GameInstance, commodity: Commodity, cap: int = DEFAULT_PATH_CAP
+    instance: GameInstance,
+    commodity: Commodity,
+    cap: int = DEFAULT_PATH_CAP,
+    rows: Optional[list[tuple[int, ...]]] = None,
 ) -> list[Path]:
-    """All simple source->sink paths of a commodity, lexicographic by edge ids,
-    with their edge numbers in the list's `rows`.
-
-    Out-edges are taken in edge-id order, so paths are built in lexicographic
-    order (sorted only where ids repeat). An acyclic graph's paths are counted
-    per node, so the cap is checked first, and built from the sink back; a
-    cyclic graph's come from `search._simple_paths`. No path enters a node
-    that cannot reach the sink.
+    """All simple source->sink paths of a commodity, lexicographic by edge ids.
+    Where `rows` is a list, each path's edge numbers are appended to it.
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
+    paths, found = _paths_and_rows(instance, commodity, cap)
+    if rows is not None:
+        rows += found
+    return paths
+
+
+def _paths_and_rows(
+    instance: GameInstance, commodity: Commodity, cap: int
+) -> tuple[list[Path], list[tuple[int, ...]]]:
+    """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
+
+    Only nodes with a path to the sink are entered. A postorder pass counts
+    the paths, so on an acyclic graph the cap is checked before any is built;
+    a depth-first walk in edge-id order then builds each path's ids and row
+    together, in lexicographic order (sorted only where ids repeat), in time
+    and memory that grow with the paths listed."""
     edges, source, sink = instance.edges, commodity.source, commodity.sink
-    out: dict[str, list[tuple[str, int, str]]] = {}  # (id, number, head) per edge
-    for k, e in enumerate(edges):
-        out.setdefault(e.tail, []).append((e.id, k, e.head))
+    into: dict[str, list[str]] = {}  # per node: the tails of its in-edges
+    for e in edges:
+        into.setdefault(e.head, []).append(e.tail)
+    live = _reach(into, sink)
+    if source not in live:
+        raise PathEnumerationError(
+            f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
+        )
+    out: dict[str, list[tuple[str, int, str]]] = {v: [] for v in live}
+    for k, e in enumerate(edges):  # (id, number, head) per edge that stays live
+        if e.head in live and e.tail != sink:
+            out[e.tail].append((e.id, k, e.head))
     for arcs in out.values():
         arcs.sort()
-    out[sink] = []
     # per node reached: its number of paths to the sink, False while on the stack
-    post, count, acyclic = [], {source: False}, True
-    stack = [(source, iter(out.get(source, ())))]
+    count, acyclic = {source: False}, True
+    stack = [(source, iter(out[source]))]
     while stack:
         v, arcs = stack[-1]
         for _, _, w in arcs:
             if w not in count:
                 count[w] = False
-                stack.append((w, iter(out.get(w, ()))))
+                stack.append((w, iter(out[w])))
                 break
             acyclic = acyclic and count[w] is not False
         else:
-            post.append(stack.pop()[0])
-            heads = [count[w] for _, _, w in out.get(v, ())]
-            count[v] = 1 if v == sink else sum(heads)
-    if sink not in count:
-        raise PathEnumerationError(
-            f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
-        )
-    if not acyclic:  # the counts hold on acyclic graphs only
-        from .search import _simple_paths
+            stack.pop()
+            count[v] = 1 if v == sink else sum([count[w] for _, _, w in out[v]])
+    too_many = f"commodity {commodity.id!r} has more than {cap} simple paths"
+    if acyclic and count[source] > cap:
+        raise PathEnumerationError(too_many)
+    # a path that reaches a node with one path to the sink ends with that rest
+    one = {v for v, n in count.items() if n == 1} if acyclic else {sink}
 
-        post.reverse()  # the source is node 0
-        number = {v: j for j, v in enumerate(post)}
-        arcs = [tuple([(k, number[w]) for _, k, w in out.get(v, ())]) for v in post]
-        into: dict[str, list[str]] = {}  # per node: the tails of its in-edges
-        for v in post:
-            for _, _, w in out.get(v, ()):
-                into.setdefault(w, []).append(v)
-        live = _reach(into, sink)
-        h = [0.0 if v in live else math.inf for v in post]
-        zero = [0.0] * len(edges)
-        walk = _simple_paths(arcs, number[sink], zero, h, math.inf.__gt__, 1.0)
-        rows = [row for row, _ in islice(walk, max(cap, 0) + 1)]
-        paths = [tuple([edges[k].id for k in row]) for row in rows]
-        count[source] = len(rows)
-    if count[source] > cap:
-        raise PathEnumerationError(
-            f"commodity {commodity.id!r} has more than {cap} simple paths"
-        )
-    if acyclic:
-        to_sink, rows_to_sink = {sink: [()]}, {sink: [()]}  # per node: its paths
-        for v in post:
-            if count[v] and v != sink:
-                arcs = [((eid,), (k,), w) for eid, k, w in out[v] if count[w]]
-                to_sink[v] = [e + p for e, _, w in arcs for p in to_sink[w]]
-                rows_to_sink[v] = [k + r for _, k, w in arcs for r in rows_to_sink[w]]
-        paths, rows = to_sink[source], rows_to_sink[source]
+    @cache
+    def rest(v: str) -> tuple[Optional[Path], Optional[tuple[int, ...]]]:
+        """The one path from v to the sink, as ids and row; Nones if v has more."""
+        if v not in one:
+            return None, None
+        ids, row = [], []
+        while v != sink:
+            i, k, v = out[v][0]
+            ids.append(i)
+            row.append(k)
+        return tuple(ids), tuple(row)
+
+    if source in one:
+        return [rest(source)[0]], [rest(source)[1]]
+    number = {v: j for j, v in enumerate(count)}  # the source is node 0
+    arcs = [  # the walk enters only nodes with more than one path
+        () if v in one else tuple([(i, k, number[w], *rest(w)) for i, k, w in out[v]])
+        for v in count
+    ]
+    paths, rows, ids, trail = [], [], [], []
+    on = [True] + [False] * (len(arcs) - 1)  # per node: on the walk's path
+    nodes, walk = [0], [iter(arcs[0])]
+    while walk:
+        for i, k, w, rest_ids, rest_row in walk[-1]:
+            if rest_ids is not None:
+                paths.append((*ids, i, *rest_ids))
+                rows.append((*trail, k, *rest_row))
+                if len(rows) > cap:
+                    raise PathEnumerationError(too_many)
+            elif not on[w]:
+                on[w] = True
+                nodes.append(w)
+                ids.append(i)
+                trail.append(k)
+                walk.append(iter(arcs[w]))
+                break
+        else:
+            walk.pop()
+            on[nodes.pop()] = False
+            if trail:
+                ids.pop()
+                trail.pop()
     if len({e.id for e in edges}) < len(edges):
         paths, rows = map(list, zip(*sorted(zip(paths, rows))))
-    found = _PathList(paths)
-    found.rows = tuple(rows)
-    return found
+    return paths, rows
 
 
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
@@ -432,9 +461,10 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
     by_endpoints: dict[tuple[str, str], StrategySet] = {}
     for c in instance.commodities:
         if (c.source, c.sink) not in by_endpoints:
-            found = enumerate_paths(instance, c, cap)
-            plist = by_endpoints[c.source, c.sink] = StrategySet(found)
-            plist.rows, plist.edges = found.rows, instance.edges
+            rows: list[tuple[int, ...]] = []
+            plist = StrategySet(enumerate_paths(instance, c, cap, rows))
+            plist.rows, plist.edges = tuple(rows), instance.edges
+            by_endpoints[c.source, c.sink] = plist
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
     return replace(instance, paths=all_paths)
 

@@ -7,8 +7,7 @@ same question on the set's graph, the union of its paths' edges, with nodes
 numbered and each node's out-edges sorted by edge id, in time that grows with
 the graph rather than with P. `CompiledGame.best_move` chooses between the
 two per strategy set (`model.SEARCH_CROSSOVER`); both return the same floats
-and the same path index. The search's walk, `_simple_paths`, also enumerates
-the strategy set of a cyclic graph (`model.enumerate_paths`).
+and the same path index.
 
 Exactness. A path's cost is the left fold of its edges' costs, summed from 0.0
 in path order with each addition rounded to nearest. Rounded addition is

@@ -4,13 +4,16 @@ import gc
 import json
 import random
 import signal
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routegame import model
 from routegame.braess import build_classic_braess
 from routegame.model import (
     Commodity,
@@ -220,7 +223,16 @@ def test_prepare_leaves_no_cyclic_garbage():
         gc.garbage.clear()
 
 
-def test_prepare_shares_strategy_sets_of_equal_endpoints():
+def test_prepare_shares_strategy_sets_of_equal_endpoints(monkeypatch):
+    # one call per endpoint pair, through the module attribute: perfbench's
+    # tracer counts the paths listed by wrapping model.enumerate_paths
+    listed, real = [], model.enumerate_paths
+
+    def counted(*args, **kwargs):
+        listed.append(args[1].id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "enumerate_paths", counted)
     inst = prepare(
         GameInstance(
             ("a", "b", "c"),
@@ -236,7 +248,7 @@ def test_prepare_shares_strategy_sets_of_equal_endpoints():
             ),
         )
     )
-    assert inst.paths[0] is inst.paths[2]
+    assert listed == ["x", "y"] and inst.paths[0] is inst.paths[2]
     for c, plist in zip(inst.commodities, inst.paths):
         assert list(plist) == enumerate_paths(inst, c)
 
@@ -305,14 +317,14 @@ def test_enumeration_matches_an_independent_enumerator(seed):
             enumerate_paths(inst, c)
         return
     paths = enumerate_paths(inst, c)
-    assert paths == expected
-    _assert_rows_match(inst, c, paths)
+    assert type(paths) is list and paths == expected
     # the cap, at exactly the count and one below it
     assert enumerate_paths(inst, c, cap=len(expected)) == expected
     with pytest.raises(PathEnumerationError, match=f"more than {len(expected) - 1} "):
         enumerate_paths(inst, c, cap=len(expected) - 1)
     plist = prepare(inst).paths[0]
     assert plist == tuple(expected) and plist.edges is inst.edges
+    _assert_rows_match(inst, c, plist)
 
 
 def _grid(k):
@@ -382,6 +394,35 @@ def test_dead_ends_cost_nothing(back_edge):
     with _seconds_at_most(1.0):
         prepared = prepare(inst)
     assert prepared.paths == ((("st",),),)
+
+
+def test_memory_grows_with_the_paths_listed_not_with_their_suffixes():
+    # A 300-edge chain, then 8 diamonds: 256 paths of 316 edges. Their ids
+    # and rows hold about 160k tuple slots (1.3 MB); keeping every node's
+    # paths to the sink as well would hold about 26M (over 200 MB).
+    edges = [EdgeSpec(f"c{i}", f"n{i}", f"n{i + 1}", 1.0, 0.0) for i in range(300)]
+    for i in range(300, 308):
+        for mid in "ab":
+            edges.append(EdgeSpec(f"{mid}{i}in", f"n{i}", f"{mid}{i}", 1.0, 0.0))
+            edges.append(EdgeSpec(f"{mid}{i}out", f"{mid}{i}", f"n{i + 1}", 1.0, 0.0))
+    nodes = tuple({n: None for e in edges for n in (e.tail, e.head)})
+    inst = GameInstance(nodes, tuple(edges), (Commodity("x", "n0", "n308", 1.0),))
+    tracemalloc.start()
+    try:
+        plist = prepare(inst).paths[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plist) == 256 and len(plist[0]) == len(plist.rows[-1]) == 316
+    assert peak < 4_000_000
+
+
+def test_a_path_longer_than_the_recursion_limit_is_listed():
+    n = sys.getrecursionlimit() + 100
+    edges = tuple(EdgeSpec(f"c{i}", f"n{i}", f"n{i + 1}", 1.0, 0.0) for i in range(n))
+    nodes = tuple(f"n{i}" for i in range(n + 1))
+    inst = GameInstance(nodes, edges, (Commodity("x", "n0", f"n{n}", 1.0),))
+    assert enumerate_paths(inst, inst.commodities[0]) == [tuple(e.id for e in edges)]
 
 
 def test_compile_reads_the_rows_of_its_own_edges_only():
