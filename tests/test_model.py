@@ -105,6 +105,118 @@ def test_parse_rejects_duplicates_and_bad_demand():
     )
 
 
+def _mutated(change):
+    doc = json.loads(MINIMAL_DOC)
+    change(doc)
+    return json.dumps(doc)
+
+
+def _edge(**fields):
+    return lambda doc: doc["edges"][0].update(fields)
+
+
+def _commodity(**fields):
+    return lambda doc: doc["commodities"][0].update(fields)
+
+
+def _price(price):
+    return _edge(price=price)
+
+
+def _second(kind, **fields):
+    """Append a copy of the first edge or commodity with `fields` changed."""
+    return lambda doc: doc[kind].append({**doc[kind][0], **fields})
+
+
+def _drop(kind, key):
+    return lambda doc: doc[kind][0].pop(key)
+
+
+# Every message parse_scenario raises, and which one wins where an item is
+# wrong in two ways: keys before types, the id before the nodes, the nodes
+# before the numbers, the numbers before the price.
+PARSE_ERRORS = [
+    ("{nope", "invalid JSON: Expecting property name enclosed in double quotes:"
+     " line 1 column 2 (char 1)"),
+    (MINIMAL_DOC.replace("1.0", "NaN", 1), "invalid JSON: non-finite number NaN"),
+    (MINIMAL_DOC.replace("1.0", "1e999", 1), "invalid JSON: non-finite number 1e999"),
+    ("[]", "scenario document must be a JSON object"),
+    (_mutated(lambda d: d.update(extra=1)), "scenario: unknown fields ['extra']"),
+    (_mutated(lambda d: d.pop("commodities")), "scenario: missing fields ['commodities']"),
+    (_mutated(lambda d: d.update(nodes="ab")),
+     "'nodes' must be an array of nonempty strings"),
+    (_mutated(lambda d: d.update(nodes=["a", ""])),
+     "'nodes' must be an array of nonempty strings"),
+    (_mutated(lambda d: d.update(nodes=["a", 1])),
+     "'nodes' must be an array of nonempty strings"),
+    (_mutated(lambda d: d.update(nodes=["a", "b", "a"])), "duplicate node label"),
+    (_mutated(lambda d: d.update(edges={})), "'edges' must be an array"),
+    (_mutated(lambda d: d["edges"].append(["ab"])), "edge entries must be objects"),
+    (_mutated(_edge(x=1, a="bad")), "edge 'ab': unknown fields ['x']"),
+    (_mutated(_drop("edges", "c2")), "edge 'ab': missing fields ['c2']"),
+    (_mutated(_drop("edges", "id")), "edge '?': missing fields ['id']"),
+    (_mutated(_edge(id="")), "edge '': field 'id' must be a nonempty string"),
+    (_mutated(_edge(id=7)), "edge 7.0: field 'id' must be a nonempty string"),
+    (_mutated(_edge(id=True, to="zzz")), "edge True: field 'id' must be a nonempty string"),
+    (_mutated(_second("edges", a="bad")), "duplicate edge id 'ab'"),
+    (_mutated(_edge(**{"from": ""})), "edge 'ab': field 'from' must be a nonempty string"),
+    (_mutated(_edge(to=1)), "edge 'ab': field 'to' must be a nonempty string"),
+    (_mutated(_edge(to=["b"])), "edge 'ab': field 'to' must be a nonempty string"),
+    (_mutated(_edge(to="zzz", a="bad")), "edge 'ab': unknown node reference"),
+    (_mutated(_edge(**{"from": "zzz"})), "edge 'ab': unknown node reference"),
+    (_mutated(_edge(a=True)), "edge 'ab': field 'a' must be a number"),
+    (_mutated(_edge(b="1", price=1)), "edge 'ab': field 'b' must be a number"),
+    (_mutated(_edge(c1=None)), "edge 'ab': field 'c1' must be a number"),
+    (_mutated(_edge(c2=[])), "edge 'ab': field 'c2' must be a number"),
+    (_mutated(_second("edges", id="ba", c2=False)), "edge 'ba': field 'c2' must be a number"),
+    (_mutated(_price("zero")), "edge 'ab': 'price' must be an object"),
+    (_mutated(_price({})), "edge 'ab' price: missing fields ['fn']"),
+    (_mutated(_price({"fn": "zero", "x": 1})), "edge 'ab' price: unknown fields ['x']"),
+    (_mutated(_price({"fn": ""})), "edge 'ab' price: field 'fn' must be a nonempty string"),
+    (_mutated(_price({"fn": 1})), "edge 'ab' price: field 'fn' must be a nonempty string"),
+    (_mutated(_price({"fn": "zero", "params": []})),
+     "edge 'ab': price 'params' must be an object"),
+    (_mutated(_price({"fn": "saturating", "params": {"beta": True}})),
+     "edge 'ab': price parameter 'beta' must be a number"),
+    (_mutated(_price({"fn": "cubic"})), "edge 'ab': unknown price family 'cubic'"),
+    (_mutated(_price({"fn": "saturating"})),
+     "edge 'ab': saturating price requires parameter 'beta'"),
+    (_mutated(_price({"fn": "saturating", "params": {"beta": 0}})),
+     "edge 'ab': saturating 'beta' must be a positive finite number"),
+    (_mutated(_price({"fn": "zero", "params": {"k": 1}})),
+     "edge 'ab': unexpected parameters for 'zero': ['k']"),
+    (_mutated(lambda d: [
+        d["edges"][0].update(price={"fn": "saturating", "params": {"beta": 1}}),
+        d["edges"].append({**d["edges"][0], "id": "ba",
+                           "price": {"fn": "saturating", "params": {"beta": True}}}),
+    ]), "edge 'ba': price parameter 'beta' must be a number"),
+    (_mutated(lambda d: d.update(commodities=None)), "'commodities' must be an array"),
+    (_mutated(lambda d: d["commodities"].append("c2")),
+     "commodity entries must be objects"),
+    (_mutated(_commodity(weight=1)), "commodity 'c1': unknown fields ['weight']"),
+    (_mutated(_drop("commodities", "sink")), "commodity 'c1': missing fields ['sink']"),
+    (_mutated(_drop("commodities", "id")), "commodity '?': missing fields ['id']"),
+    (_mutated(_commodity(id="")), "commodity '': field 'id' must be a nonempty string"),
+    (_mutated(_commodity(id=["c1"], sink="zzz")),
+     "commodity ['c1']: field 'id' must be a nonempty string"),
+    (_mutated(_second("commodities", demand="x")), "duplicate commodity id 'c1'"),
+    (_mutated(_commodity(source=1)),
+     "commodity 'c1': field 'source' must be a nonempty string"),
+    (_mutated(_commodity(sink="")), "commodity 'c1': field 'sink' must be a nonempty string"),
+    (_mutated(_commodity(sink="zzz", demand="x")), "commodity 'c1': unknown node reference"),
+    (_mutated(_commodity(demand=True)), "commodity 'c1': field 'demand' must be a number"),
+    (_mutated(_second("commodities", id="c2", demand={})),
+     "commodity 'c2': field 'demand' must be a number"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_every_parse_error_message(text, message):
+    with pytest.raises(ScenarioError) as raised:
+        parse_scenario(text)
+    assert str(raised.value) == message
+
+
 def test_lenient_parse_defers_value_checks_to_validation():
     inst = parse_scenario(_doc_with_edge(c1=0.6, c2=0.5))
     report = validate_instance(inst)
