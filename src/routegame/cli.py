@@ -12,7 +12,7 @@ for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import math
 import random
 import sys
@@ -23,6 +23,7 @@ from . import engine, oracle
 from .model import (
     GameInstance,
     InvalidInstanceError,
+    json_text,
     PathEnumerationError,
     ScenarioError,
     parse_scenario,
@@ -53,15 +54,14 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json_text(report) + "\n")
         return
     rows = _flatten(report)
     if fmt == "csv":
-        keys = ",".join(k for k, _ in rows)
-        vals = ",".join(
-            _fmt_float(v) if isinstance(v, float) else str(v) for _, v in rows
-        )
-        sys.stdout.write(keys + "\n" + vals + "\n")
+        csv.writer(sys.stdout, lineterminator="\n").writerows([
+            [k for k, _ in rows],
+            [_fmt_float(v) if isinstance(v, float) else str(v) for _, v in rows],
+        ])
         return
     width = max((len(k) for k, _ in rows), default=0)
     for k, v in rows:

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add, neg
+from operator import add, getitem, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import CompiledGame, GameInstance, exact_sum
@@ -127,16 +128,18 @@ class _Flow:
         n = len(g.c1)
         self.g = g
         self.sums = g.repeated_sums
-        self.count = [0] * n
         self.users: list[list[int]] = [[] for _ in range(n)]
         self.demands: list[list[float]] = [[] for _ in range(n)]
-        for i, c in enumerate(choice):
-            for k in g.paths[i][c]:
-                self.count[k] += 1
-                if self.sums is None:
+        rows = list(map(getitem, g.paths, choice))
+        self.count = list(map(Counter(chain.from_iterable(rows)).__getitem__, range(n)))
+        if self.sums is not None:
+            self.loads = [self.sums[m] for m in self.count]
+        else:
+            for i, row in enumerate(rows):
+                for k in row:
                     self.users[k].append(i)
                     self.demands[k].append(g.demand[i])
-        self.loads = _loads(g, choice)
+            self.loads = _loads(g, choice)
         self.own = _own_terms(g, choice)
         # The exact sum of `own` as nonoverlapping partials, or None where it
         # cannot stand in for `own` in `potential`: an instance with a negative
@@ -195,9 +198,13 @@ class _Flow:
 
 
 def _own_terms(g: CompiledGame, choice: Sequence[int]) -> list[float]:
-    """Each player's own term of the potential: `potential_term`s summed exactly."""
-    term = g.potential_term
-    return [exact_sum([term[i][k] for k in g.paths[i][c]]) for i, c in enumerate(choice)]
+    """Each player's own term of the potential: `potential_term`s summed
+    exactly, once per (class, path), since a class's players share its rows."""
+    terms: dict[tuple[int, int], float] = {}
+    for i, key in enumerate(zip(g.class_of, choice)):
+        if key not in terms:
+            terms[key] = exact_sum([g.potential_term[i][k] for k in g.paths[i][key[1]]])
+    return list(map(terms.__getitem__, zip(g.class_of, choice)))
 
 
 def _potential(g: CompiledGame, f: Sequence[float], own: Iterable[float]) -> float:

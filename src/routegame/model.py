@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
@@ -140,25 +140,26 @@ class CompiledGame:
         #: per edge: the slope c1 * a of its congestion cost
         self.slope = tuple(e.c1 * e.a for e in edges)
         #: per commodity: its class, numbered in order of first appearance
-        self.class_of: list[int] = []
+        self.class_of: list[int]
         #: per (commodity, path): edge indices in path order
-        self.paths: list[tuple[tuple[int, ...], ...]] = []
+        self.paths: list[tuple[tuple[int, ...], ...]]
         #: per commodity: edge indices on any of its paths, ascending
-        self.edges_of: list[tuple[int, ...]] = []
+        self.edges_of: list[tuple[int, ...]]
         #: per (commodity, edge): c2 * u(r), the price part of the unit cost
-        self.unit_price: list[list[Optional[float]]] = []
+        self.unit_price: list[list[Optional[float]]]
         #: per (commodity, edge): c1 * (a * r + b) * r + 2 * c2 * u(r) * r, the
         #: player's own term of the potential
-        self.potential_term: list[list[Optional[float]]] = []
+        self.potential_term: list[list[Optional[float]]]
         #: per commodity: the search tables of its strategy set, or None where
         #: `best_move` scans it
-        self.search: list[Optional[PathSearch]] = []
+        self.search: list[Optional[PathSearch]]
 
         # Keyed by the strategy-set tuple's identity, not its value: hashing a
         # large strategy set once per commodity costs more than the rows shared.
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
         unique_ids = len(self.edge_index) == len(edges)
+        rows = []  # per commodity: its class's row of the lists above
         for c, plist in zip(instance.commodities, instance.paths):
             row = classes.get((id(plist), c.demand))
             if row is None:
@@ -186,15 +187,12 @@ class CompiledGame:
                     strategies[id(plist)] = compiled, on_paths, search
                 compiled, on_paths, search = strategies[id(plist)]
                 price, own = self._own_rows(edges, c, on_paths)
-                row = len(classes), compiled, on_paths, price, own, search
-                classes[id(plist), c.demand] = row
-            cls, compiled, on_paths, price, own, search = row
-            self.class_of.append(cls)
-            self.paths.append(compiled)
-            self.edges_of.append(on_paths)
-            self.unit_price.append(price)
-            self.potential_term.append(own)
-            self.search.append(search)
+                row = classes[id(plist), c.demand] = (
+                    len(classes), compiled, on_paths, price, own, search
+                )
+            rows.append(row)
+        (self.class_of, self.paths, self.edges_of, self.unit_price,
+         self.potential_term, self.search) = map(list, zip(*rows) if rows else [()] * 6)
 
     @staticmethod
     def _own_rows(
@@ -368,63 +366,68 @@ def _paths_and_rows(
     """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
 
     Only nodes with a path to the sink are entered. A postorder pass counts
-    the paths, so on an acyclic graph the cap is checked before any is built;
-    a depth-first walk in edge-id order then builds each path's ids and row
+    each reached node's paths; where it meets no cycle, a node counting none
+    has no path to the sink and the cap is checked before any path is built,
+    and otherwise a reach over in-edges finds the nodes with a path. A
+    depth-first walk in edge-id order then builds each path's ids and row
     together, in lexicographic order (sorted only where ids repeat), in time
     and memory that grow with the paths listed."""
     edges, source, sink = instance.edges, commodity.source, commodity.sink
-    into: dict[str, list[str]] = {}  # per node: the tails of its in-edges
-    for e in edges:
-        into.setdefault(e.head, []).append(e.tail)
-    live = _reach(into, sink)
-    if source not in live:
-        raise PathEnumerationError(
-            f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
-        )
-    out: dict[str, list[tuple[str, int, str]]] = {v: [] for v in live}
-    for k, e in enumerate(edges):  # (id, number, head) per edge that stays live
-        if e.head in live and e.tail != sink:
-            out[e.tail].append((e.id, k, e.head))
+    out: dict[str, list[tuple[str, int, str]]] = {}  # per tail: (id, number, head)
+    for k, e in enumerate(edges):
+        if e.tail != sink:
+            out.setdefault(e.tail, []).append((e.id, k, e.head))
     for arcs in out.values():
         arcs.sort()
     # per node reached: its number of paths to the sink, False while on the stack
     count, acyclic = {source: False}, True
-    stack = [(source, iter(out[source]))]
+    stack = [(source, iter(out.get(source, ())))]
     while stack:
         v, arcs = stack[-1]
         for _, _, w in arcs:
             if w not in count:
                 count[w] = False
-                stack.append((w, iter(out[w])))
+                stack.append((w, iter(out.get(w, ()))))
                 break
             acyclic = acyclic and count[w] is not False
         else:
             stack.pop()
-            count[v] = 1 if v == sink else sum([count[w] for _, _, w in out[v]])
-    too_many = f"commodity {commodity.id!r} has more than {cap} simple paths"
+            count[v] = 1 if v == sink else sum([count[w] for _, _, w in out.get(v, ())])
+    if acyclic:  # then a node reaches the sink exactly when it counts a path
+        live = {v for v, n in count.items() if n}
+    else:
+        into: dict[str, list[str]] = {}  # per node: the tails of its in-edges
+        for e in edges:
+            into.setdefault(e.head, []).append(e.tail)
+        live = _reach(into, sink)
+    if source not in live:
+        raise PathEnumerationError(
+            f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
+        )
+    too_many = "commodity {!r} has more than {} simple paths"
     if acyclic and count[source] > cap:
-        raise PathEnumerationError(too_many)
+        raise PathEnumerationError(too_many.format(commodity.id, cap))
     # a path that reaches a node with one path to the sink ends with that rest
-    one = {v for v, n in count.items() if n == 1} if acyclic else {sink}
-
-    @cache
-    def rest(v: str) -> tuple[Optional[Path], Optional[tuple[int, ...]]]:
-        """The one path from v to the sink, as ids and row; Nones if v has more."""
-        if v not in one:
-            return None, None
-        ids, row = [], []
-        while v != sink:
-            i, k, v = out[v][0]
+    one = {v for v in live if count[v] == 1} if acyclic else {sink}
+    multi = [v for v in count if v in live and v not in one]  # the source first
+    rests: dict[str, tuple[Path, tuple[int, ...]]] = {}  # per node of `one` met
+    for v in {w for u in multi for _, _, w in out[u] if w in one} if multi else [source]:
+        ids, row, w = [], [], v
+        while w != sink:
+            i, k, w = next(arc for arc in out[w] if arc[2] in live)
             ids.append(i)
             row.append(k)
-        return tuple(ids), tuple(row)
-
-    if source in one:
-        return [rest(source)[0]], [rest(source)[1]]
-    number = {v: j for j, v in enumerate(count)}  # the source is node 0
+        rests[v] = tuple(ids), tuple(row)
+    if not multi:
+        return [rests[source][0]], [rests[source][1]]
+    number = {v: j for j, v in enumerate(multi)}  # the source is node 0
     arcs = [  # the walk enters only nodes with more than one path
-        () if v in one else tuple([(i, k, number[w], *rest(w)) for i, k, w in out[v]])
-        for v in count
+        tuple([
+            (i, k, number.get(w), *rests.get(w, (None, None)))
+            for i, k, w in out[v]
+            if w in live
+        ])
+        for v in multi
     ]
     paths, rows, ids, trail = [], [], [], []
     on = [True] + [False] * (len(arcs) - 1)  # per node: on the walk's path
@@ -435,7 +438,7 @@ def _paths_and_rows(
                 paths.append((*ids, i, *rest_ids))
                 rows.append((*trail, k, *rest_row))
                 if len(rows) > cap:
-                    raise PathEnumerationError(too_many)
+                    raise PathEnumerationError(too_many.format(commodity.id, cap))
             elif not on[w]:
                 on[w] = True
                 nodes.append(w)
@@ -527,25 +530,25 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
     bounded = [e for e in instance.edges if e.c2 != 0.0 and e.price.x_max < math.inf]
     commodity_ids = set()
     for c in instance.commodities:
-        where = f"commodity {c.id!r}"
         if not c.id:
             out.append("empty commodity id")
         elif c.id in commodity_ids:
             out.append(f"duplicate commodity id {c.id!r}")
         commodity_ids.add(c.id)
+        bad = []  # this commodity's violations, named once there are any
         if c.source not in nodes:
-            out.append(f"{where}: unknown source node {c.source!r}")
+            bad.append(f"unknown source node {c.source!r}")
         if c.sink not in nodes:
-            out.append(f"{where}: unknown sink node {c.sink!r}")
+            bad.append(f"unknown sink node {c.sink!r}")
         if c.source == c.sink:
-            out.append(f"{where}: source equals sink")
+            bad.append("source equals sink")
         if not c.demand > 0:
-            out.append(f"{where}: demand must be positive")
+            bad.append("demand must be positive")
         elif not math.isfinite(c.demand):
-            out.append(f"{where}: demand must be finite")
+            bad.append("demand must be finite")
         elif c.source in nodes and c.sink in nodes:
             if c.sink not in reach(c.source):
-                out.append(f"{where}: no s-t path")
+                bad.append("no s-t path")
             # every edge on some source-sink walk, a superset of the path edges
             for e in bounded:
                 if (
@@ -553,10 +556,11 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                     and e.tail in reach(c.source)
                     and c.sink in reach(e.head)
                 ):
-                    out.append(
-                        f"{where}: demand {c.demand} outside the price domain"
+                    bad.append(
+                        f"demand {c.demand} outside the price domain"
                         f" of edge {e.id!r} ({e.price.fn!r})"
                     )
+        out.extend(f"commodity {c.id!r}: {v}" for v in bad)
 
     overflow = cost_overflow(instance)
     if overflow is not None:
@@ -632,11 +636,13 @@ def _is_simple_path(
 # scenario documents (JSON)
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(
+    obj: dict, allowed: set[str], what: str, required: Optional[set[str]] = None
+) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"{what}: unknown fields {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = (allowed if required is None else required) - set(obj)
     if missing:
         raise ScenarioError(f"{what}: missing fields {sorted(missing)}")
 
@@ -658,7 +664,7 @@ def _string(obj: dict, key: str, what: str) -> str:
 def _parse_price(obj: object, what: str) -> PriceSpec:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{what}: 'price' must be an object")
-    _require_keys(obj, {"fn", "params"}, {"fn"}, f"{what} price")
+    _require_keys(obj, {"fn", "params"}, f"{what} price", {"fn"})
     fn = _string(obj, "fn", f"{what} price")
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -670,6 +676,56 @@ def _parse_price(obj: object, what: str) -> PriceSpec:
         return PriceSpec(fn, {k: float(v) for k, v in params.items()})
     except ValueError as exc:
         raise ScenarioError(f"{what}: {exc}") from exc
+
+
+#: per kind of entry: its list, its keys (the id and two nodes first) and
+#: their JSON types, as `parse_scenario` reads them (every number a float)
+_ENTRIES = {
+    "edge": ("edges", ("id", "from", "to", "a", "b", "c1", "c2", "price"),
+             (str, str, str, float, float, float, float, dict)),
+    "commodity": ("commodities", ("id", "source", "sink", "demand"),
+                  (str, str, str, float)),
+}
+
+
+def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
+    """The fields of each entry of one kind in a scenario, in `_ENTRIES` order,
+    an edge's price as a `PriceSpec` that equal price objects share. An entry
+    that fails one cheap test is checked field by field: ScenarioError names
+    the first problem of the first bad entry."""
+    plural, keys, types = _ENTRIES[kind]
+    if not isinstance(doc[plural], list):
+        raise ScenarioError(f"'{plural}' must be an array")
+    get, key_set, ids, specs, entries = itemgetter(*keys), set(keys), set(), {}, []
+    for item in doc[plural]:
+        fields = get(item) if type(item) is dict and item.keys() == key_set else ()
+        if not (
+            tuple(map(type, fields)) == types
+            and fields[0]
+            and fields[0] not in ids
+            and fields[1] in node_set
+            and fields[2] in node_set
+        ):  # some check below fails: raise its message, in this order
+            if not isinstance(item, dict):
+                raise ScenarioError(f"{kind} entries must be objects")
+            what = f"{kind} {item.get('id', '?')!r}"
+            _require_keys(item, key_set, what)
+            if _string(item, "id", what) in ids:
+                raise ScenarioError(f"duplicate {kind} id {item['id']!r}")
+            if not {_string(item, key, what) for key in keys[1:3]} <= node_set:
+                raise ScenarioError(f"{what}: unknown node reference")
+            for key, kind_of_value in zip(keys, types):
+                if kind_of_value is float:
+                    _number(item, key, what)
+            fields = get(item)
+        if kind == "edge":  # the price is checked last
+            spec = specs.get(key := repr(fields[-1]))
+            if spec is None:
+                spec = specs[key] = _parse_price(fields[-1], f"edge {fields[0]!r}")
+            fields = (*fields[:-1], spec)
+        ids.add(fields[0])
+        entries.append(fields)
+    return entries
 
 
 def _finite_number(text: str) -> float:
@@ -697,10 +753,7 @@ def parse_scenario(text: str) -> GameInstance:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _require_keys(
-        doc, {"nodes", "edges", "commodities"}, {"nodes", "edges", "commodities"},
-        "scenario",
-    )
+    _require_keys(doc, {"nodes", "edges", "commodities"}, "scenario")
 
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not all(
@@ -712,61 +765,55 @@ def parse_scenario(text: str) -> GameInstance:
     nodes = tuple(raw_nodes)
     node_set = set(nodes)
 
-    if not isinstance(doc["edges"], list):
-        raise ScenarioError("'edges' must be an array")
-    edges = []
-    edge_ids: set[str] = set()
-    for item in doc["edges"]:
-        if not isinstance(item, dict):
-            raise ScenarioError("edge entries must be objects")
-        what = f"edge {item.get('id', '?')!r}"
-        _require_keys(
-            item,
-            {"id", "from", "to", "a", "b", "c1", "c2", "price"},
-            {"id", "from", "to", "a", "b", "c1", "c2", "price"},
-            what,
-        )
-        eid = _string(item, "id", what)
-        if eid in edge_ids:
-            raise ScenarioError(f"duplicate edge id {eid!r}")
-        edge_ids.add(eid)
-        tail = _string(item, "from", what)
-        head = _string(item, "to", what)
-        if tail not in node_set or head not in node_set:
-            raise ScenarioError(f"{what}: unknown node reference")
-        a = _number(item, "a", what)
-        b = _number(item, "b", what)
-        c1 = _number(item, "c1", what)
-        c2 = _number(item, "c2", what)
-        price = _parse_price(item["price"], what)
-        edges.append(EdgeSpec(eid, tail, head, a, b, c1, c2, price))
+    edges = tuple(EdgeSpec(*fields) for fields in _entries(doc, "edge", node_set))
+    commodities = tuple(
+        Commodity(*fields) for fields in _entries(doc, "commodity", node_set)
+    )
+    return GameInstance(nodes, edges, commodities)
 
-    if not isinstance(doc["commodities"], list):
-        raise ScenarioError("'commodities' must be an array")
-    commodities = []
-    commodity_ids: set[str] = set()
-    for item in doc["commodities"]:
-        if not isinstance(item, dict):
-            raise ScenarioError("commodity entries must be objects")
-        what = f"commodity {item.get('id', '?')!r}"
-        _require_keys(
-            item,
-            {"id", "source", "sink", "demand"},
-            {"id", "source", "sink", "demand"},
-            what,
-        )
-        cid = _string(item, "id", what)
-        if cid in commodity_ids:
-            raise ScenarioError(f"duplicate commodity id {cid!r}")
-        commodity_ids.add(cid)
-        source = _string(item, "source", what)
-        sink = _string(item, "sink", what)
-        if source not in node_set or sink not in node_set:
-            raise ScenarioError(f"{what}: unknown node reference")
-        demand = _number(item, "demand", what)
-        commodities.append(Commodity(cid, source, sink, demand))
 
-    return GameInstance(nodes, tuple(edges), tuple(commodities))
+_encode = json.encoder.encode_basestring_ascii
+#: JSON text of each scalar type, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: _encode,
+    float: lambda x: float.__repr__(x) if x - x == 0.0 else
+    "NaN" if x != x else "Infinity" if x > 0 else "-Infinity",
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def json_text(obj: object, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for a tree of dicts with
+    str keys, lists, tuples, strings, numbers, bools and None: the package's
+    one JSON writer. A container whose items are all strings, or all finite
+    floats, is written by C functions; a scalar by its type, without raising."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:  # a scalar; a subclass as its base type, as json.dumps writes it
+        for kind, text in _SCALAR_TEXT.items():
+            if isinstance(obj, kind):
+                return _SCALAR_TEXT.get(type(obj), text)(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return brackets
+    inner = indent + "  "
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        items = map(_encode, values)
+    elif kinds == {float} and all(map(math.isfinite, values)):
+        items = map(float.__repr__, values)
+    else:
+        items = [
+            text(v) if (text := _SCALAR_TEXT.get(type(v))) else json_text(v, inner)
+            for v in values
+        ]
+    if brackets == "{}":
+        items = map("%s: %s".__mod__, zip(map(_encode, obj), items))
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def serialize_scenario(instance: GameInstance) -> str:
@@ -791,4 +838,4 @@ def serialize_scenario(instance: GameInstance) -> str:
             for c in instance.commodities
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -560,6 +562,44 @@ def test_table_and_csv_formats(capsys):
     code, out, _ = run(capsys, "braess", "classic", "--n", "2", "--format", "table")
     assert code == 0
     assert any(line.startswith("rho") for line in out.splitlines())
+
+
+def _csv_rows(out):
+    header, values = csv.reader(io.StringIO(out, newline=""))
+    assert len(header) == len(values)
+    return dict(zip(header, values))
+
+
+def test_csv_of_an_enumerate_report_reads_back_field_for_field(capsys, classic_after_file):
+    _, report, _ = run_json(capsys, "enumerate", classic_after_file)
+    code, out, _ = run(capsys, "enumerate", classic_after_file, "--format", "csv")
+    assert code == 0
+    row = _csv_rows(out)
+    assert len(report["equilibria"]) > 1  # the field holds a comma
+    assert row["equilibria"] == " ".join(map(str, report["equilibria"]))
+    assert row["poa"] == format(report["poa"], ".9g")
+
+
+def test_csv_quotes_a_commodity_id_with_a_comma_or_a_quote(capsys, tmp_path):
+    _, after = build_classic_braess(2)
+    doc = json.loads(serialize_scenario(after))
+    doc["commodities"][0]["id"] = 'a,b'
+    doc["commodities"][1]["id"] = 'say "hi"'
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "equilibrate", str(path), "--format", "csv")
+    assert code == 0
+    row = _csv_rows(out)
+    assert {"final_profile.a,b", 'final_profile.say "hi"'} <= set(row)
+    assert row["player_unit_costs.a,b"] == format(
+        run_json(capsys, "equilibrate", str(path))[1]["player_unit_costs"]["a,b"], ".9g"
+    )
+
+
+def test_csv_without_special_characters_is_a_plain_join(capsys):
+    code, out, _ = run(capsys, "braess", "classic", "--n", "2", "--format", "csv")
+    row = _csv_rows(out)
+    assert out == ",".join(row) + "\n" + ",".join(row.values()) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import json
+import math
 import random
 import signal
 import sys
@@ -22,6 +23,7 @@ from routegame.model import (
     PathEnumerationError,
     ScenarioError,
     enumerate_paths,
+    json_text,
     parse_scenario,
     prepare,
     serialize_scenario,
@@ -68,6 +70,42 @@ def test_round_trip_stability():
     text = serialize_scenario(parse_scenario(MINIMAL_DOC))
     assert parse_scenario(text) == parse_scenario(serialize_scenario(parse_scenario(text)))
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-308, 1e308]
+_SPECIAL_TEXT = ["", "\x00\x1f\x7f", "\ud800 \udfff", "é ☃ 😀", '"\\/\n\t']
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(_SPECIAL_TEXT),
+)
+_JSON_KEYS = st.text() | st.sampled_from(_SPECIAL_TEXT)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.dictionaries(_JSON_KEYS, kids),
+    max_leaves=40,
+)
+# containers of one scalar type, which the writer hands to C functions whole
+_JSON_FLAT = st.one_of(
+    st.lists(st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS)),
+    st.dictionaries(_JSON_KEYS, st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
+    st.lists(st.text() | st.sampled_from(_SPECIAL_TEXT)).map(tuple),
+    st.dictionaries(_JSON_KEYS, st.text()),
+    st.dictionaries(_JSON_KEYS, st.lists(st.text()) | st.lists(st.floats())),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES | _JSON_FLAT)
+def test_json_text_writes_the_bytes_of_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
 
 
 def _doc_with_edge(**overrides):
@@ -215,6 +253,20 @@ def test_every_parse_error_message(text, message):
     with pytest.raises(ScenarioError) as raised:
         parse_scenario(text)
     assert str(raised.value) == message
+
+
+def test_edges_with_equal_prices_share_one_price_spec():
+    doc = json.loads(MINIMAL_DOC)
+    doc["nodes"].append("c")
+    price = {"fn": "saturating", "params": {"beta": 2}}
+    doc["edges"] = [
+        {**doc["edges"][0], "id": eid, "from": tail, "to": head, "price": dict(price)}
+        for eid, tail, head in (("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c"))
+    ]
+    doc["edges"][2]["price"]["params"] = {"beta": 3}
+    specs = [e.price for e in parse_scenario(json.dumps(doc)).edges]
+    assert specs[0] is specs[1] and specs[0] == PriceSpec("saturating", {"beta": 2.0})
+    assert specs[2] == PriceSpec("saturating", {"beta": 3.0})
 
 
 def test_lenient_parse_defers_value_checks_to_validation():
