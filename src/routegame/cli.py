@@ -85,7 +85,7 @@ def _prepared(path: str) -> GameInstance:
 
 def _profile_report(instance: GameInstance, profile: engine.StrategyProfile) -> dict:
     return {
-        c.id: list(instance.paths[i][profile.choice[i]])
+        c.id: instance.paths[i][profile.choice[i]]
         for i, c in enumerate(instance.commodities)
     }
 

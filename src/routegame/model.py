@@ -410,8 +410,10 @@ def _paths_and_rows(
     # a path that reaches a node with one path to the sink ends with that rest
     one = {v for v in live if count[v] == 1} if acyclic else {sink}
     multi = [v for v in count if v in live and v not in one]  # the source first
-    rests: dict[str, tuple[Path, tuple[int, ...]]] = {}  # per node of `one` met
-    for v in {w for u in multi for _, _, w in out[u] if w in one} if multi else [source]:
+    # the rest, as ids and row, from each node of `one` that a path steps to
+    rests: dict[str, tuple[Path, tuple[int, ...]]] = {}
+    starts = {w for u in multi for _, _, w in out[u] if w in one} if multi else {source}
+    for v in starts:
         ids, row, w = [], [], v
         while w != sink:
             i, k, w = next(arc for arc in out[w] if arc[2] in live)
@@ -560,7 +562,8 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                         f"demand {c.demand} outside the price domain"
                         f" of edge {e.id!r} ({e.price.fn!r})"
                     )
-        out.extend(f"commodity {c.id!r}: {v}" for v in bad)
+        if bad:
+            out.extend(f"commodity {c.id!r}: {v}" for v in bad)
 
     overflow = cost_overflow(instance)
     if overflow is not None:
@@ -678,13 +681,10 @@ def _parse_price(obj: object, what: str) -> PriceSpec:
         raise ScenarioError(f"{what}: {exc}") from exc
 
 
-#: per kind of entry: its list, its keys (the id and two nodes first) and
-#: their JSON types, as `parse_scenario` reads them (every number a float)
+#: per kind of entry: its list and its keys, the id, two nodes and numbers
 _ENTRIES = {
-    "edge": ("edges", ("id", "from", "to", "a", "b", "c1", "c2", "price"),
-             (str, str, str, float, float, float, float, dict)),
-    "commodity": ("commodities", ("id", "source", "sink", "demand"),
-                  (str, str, str, float)),
+    "edge": ("edges", ("id", "from", "to", "a", "b", "c1", "c2", "price")),
+    "commodity": ("commodities", ("id", "source", "sink", "demand")),
 }
 
 
@@ -693,7 +693,9 @@ def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
     an edge's price as a `PriceSpec` that equal price objects share. An entry
     that fails one cheap test is checked field by field: ScenarioError names
     the first problem of the first bad entry."""
-    plural, keys, types = _ENTRIES[kind]
+    plural, keys = _ENTRIES[kind]
+    # each field's JSON type, as json.loads gives it here: every number a float
+    types = (str,) * 3 + tuple(dict if k == "price" else float for k in keys[3:])
     if not isinstance(doc[plural], list):
         raise ScenarioError(f"'{plural}' must be an array")
     get, key_set, ids, specs, entries = itemgetter(*keys), set(keys), set(), {}, []
@@ -714,14 +716,14 @@ def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
                 raise ScenarioError(f"duplicate {kind} id {item['id']!r}")
             if not {_string(item, key, what) for key in keys[1:3]} <= node_set:
                 raise ScenarioError(f"{what}: unknown node reference")
-            for key, kind_of_value in zip(keys, types):
-                if kind_of_value is float:
+            for key in keys[3:]:
+                if key != "price":
                     _number(item, key, what)
             fields = get(item)
         if kind == "edge":  # the price is checked last
-            spec = specs.get(key := repr(fields[-1]))
+            spec = specs.get(price := repr(fields[-1]))
             if spec is None:
-                spec = specs[key] = _parse_price(fields[-1], f"edge {fields[0]!r}")
+                spec = specs[price] = _parse_price(fields[-1], f"edge {fields[0]!r}")
             fields = (*fields[:-1], spec)
         ids.add(fields[0])
         entries.append(fields)
@@ -773,11 +775,11 @@ def parse_scenario(text: str) -> GameInstance:
 
 
 _encode = json.encoder.encode_basestring_ascii
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}  # and NaN
 #: JSON text of each scalar type, as json.dumps writes it
 _SCALAR_TEXT = {
     str: _encode,
-    float: lambda x: float.__repr__(x) if x - x == 0.0 else
-    "NaN" if x != x else "Infinity" if x > 0 else "-Infinity",
+    float: lambda x: float.__repr__(x) if x - x == 0.0 else _NON_FINITE.get(x, "NaN"),
     int: int.__repr__,
     bool: lambda x: "true" if x else "false",
     type(None): lambda x: "null",
@@ -788,7 +790,8 @@ def json_text(obj: object, indent: str = "\n") -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for a tree of dicts with
     str keys, lists, tuples, strings, numbers, bools and None: the package's
     one JSON writer. A container whose items are all strings, or all finite
-    floats, is written by C functions; a scalar by its type, without raising."""
+    floats, is written by C functions; other items by a lookup on their type,
+    and a container object that recurs in one container is written once."""
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -806,9 +809,11 @@ def json_text(obj: object, indent: str = "\n") -> str:
         items = map(_encode, values)
     elif kinds == {float} and all(map(math.isfinite, values)):
         items = map(float.__repr__, values)
-    else:
+    else:  # each container object written once: a report repeats its paths
+        texts: dict[int, str] = {}
         items = [
-            text(v) if (text := _SCALAR_TEXT.get(type(v))) else json_text(v, inner)
+            text(v) if (text := _SCALAR_TEXT.get(type(v)))
+            else texts.get(id(v)) or texts.setdefault(id(v), json_text(v, inner))
             for v in values
         ]
     if brackets == "{}":
