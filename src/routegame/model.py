@@ -159,7 +159,7 @@ class CompiledGame:
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
         unique_ids = len(self.edge_index) == len(edges)
-        rows = []  # per commodity: its class's row of the lists above
+        per_commodity = []  # each commodity's class: its entries of the lists above
         for c, plist in zip(instance.commodities, instance.paths):
             row = classes.get((id(plist), c.demand))
             if row is None:
@@ -190,9 +190,9 @@ class CompiledGame:
                 row = classes[id(plist), c.demand] = (
                     len(classes), compiled, on_paths, price, own, search
                 )
-            rows.append(row)
-        (self.class_of, self.paths, self.edges_of, self.unit_price,
-         self.potential_term, self.search) = map(list, zip(*rows) if rows else [()] * 6)
+            per_commodity.append(row)
+        (self.class_of, self.paths, self.edges_of, self.unit_price, self.potential_term,
+         self.search) = map(list, zip(*per_commodity) if per_commodity else [()] * 6)
 
     @staticmethod
     def _own_rows(
@@ -639,13 +639,11 @@ def _is_simple_path(
 # scenario documents (JSON)
 
 
-def _require_keys(
-    obj: dict, allowed: set[str], what: str, required: Optional[set[str]] = None
-) -> None:
+def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"{what}: unknown fields {sorted(unknown)}")
-    missing = (allowed if required is None else required) - set(obj)
+    missing = required - set(obj)
     if missing:
         raise ScenarioError(f"{what}: missing fields {sorted(missing)}")
 
@@ -667,7 +665,7 @@ def _string(obj: dict, key: str, what: str) -> str:
 def _parse_price(obj: object, what: str) -> PriceSpec:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{what}: 'price' must be an object")
-    _require_keys(obj, {"fn", "params"}, f"{what} price", {"fn"})
+    _require_keys(obj, {"fn", "params"}, {"fn"}, f"{what} price")
     fn = _string(obj, "fn", f"{what} price")
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -711,7 +709,7 @@ def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
             if not isinstance(item, dict):
                 raise ScenarioError(f"{kind} entries must be objects")
             what = f"{kind} {item.get('id', '?')!r}"
-            _require_keys(item, key_set, what)
+            _require_keys(item, key_set, key_set, what)
             if _string(item, "id", what) in ids:
                 raise ScenarioError(f"duplicate {kind} id {item['id']!r}")
             if not {_string(item, key, what) for key in keys[1:3]} <= node_set:
@@ -755,7 +753,8 @@ def parse_scenario(text: str) -> GameInstance:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _require_keys(doc, {"nodes", "edges", "commodities"}, "scenario")
+    keys = {"nodes", "edges", "commodities"}
+    _require_keys(doc, keys, keys, "scenario")
 
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list) or not all(
@@ -787,20 +786,17 @@ _SCALAR_TEXT = {
 
 
 def json_text(obj: object, indent: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for a tree of dicts with
-    str keys, lists, tuples, strings, numbers, bools and None: the package's
-    one JSON writer. A container whose items are all strings, or all finite
-    floats, is written by C functions; other items by a lookup on their type,
-    and a container object that recurs in one container is written once."""
+    """`json.dumps(obj, indent=2)`, byte for byte, for a tree of dicts with str
+    keys, lists and tuples whose leaves are of type str, int, float, bool or
+    None: the package's one JSON writer. A container whose items are all
+    strings, or all finite floats, is written by C functions; other items by a
+    lookup on their type, and an object that recurs in one container once."""
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         values, brackets = obj, "[]"
-    else:  # a scalar; a subclass as its base type, as json.dumps writes it
-        for kind, text in _SCALAR_TEXT.items():
-            if isinstance(obj, kind):
-                return _SCALAR_TEXT.get(type(obj), text)(obj)
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    else:  # a scalar, by its exact type
+        return _SCALAR_TEXT[type(obj)](obj)
     if not obj:
         return brackets
     inner = indent + "  "
