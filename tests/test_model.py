@@ -108,6 +108,13 @@ def test_json_text_writes_the_bytes_of_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 
 
+def test_json_text_writes_each_occurrence_of_a_shared_object():
+    path, costs = ("sv", "vw"), [0.5, math.inf]
+    inner = {"p": path, "q": [path, costs]}
+    obj = {"u1": path, "u2": path, "u3": [inner, inner, path], "u4": costs, "u5": inner}
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
 def _doc_with_edge(**overrides):
     doc = json.loads(MINIMAL_DOC)
     doc["edges"][0].update(overrides)
