@@ -1,25 +1,30 @@
 """Game instances: directed graph, priced edges, commodities, and strategy sets.
 
-A strategy set is the full list of simple source-to-sink paths of a commodity:
-edge-id sequences built in lexicographic order, not sorted afterwards, so that
-path indices are stable across runs and platforms. A prepared instance
-compiles, once, into the integer-indexed cost tables of `CompiledGame` that
-the engine and the oracle read: the one definition of social cost and the
-one test of a deviation, `CompiledGame.best_move`. That test has two
-evaluators with the same bits: the scan (`move_costs`), which costs every
-path, and for sets with many paths per edge the shortest-path search of
-`search.PathSearch` on the set's graph, its tables built once per set.
+A strategy set holds the simple source-to-sink paths of a commodity as
+edge-id sequences in lexicographic order, so that path indices are stable
+across runs and platforms. A set with few paths per edge is a list, built in
+that order by one walk; a set that will be searched (below) is a
+`CountedSet`, which keeps its graph's per-node path counts and builds a path
+only when it is read by index. A prepared instance compiles, once, into the
+integer-indexed cost tables of `CompiledGame` that the engine and the oracle
+read: the one definition of social cost and the one test of a deviation,
+`CompiledGame.best_move`. That test has two evaluators with the same bits:
+the scan (`move_costs`), which costs every path, and for sets with many paths
+per edge the shortest-path search of `search.PathSearch` on the set's graph,
+its tables built once per set.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
 
@@ -28,12 +33,15 @@ if TYPE_CHECKING:
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
+_TOO_MANY = "commodity {!r} has more than {} simple paths"
 #: `CompiledGame.best_move` searches a strategy set whose paths have more than
 #: this many edge slots (the sum of the path lengths) per edge of its graph,
 #: and scans the others. Measured per call on a 2-vCPU VM (Python 3.11),
 #: search time over scan time: 2.6-3.0 on the Braess diamonds (1.0-1.4 slots
 #: per edge), 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5 grid (14),
-#: 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths).
+#: 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths). On an
+#: acyclic graph `prepare` counts the slots without listing the paths, and
+#: keeps a set to be searched as a `CountedSet`.
 SEARCH_CROSSOVER = 10
 
 Path = tuple[str, ...]  # ordered edge-id sequence
@@ -168,10 +176,14 @@ class CompiledGame:
                     if not (unique_ids and getattr(plist, "edges", None) is edges):
                         to_index = self.edge_index.__getitem__
                         compiled = tuple(tuple(map(to_index, p)) for p in plist)
-                    on_paths = tuple(sorted(set().union(*compiled)))
+                    counted = isinstance(compiled, CountedSet)  # to search, unlisted
+                    on_paths = tuple(
+                        sorted(compiled.offset if counted else set().union(*compiled))
+                    )
                     search = None
                     if unique_ids and (
-                        sum(map(len, compiled)) > SEARCH_CROSSOVER * len(on_paths)
+                        counted
+                        or sum(map(len, compiled)) > SEARCH_CROSSOVER * len(on_paths)
                     ):
                         # imported here: a process that never searches does
                         # not compile the module
@@ -340,7 +352,103 @@ class ValidationReport:
 
 
 class StrategySet(tuple):
-    """The paths `prepare` finds, with `rows`: the same paths as numbers of `edges`."""
+    """The paths `prepare` lists, with `rows`: the same paths as numbers of `edges`."""
+
+
+class CountedSet(Sequence):
+    """A strategy set on an acyclic graph, kept as the graph's per-node path
+    counts instead of a list, in the order of `enumerate_paths`. Its length
+    and items by index come from the counts, each item built once, and `rank`
+    maps a row back to its index; `rows`, the same paths as edge numbers,
+    shares them. Any other read (iteration, slices, ==) lists the set once."""
+
+    side = 0  # what the set holds of each path: 0 its ids, 1 its row
+
+    def __init__(
+        self, instance: GameInstance, commodity: Commodity, cap: int, arcs: dict
+    ):
+        self.instance, self.commodity, self.cap = instance, commodity, cap
+        #: per node: its arcs on a path, in id order: (id, number, head, paths
+        #: from the head)
+        self.arcs = arcs
+        self.total = sum(n for *_, n in arcs[commodity.source])
+        self.offset: dict[int, int] = {}  # per edge: the paths leaving its tail before it
+        for a in arcs.values():
+            before = 0
+            for _, k, _, n in a:
+                self.offset[k], before = before, before + n
+        self.paths: dict[int, tuple[Path, tuple[int, ...]]] = {}  # by index
+        self.listed: dict[int, tuple] = {}  # per side: every path, once listed
+        self.rows = copy(self)
+        self.rows.side = 1
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, j):
+        n = self.total
+        if self.listed or not (isinstance(j, int) and -n <= j < n):
+            return self._listing()[j]
+        j %= n
+        if j not in self.paths:  # from the source, skip the arcs whose paths come first
+            ids, row, v, rest = [], [], self.commodity.source, j
+            while v != self.commodity.sink:
+                for i, k, w, m in self.arcs[v]:
+                    if rest < m:
+                        break
+                    rest -= m
+                ids.append(i)
+                row.append(k)
+                v = w
+            self.paths[j] = tuple(ids), tuple(row)
+        return self.paths[j][self.side]
+
+    def rank(self, row: Sequence[int]) -> int:
+        """The index of the path with edge numbers `row`."""
+        return sum(map(self.offset.__getitem__, row))
+
+    def _listing(self) -> tuple:
+        if not self.listed:
+            listing = _paths_and_rows(self.instance, self.commodity, self.cap)
+            self.listed.update(enumerate(map(tuple, listing)))
+        return self.listed[self.side]
+
+    def __iter__(self):
+        return iter(self._listing())
+
+    def __eq__(self, other: object) -> bool:
+        return self._listing() == other
+
+    def __hash__(self) -> int:
+        return hash(self._listing())
+
+
+def _counted(
+    instance: GameInstance, commodity: Commodity, cap: int, counts: tuple
+) -> Optional[CountedSet]:
+    """The commodity's paths as a `CountedSet` where `CompiledGame` will
+    search them: on an acyclic graph with unique edge ids, more than
+    `SEARCH_CROSSOVER` edge slots per edge; else None. The slots are counted
+    only where they can be that many: a path has at most nodes - 1 edges, and
+    the graph of the paths at least nodes - 1 edges."""
+    out, count, live, acyclic, post = counts
+    total = count[commodity.source]
+    if not acyclic or total <= SEARCH_CROSSOVER:
+        return None
+    arcs = {  # per node: its arcs on a path
+        v: [(i, k, w, count[w]) for i, k, w in out.get(v, ()) if w in live] for v in live
+    }
+    edges = sum(map(len, arcs.values()))
+    if total * (len(live) - 1) <= SEARCH_CROSSOVER * edges or len(
+        {e.id for e in instance.edges}
+    ) < len(instance.edges):
+        return None
+    slots: dict[str, int] = {}  # per node: the edges of its paths to the sink
+    for v in post:
+        slots[v] = sum(n + slots[w] for _, _, w, n in arcs.get(v, ()))
+    if slots[commodity.source] <= SEARCH_CROSSOVER * edges:
+        return None
+    return CountedSet(instance, commodity, cap, arcs)
 
 
 def enumerate_paths(
@@ -348,30 +456,24 @@ def enumerate_paths(
     commodity: Commodity,
     cap: int = DEFAULT_PATH_CAP,
     rows: Optional[list[tuple[int, ...]]] = None,
+    counts: Optional[tuple] = None,
 ) -> list[Path]:
     """All simple source->sink paths of a commodity, lexicographic by edge ids.
-    Where `rows` is a list, each path's edge numbers are appended to it.
+    Where `rows` is a list, each path's edge numbers are appended to it;
+    `counts` is the commodity's `_path_counts`, where the caller has them.
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
-    paths, found = _paths_and_rows(instance, commodity, cap)
+    paths, found = _paths_and_rows(instance, commodity, cap, counts)
     if rows is not None:
         rows += found
     return paths
 
 
-def _paths_and_rows(
-    instance: GameInstance, commodity: Commodity, cap: int
-) -> tuple[list[Path], list[tuple[int, ...]]]:
-    """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
-
-    Only nodes with a path to the sink are entered. A postorder pass counts
-    each reached node's paths; where it meets no cycle, a node counting none
-    has no path to the sink and the cap is checked before any path is built,
-    and otherwise a reach over in-edges finds the nodes with a path. A
-    depth-first walk in edge-id order then builds each path's ids and row
-    together, in lexicographic order (sorted only where ids repeat), in time
-    and memory that grow with the paths listed."""
+def _path_counts(instance: GameInstance, commodity: Commodity, cap: int) -> tuple:
+    """Per tail its out-arcs (id, edge number, head) sorted, per node reached
+    its paths to the sink, the nodes with a path, whether no cycle was met,
+    and the nodes in postorder: see `_paths_and_rows`."""
     edges, source, sink = instance.edges, commodity.source, commodity.sink
     out: dict[str, list[tuple[str, int, str]]] = {}  # per tail: (id, number, head)
     for k, e in enumerate(edges):
@@ -380,7 +482,7 @@ def _paths_and_rows(
     for arcs in out.values():
         arcs.sort()
     # per node reached: its number of paths to the sink, False while on the stack
-    count, acyclic = {source: False}, True
+    count, acyclic, post = {source: False}, True, []
     stack = [(source, iter(out.get(source, ())))]
     while stack:
         v, arcs = stack[-1]
@@ -392,6 +494,7 @@ def _paths_and_rows(
             acyclic = acyclic and count[w] is not False
         else:
             stack.pop()
+            post.append(v)
             count[v] = 1 if v == sink else sum([count[w] for _, _, w in out.get(v, ())])
     if acyclic:  # then a node reaches the sink exactly when it counts a path
         live = {v for v, n in count.items() if n}
@@ -404,43 +507,42 @@ def _paths_and_rows(
         raise PathEnumerationError(
             f"no path from {source!r} to {sink!r} for commodity {commodity.id!r}"
         )
-    too_many = "commodity {!r} has more than {} simple paths"
     if acyclic and count[source] > cap:
-        raise PathEnumerationError(too_many.format(commodity.id, cap))
-    # a path that reaches a node with one path to the sink ends with that rest
-    one = {v for v in live if count[v] == 1} if acyclic else {sink}
-    multi = [v for v in count if v in live and v not in one]  # the source first
-    # the rest, as ids and row, from each node of `one` that a path steps to
-    rests: dict[str, tuple[Path, tuple[int, ...]]] = {}
-    starts = {w for u in multi for _, _, w in out[u] if w in one} if multi else {source}
-    for v in starts:
-        ids, row, w = [], [], v
-        while w != sink:
-            i, k, w = next(arc for arc in out[w] if arc[2] in live)
-            ids.append(i)
-            row.append(k)
-        rests[v] = tuple(ids), tuple(row)
-    if not multi:
-        return [rests[source][0]], [rests[source][1]]
+        raise PathEnumerationError(_TOO_MANY.format(commodity.id, cap))
+    return out, count, live, acyclic, post
+
+
+def _paths_and_rows(
+    instance: GameInstance, commodity: Commodity, cap: int, counts: Optional[tuple] = None
+) -> tuple[list[Path], list[tuple[int, ...]]]:
+    """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
+
+    Only nodes with a path to the sink are entered. A postorder pass counts
+    each reached node's paths (`_path_counts`); where it meets no cycle, a
+    node counting none has no path to the sink and the cap is checked before
+    any path is built, and otherwise a reach over in-edges finds the nodes
+    with a path. A depth-first walk in edge-id order then builds each path's
+    ids and row together, in lexicographic order (sorted only where ids
+    repeat), in time and memory that grow with the paths listed."""
+    edges, source, sink = instance.edges, commodity.source, commodity.sink
+    out, count, live, _, _ = counts or _path_counts(instance, commodity, cap)
+    if source == sink:
+        return [()], [()]
+    multi = [v for v in count if v in live and v != sink]  # the source first
     number = {v: j for j, v in enumerate(multi)}  # the source is node 0
-    arcs = [  # the walk enters only nodes with more than one path
-        tuple([
-            (i, k, number.get(w), *rests.get(w, (None, None)))
-            for i, k, w in out[v]
-            if w in live
-        ])
-        for v in multi
+    arcs = [  # per node: its arcs to nodes with a path, the sink as None
+        tuple([(i, k, number.get(w)) for i, k, w in out[v] if w in live]) for v in multi
     ]
     paths, rows, ids, trail = [], [], [], []
     on = [True] + [False] * (len(arcs) - 1)  # per node: on the walk's path
     nodes, walk = [0], [iter(arcs[0])]
     while walk:
-        for i, k, w, rest_ids, rest_row in walk[-1]:
-            if rest_ids is not None:
-                paths.append((*ids, i, *rest_ids))
-                rows.append((*trail, k, *rest_row))
+        for i, k, w in walk[-1]:
+            if w is None:
+                paths.append((*ids, i))
+                rows.append((*trail, k))
                 if len(rows) > cap:
-                    raise PathEnumerationError(too_many.format(commodity.id, cap))
+                    raise PathEnumerationError(_TOO_MANY.format(commodity.id, cap))
             elif not on[w]:
                 on[w] = True
                 nodes.append(w)
@@ -462,13 +564,19 @@ def _paths_and_rows(
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
     """Return a copy of the instance with every commodity's strategy set populated.
 
-    Commodities with the same source and sink share one `StrategySet`."""
-    by_endpoints: dict[tuple[str, str], StrategySet] = {}
+    Commodities with the same source and sink share one strategy set: a
+    `CountedSet` where `CompiledGame` will search it, else a `StrategySet`
+    that `enumerate_paths` lists."""
+    by_endpoints: dict[tuple[str, str], Sequence[Path]] = {}
     for c in instance.commodities:
         if (c.source, c.sink) not in by_endpoints:
-            rows: list[tuple[int, ...]] = []
-            plist = StrategySet(enumerate_paths(instance, c, cap, rows))
-            plist.rows, plist.edges = tuple(rows), instance.edges
+            counts = _path_counts(instance, c, cap)
+            plist = _counted(instance, c, cap, counts)
+            if plist is None:
+                rows: list[tuple[int, ...]] = []
+                plist = StrategySet(enumerate_paths(instance, c, cap, rows, counts))
+                plist.rows = tuple(rows)
+            plist.edges = instance.edges
             by_endpoints[c.source, c.sink] = plist
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
     return replace(instance, paths=all_paths)

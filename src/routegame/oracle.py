@@ -150,7 +150,8 @@ class _Indexed:
                 self.spans.append((i, i + 1))
 
         self.demand = [g.demand[lo] for lo, _ in self.spans]
-        self.paths = [g.paths[lo] for lo, _ in self.spans]
+        # each run's rows as a tuple: a counted strategy set is listed, once
+        self.paths = [tuple(g.paths[lo]) for lo, _ in self.spans]
         # per (run, state of the run): canonical digits, used paths, canonical
         # load-free terms, and the number of orderings
         self.canonical: list[list[tuple[int, ...]]] = []

@@ -63,14 +63,14 @@ Arcs = tuple[tuple[int, int], ...]  # (edge number, head node), in edge-id order
 
 class PathSearch:
     """The graph of one strategy set, read-only once built; see the module
-    docstring. It holds numbers, edge and node numbers and the compiled paths,
-    and no reference to the instance it came from."""
+    docstring. It holds numbers, edge and node numbers and `rank`, which maps
+    a path's edge numbers to its index in the set."""
 
-    __slots__ = ("out", "sink", "forward", "backward", "acyclic", "deflate", "index")
+    __slots__ = ("out", "sink", "forward", "backward", "acyclic", "deflate", "rank")
 
     def __init__(
         self,
-        paths: Sequence[tuple[int, ...]],
+        rank: Callable[[tuple[int, ...]], int],
         out: list[Arcs],
         sink: int,
         order: list[int],
@@ -84,8 +84,7 @@ class PathSearch:
         self.backward = self.forward[::-1]
         self.acyclic = acyclic
         self.deflate = 1.0 - (2 * len(out) + 3) * _U
-        #: path as edge numbers -> its index in the strategy set
-        self.index = dict(zip(paths, range(len(paths))))
+        self.rank = rank
 
     def best_move(
         self,
@@ -115,7 +114,7 @@ class PathSearch:
             self.out, self.sink, cost, self._backward(cost), qualifies, self.deflate
         )
         path, c = next(found)
-        return current, best, self.index[path], c
+        return current, best, self.rank(path), c
 
     def _forward(self, cost: Sequence[float]) -> float:
         """The least fold over the source-sink paths."""
@@ -161,9 +160,15 @@ def path_search(
     node and its id. None where the search could not reproduce the scan: a
     path listed twice, or a graph with a simple source-sink path the set does
     not list. The listed paths are taken to be simple source-sink paths, as
-    `validate_instance` requires."""
-    if not paths or not all(paths):
-        return None
+    `validate_instance` requires. A path's index comes from `paths.rank`
+    where the set has one (a `model.CountedSet`, never empty and never
+    repeating a path), else from a dict over the paths."""
+    rank = getattr(paths, "rank", None)
+    if rank is None:
+        index = dict(zip(paths, range(len(paths))))
+        if not paths or () in index or len(index) != len(paths):
+            return None
+        rank = index.__getitem__
     number = {tail[paths[0][0]]: 0}
     for k in on_paths:
         number.setdefault(tail[k], len(number))
@@ -197,10 +202,9 @@ def path_search(
             out, sink, [0.0] * len(tail), [0.0] * n, lambda c: True, 1.0
         )
         simple = sum(1 for _ in islice(every, len(paths) + 1))
-    search = PathSearch(paths, out, sink, order, acyclic)
-    if len(search.index) != len(paths) or simple != len(paths):
+    if simple != len(paths):
         return None
-    return search
+    return PathSearch(rank, out, sink, order, acyclic)
 
 
 def _simple_paths(
