@@ -13,12 +13,12 @@ every player's unit cost and the social cost from one set of loads, costing
 each (class, path) once by `CompiledGame.path_cost`, the cost `unit_path_cost`
 reads too; `social_cost` is its social cost. With E edges and a player's P
 paths of at most L edges, one best response by the scan costs O(E + P * L) and
-evaluates no price; a strategy set with more than `model.SEARCH_CROSSOVER`
-edge slots per edge of its graph is searched instead, in time that grows with
-its graph, not with P (`CompiledGame.best_move`). Between two moves the
-dynamics compute a best response once per (class, current path), and
-`is_equilibrium` checks each (class, current path) once, since a player's move
-costs read only its class's rows and the loads.
+evaluates no price; a strategy set that `prepare` counts (more than
+`model.SEARCH_CROSSOVER` edge slots per edge of its acyclic graph) is searched
+instead, in time that grows with its graph, not with P (`CompiledGame.best_move`).
+Between two moves the dynamics compute a best response once per (class,
+current path), and `is_equilibrium` checks each (class, current path) once,
+since a player's move costs read only its class's rows and the loads.
 A move updates the loads of only the edges the mover leaves or joins: in O(1)
 each from `CompiledGame.repeated_sums` when every player has the same demand,
 otherwise by re-summing each edge's users in player order (O(N) each, in C,

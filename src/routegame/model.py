@@ -9,9 +9,8 @@ only when it is read by index. A prepared instance compiles, once, into the
 integer-indexed cost tables of `CompiledGame` that the engine and the oracle
 read: the one definition of social cost and the one test of a deviation,
 `CompiledGame.best_move`. That test has two evaluators with the same bits:
-the scan (`move_costs`), which costs every path, and for sets with many paths
-per edge the shortest-path search of `search.PathSearch` on the set's graph,
-its tables built once per set.
+the scan (`move_costs`), which costs every path, and for the sets `prepare`
+counts the shortest-path search of `search.PathSearch` on the set's graph.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
 
@@ -34,14 +33,15 @@ if TYPE_CHECKING:
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
 _TOO_MANY = "commodity {!r} has more than {} simple paths"
-#: `CompiledGame.best_move` searches a strategy set whose paths have more than
-#: this many edge slots (the sum of the path lengths) per edge of its graph,
-#: and scans the others. Measured per call on a 2-vCPU VM (Python 3.11),
-#: search time over scan time: 2.6-3.0 on the Braess diamonds (1.0-1.4 slots
-#: per edge), 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5 grid (14),
-#: 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths). On an
-#: acyclic graph `prepare` counts the slots without listing the paths, and
-#: keeps a set to be searched as a `CountedSet`.
+#: `prepare` counts, and `CompiledGame.best_move` then searches, a strategy set
+#: on an acyclic graph with unique edge ids whose paths have more than this
+#: many edge slots (the sum of the path lengths) per edge of its graph; it
+#: lists the others, which are scanned. Measured per call on a 2-vCPU VM
+#: (Python 3.11), search time over scan time: 2.6-3.0 on the Braess diamonds
+#: (1.0-1.4 slots per edge), 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5
+#: grid (14), 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths).
+#: `prepare` counts the slots without listing the paths, and keeps a set to be
+#: searched as a `CountedSet`.
 SEARCH_CROSSOVER = 10
 
 Path = tuple[str, ...]  # ordered edge-id sequence
@@ -158,8 +158,8 @@ class CompiledGame:
         #: per (commodity, edge): c1 * (a * r + b) * r + 2 * c2 * u(r) * r, the
         #: player's own term of the potential
         self.potential_term: list[list[Optional[float]]]
-        #: per commodity: the search tables of its strategy set, or None where
-        #: `best_move` scans it
+        #: per commodity: the search on its strategy set where `prepare` counted
+        #: it, or None where `best_move` scans it
         self.search: list[Optional[PathSearch]]
 
         # Keyed by the strategy-set tuple's identity, not its value: hashing a
@@ -176,26 +176,16 @@ class CompiledGame:
                     if not (unique_ids and getattr(plist, "edges", None) is edges):
                         to_index = self.edge_index.__getitem__
                         compiled = tuple(tuple(map(to_index, p)) for p in plist)
-                    counted = isinstance(compiled, CountedSet)  # to search, unlisted
-                    on_paths = tuple(
-                        sorted(compiled.offset if counted else set().union(*compiled))
-                    )
                     search = None
-                    if unique_ids and (
-                        counted
-                        or sum(map(len, compiled)) > SEARCH_CROSSOVER * len(on_paths)
-                    ):
+                    if isinstance(compiled, CountedSet):  # to search, unlisted
                         # imported here: a process that never searches does
                         # not compile the module
-                        from .search import path_search
+                        from .search import PathSearch
 
-                        search = path_search(
-                            compiled,
-                            on_paths,
-                            [e.tail for e in edges],
-                            [e.head for e in edges],
-                            [e.id for e in edges],
-                        )
+                        on_paths = tuple(sorted(compiled.offset))
+                        search = PathSearch(compiled)
+                    else:
+                        on_paths = tuple(sorted(set().union(*compiled)))
                     strategies[id(plist)] = compiled, on_paths, search
                 compiled, on_paths, search = strategies[id(plist)]
                 price, own = self._own_rows(edges, c, on_paths)
@@ -306,10 +296,10 @@ class CompiledGame:
         Otherwise j is the first path at the least cost or, with `witness`,
         the first path more than eps cheaper.
 
-        Strategy sets with many edge slots per edge (`SEARCH_CROSSOVER`) are
-        searched on their graph (`search.PathSearch`) wherever every edge cost
-        is >= 0 and their sum finite. All others, and instances with a
-        duplicate edge id, are scanned: every path is costed by `move_costs`."""
+        The strategy sets that `prepare` counts (`CountedSet`) are searched
+        on their graph (`search.PathSearch`) wherever every edge cost is >= 0
+        and their sum finite. All others, and a counted set compiled against
+        other edges, are scanned: every path is costed by `move_costs`."""
         search = self.search[i]
         if search is not None:
             cost = self.edge_costs(i, d, loads)
@@ -355,27 +345,39 @@ class StrategySet(tuple):
     """The paths `prepare` lists, with `rows`: the same paths as numbers of `edges`."""
 
 
+class Graph(NamedTuple):
+    """The graph of one endpoint pair's strategy set (`_graph`): the nodes the
+    source reaches that have a path to the sink, numbered in reversed
+    postorder, so the source is node 0 and, where the graph is acyclic, every
+    arc leads to a higher number."""
+
+    #: per node: its out-arcs in edge-id order, as (id, edge number, head,
+    #: paths from the head); the paths are counted only where acyclic
+    out: list[tuple[tuple[str, int, int, int], ...]]
+    sink: int
+    acyclic: bool
+    #: the number of source-sink paths, where acyclic
+    paths: int
+
+
 class CountedSet(Sequence):
-    """A strategy set on an acyclic graph, kept as the graph's per-node path
-    counts instead of a list, in the order of `enumerate_paths`. Its length
-    and items by index come from the counts, each item built once, and `rank`
+    """A strategy set on an acyclic graph, kept as its `Graph`'s path counts
+    instead of a list, in the order of `enumerate_paths`. Its length and
+    items by index come from the counts, each item built once, and `rank`
     maps a row back to its index; `rows`, the same paths as edge numbers,
     shares them. Any other read (iteration, slices, ==) lists the set once."""
 
     side = 0  # what the set holds of each path: 0 its ids, 1 its row
 
     def __init__(
-        self, instance: GameInstance, commodity: Commodity, cap: int, arcs: dict
+        self, instance: GameInstance, commodity: Commodity, cap: int, graph: Graph
     ):
         self.instance, self.commodity, self.cap = instance, commodity, cap
-        #: per node: its arcs on a path, in id order: (id, number, head, paths
-        #: from the head)
-        self.arcs = arcs
-        self.total = sum(n for *_, n in arcs[commodity.source])
+        self.graph = graph
         self.offset: dict[int, int] = {}  # per edge: the paths leaving its tail before it
-        for a in arcs.values():
+        for arcs in graph.out:
             before = 0
-            for _, k, _, n in a:
+            for _, k, _, n in arcs:
                 self.offset[k], before = before, before + n
         self.paths: dict[int, tuple[Path, tuple[int, ...]]] = {}  # by index
         self.listed: dict[int, tuple] = {}  # per side: every path, once listed
@@ -383,17 +385,17 @@ class CountedSet(Sequence):
         self.rows.side = 1
 
     def __len__(self) -> int:
-        return self.total
+        return self.graph.paths
 
     def __getitem__(self, j):
-        n = self.total
+        n = self.graph.paths
         if self.listed or not (isinstance(j, int) and -n <= j < n):
             return self._listing()[j]
         j %= n
         if j not in self.paths:  # from the source, skip the arcs whose paths come first
-            ids, row, v, rest = [], [], self.commodity.source, j
-            while v != self.commodity.sink:
-                for i, k, w, m in self.arcs[v]:
+            (out, sink, *_), ids, row, v, rest = self.graph, [], [], 0, j
+            while v != sink:
+                for i, k, w, m in out[v]:
                     if rest < m:
                         break
                     rest -= m
@@ -409,7 +411,7 @@ class CountedSet(Sequence):
 
     def _listing(self) -> tuple:
         if not self.listed:
-            listing = _paths_and_rows(self.instance, self.commodity, self.cap)
+            listing = _paths_and_rows(self.instance, self.commodity, self.cap, self.graph)
             self.listed.update(enumerate(map(tuple, listing)))
         return self.listed[self.side]
 
@@ -424,31 +426,27 @@ class CountedSet(Sequence):
 
 
 def _counted(
-    instance: GameInstance, commodity: Commodity, cap: int, counts: tuple
+    instance: GameInstance, commodity: Commodity, cap: int, graph: Graph
 ) -> Optional[CountedSet]:
-    """The commodity's paths as a `CountedSet` where `CompiledGame` will
-    search them: on an acyclic graph with unique edge ids, more than
+    """The commodity's paths as a `CountedSet`, a set that `CompiledGame`
+    searches: on an acyclic graph with unique edge ids, more than
     `SEARCH_CROSSOVER` edge slots per edge; else None. The slots are counted
     only where they can be that many: a path has at most nodes - 1 edges, and
-    the graph of the paths at least nodes - 1 edges."""
-    out, count, live, acyclic, post = counts
-    total = count[commodity.source]
+    the graph at least nodes - 1 edges."""
+    out, _, acyclic, total = graph
     if not acyclic or total <= SEARCH_CROSSOVER:
         return None
-    arcs = {  # per node: its arcs on a path
-        v: [(i, k, w, count[w]) for i, k, w in out.get(v, ()) if w in live] for v in live
-    }
-    edges = sum(map(len, arcs.values()))
-    if total * (len(live) - 1) <= SEARCH_CROSSOVER * edges or len(
+    edges = sum(map(len, out))
+    if total * (len(out) - 1) <= SEARCH_CROSSOVER * edges or len(
         {e.id for e in instance.edges}
     ) < len(instance.edges):
         return None
-    slots: dict[str, int] = {}  # per node: the edges of its paths to the sink
-    for v in post:
-        slots[v] = sum(n + slots[w] for _, _, w, n in arcs.get(v, ()))
-    if slots[commodity.source] <= SEARCH_CROSSOVER * edges:
+    slots = [0] * len(out)  # per node: the edges of its paths to the sink
+    for v in reversed(range(len(out))):
+        slots[v] = sum(n + slots[w] for _, _, w, n in out[v])
+    if slots[0] <= SEARCH_CROSSOVER * edges:
         return None
-    return CountedSet(instance, commodity, cap, arcs)
+    return CountedSet(instance, commodity, cap, graph)
 
 
 def enumerate_paths(
@@ -456,24 +454,27 @@ def enumerate_paths(
     commodity: Commodity,
     cap: int = DEFAULT_PATH_CAP,
     rows: Optional[list[tuple[int, ...]]] = None,
-    counts: Optional[tuple] = None,
+    graph: Optional[Graph] = None,
 ) -> list[Path]:
     """All simple source->sink paths of a commodity, lexicographic by edge ids.
     Where `rows` is a list, each path's edge numbers are appended to it;
-    `counts` is the commodity's `_path_counts`, where the caller has them.
+    `graph` is the commodity's `Graph`, where the caller has it.
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
-    paths, found = _paths_and_rows(instance, commodity, cap, counts)
+    paths, found = _paths_and_rows(instance, commodity, cap, graph)
     if rows is not None:
         rows += found
     return paths
 
 
-def _path_counts(instance: GameInstance, commodity: Commodity, cap: int) -> tuple:
-    """Per tail its out-arcs (id, edge number, head) sorted, per node reached
-    its paths to the sink, the nodes with a path, whether no cycle was met,
-    and the nodes in postorder: see `_paths_and_rows`."""
+def _graph(instance: GameInstance, commodity: Commodity, cap: int) -> Graph:
+    """The commodity's `Graph`. A depth-first walk from the source, out-arcs in
+    edge-id order, counts each node's paths to the sink in postorder. Where it
+    meets no cycle, a node counting none has no path to the sink and the cap
+    is checked before any path is built; otherwise a reach over in-edges finds
+    the nodes with a path. Raises PathEnumerationError where no path exists or
+    more than `cap` paths are counted."""
     edges, source, sink = instance.edges, commodity.source, commodity.sink
     out: dict[str, list[tuple[str, int, str]]] = {}  # per tail: (id, number, head)
     for k, e in enumerate(edges):
@@ -509,36 +510,32 @@ def _path_counts(instance: GameInstance, commodity: Commodity, cap: int) -> tupl
         )
     if acyclic and count[source] > cap:
         raise PathEnumerationError(_TOO_MANY.format(commodity.id, cap))
-    return out, count, live, acyclic, post
+    nodes = [v for v in reversed(post) if v in live]
+    number = dict(zip(nodes, range(len(nodes))))
+    arcs = [
+        tuple([(i, k, number[w], count[w]) for i, k, w in out.get(v, ()) if w in live])
+        for v in nodes
+    ]
+    return Graph(arcs, number[sink], acyclic, count[source])
 
 
 def _paths_and_rows(
-    instance: GameInstance, commodity: Commodity, cap: int, counts: Optional[tuple] = None
+    instance: GameInstance, commodity: Commodity, cap: int, graph: Optional[Graph] = None
 ) -> tuple[list[Path], list[tuple[int, ...]]]:
     """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
-
-    Only nodes with a path to the sink are entered. A postorder pass counts
-    each reached node's paths (`_path_counts`); where it meets no cycle, a
-    node counting none has no path to the sink and the cap is checked before
-    any path is built, and otherwise a reach over in-edges finds the nodes
-    with a path. A depth-first walk in edge-id order then builds each path's
-    ids and row together, in lexicographic order (sorted only where ids
-    repeat), in time and memory that grow with the paths listed."""
-    edges, source, sink = instance.edges, commodity.source, commodity.sink
-    out, count, live, _, _ = counts or _path_counts(instance, commodity, cap)
-    if source == sink:
+    A depth-first walk of the commodity's `Graph` (built here unless given)
+    builds each path's ids and row together, in lexicographic order (sorted
+    only where ids repeat), in time and memory that grow with the paths
+    listed."""
+    out, sink, *_ = graph or _graph(instance, commodity, cap)
+    if sink == 0:  # the source is the sink
         return [()], [()]
-    multi = [v for v in count if v in live and v != sink]  # the source first
-    number = {v: j for j, v in enumerate(multi)}  # the source is node 0
-    arcs = [  # per node: its arcs to nodes with a path, the sink as None
-        tuple([(i, k, number.get(w)) for i, k, w in out[v] if w in live]) for v in multi
-    ]
     paths, rows, ids, trail = [], [], [], []
-    on = [True] + [False] * (len(arcs) - 1)  # per node: on the walk's path
-    nodes, walk = [0], [iter(arcs[0])]
+    on = [True] + [False] * (len(out) - 1)  # per node: on the walk's path
+    nodes, walk = [0], [iter(out[0])]
     while walk:
-        for i, k, w in walk[-1]:
-            if w is None:
+        for i, k, w, _ in walk[-1]:
+            if w == sink:
                 paths.append((*ids, i))
                 rows.append((*trail, k))
                 if len(rows) > cap:
@@ -548,7 +545,7 @@ def _paths_and_rows(
                 nodes.append(w)
                 ids.append(i)
                 trail.append(k)
-                walk.append(iter(arcs[w]))
+                walk.append(iter(out[w]))
                 break
         else:
             walk.pop()
@@ -556,7 +553,7 @@ def _paths_and_rows(
             if trail:
                 ids.pop()
                 trail.pop()
-    if len({e.id for e in edges}) < len(edges):
+    if len({e.id for e in instance.edges}) < len(instance.edges):
         paths, rows = map(list, zip(*sorted(zip(paths, rows))))
     return paths, rows
 
@@ -564,17 +561,17 @@ def _paths_and_rows(
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
     """Return a copy of the instance with every commodity's strategy set populated.
 
-    Commodities with the same source and sink share one strategy set: a
-    `CountedSet` where `CompiledGame` will search it, else a `StrategySet`
-    that `enumerate_paths` lists."""
+    Commodities with the same source and sink share one strategy set, from one
+    `Graph`: a `CountedSet` where `CompiledGame` will search it, else a
+    `StrategySet` that `enumerate_paths` lists."""
     by_endpoints: dict[tuple[str, str], Sequence[Path]] = {}
     for c in instance.commodities:
         if (c.source, c.sink) not in by_endpoints:
-            counts = _path_counts(instance, c, cap)
-            plist = _counted(instance, c, cap, counts)
+            graph = _graph(instance, c, cap)
+            plist = _counted(instance, c, cap, graph)
             if plist is None:
                 rows: list[tuple[int, ...]] = []
-                plist = StrategySet(enumerate_paths(instance, c, cap, rows, counts))
+                plist = StrategySet(enumerate_paths(instance, c, cap, rows, graph))
                 plist.rows = tuple(rows)
             plist.edges = instance.edges
             by_endpoints[c.source, c.sink] = plist
@@ -859,6 +856,8 @@ def parse_scenario(text: str) -> GameInstance:
         )
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nesting too deep") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     keys = {"nodes", "edges", "commodities"}

@@ -3,9 +3,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import routegame
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
@@ -48,6 +53,22 @@ def test_validate_malformed_json(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "line" in err  # parse failure carries position info
+
+
+def test_deeply_nested_json_is_a_usage_error_without_traceback(tmp_path):
+    # json.loads raises RecursionError here; a separate process shows the
+    # exit code and the stderr a user would see
+    deep = tmp_path / "deep.json"
+    nodes = "[" * 5000 + "]" * 5000
+    deep.write_text('{"nodes": ' + nodes + ', "edges": [], "commodities": []}')
+    env = {**os.environ, "PYTHONPATH": str(Path(routegame.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "routegame", "validate", str(deep)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: invalid JSON: nesting too deep\n"
 
 
 def test_validate_missing_file(capsys, tmp_path):

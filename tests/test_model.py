@@ -185,6 +185,8 @@ PARSE_ERRORS = [
      " line 1 column 2 (char 1)"),
     (MINIMAL_DOC.replace("1.0", "NaN", 1), "invalid JSON: non-finite number NaN"),
     (MINIMAL_DOC.replace("1.0", "1e999", 1), "invalid JSON: non-finite number 1e999"),
+    ('{"nodes": ' + "[" * 5000 + "]" * 5000 + ', "edges": [], "commodities": []}',
+     "invalid JSON: nesting too deep"),
     ("[]", "scenario document must be a JSON object"),
     (_mutated(lambda d: d.update(extra=1)), "scenario: unknown fields ['extra']"),
     (_mutated(lambda d: d.pop("commodities")), "scenario: missing fields ['commodities']"),

@@ -2,8 +2,9 @@
 
 `_scan` applies the deviation rule to every path's cost by `move_costs`;
 `search.PathSearch` finds the same (current cost, least cost, path index, its
-cost) on the strategy set's graph. Both are called directly here, so the size
-rule that picks one per strategy set hides neither, and compared with ==.
+cost) on the strategy set's graph. Both are called directly here, and compared
+with ==; `_tables` prepares with `model.SEARCH_CROSSOVER` at 0, so the size
+rule that picks one per strategy set hides neither on an acyclic graph.
 """
 
 import gc
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from test_equivalence import _assert_dynamics_match, _assert_moves_follow_move_costs
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
-from routegame import engine, oracle, search
+from routegame import engine, model, oracle, search
 from routegame.braess import build_priced_braess
 from routegame.model import (
     Commodity,
@@ -45,24 +46,26 @@ def _scan(g, i, d, f, eps, witness):
 
 
 def _tables(inst, i):
-    g, edges = inst.compiled, inst.edges
-    return search.path_search(
-        g.paths[i],
-        g.edges_of[i],
-        [e.tail for e in edges],
-        [e.head for e in edges],
-        [e.id for e in edges],
-    )
+    """Player i's search from a `prepare` that counts every acyclic set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "SEARCH_CROSSOVER", 0)
+        return prepare(replace(inst, paths=())).compiled.search[i]
 
 
 def _assert_search_matches_scan(inst, rng, profiles=3):
+    """The search against the scan on every set of `inst` on an acyclic graph;
+    the others have no search."""
     g = inst.compiled
     tables = [_tables(inst, i) for i in range(len(inst.commodities))]
-    assert None not in tables
+    for c, table in zip(inst.commodities, tables):
+        graph = model._graph(inst, c, model.DEFAULT_PATH_CAP)
+        assert (table is not None) == graph.acyclic
     for _ in range(profiles):
         choice = [rng.randrange(len(p)) for p in inst.paths]
         f = engine._loads(g, choice)
         for i, d in enumerate(choice):
+            if tables[i] is None:
+                continue
             cost = g.edge_costs(i, d, f)
             for eps in EPS:
                 for witness in (False, True):
@@ -125,12 +128,11 @@ def test_search_matches_scan_on_random_instances(inst, seed):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=2, max_value=4),
     st.booleans(),
-    st.booleans(),
 )
-def test_search_matches_scan_on_grids(seed, k, snap, cyclic):
+def test_search_matches_scan_on_grids(seed, k, snap):
     # grid edge ids do not sort in the order the instance lists the edges
     rng = random.Random(seed)
-    inst = _grid(rng, k, snap, cyclic)
+    inst = _grid(rng, k, snap, False)
     _assert_search_matches_scan(inst, rng)
 
 
@@ -147,13 +149,6 @@ def test_engine_on_searched_grids_follows_the_deviation_rule(seed, snap):
         _assert_moves_follow_move_costs(inst, prof, eps)
         _assert_dynamics_match(inst, prof, engine.DynamicsConfig(eps_improve=eps))
     _assert_dynamics_match(inst, prof, engine.DynamicsConfig(max_moves=1))
-
-
-def test_cyclic_graphs_are_searched():
-    rng = random.Random(3)
-    inst = _grid(rng, 4, True, True)
-    assert not _tables(inst, 0).acyclic
-    _assert_search_matches_scan(inst, rng, profiles=20)
 
 
 def _trap(edges):
@@ -307,8 +302,19 @@ def test_a_strategy_set_missing_a_path_of_its_graph_keeps_the_scan(monkeypatch):
     assert set().union(*paths) == set().union(*inst.paths[0])  # the same graph
     inst = replace(inst, paths=(paths,) * len(inst.commodities))
     assert set(inst.compiled.search) == {None}
-    assert _tables(inst, 0) is None
     _assert_scanned(inst, monkeypatch)
+
+
+def test_cyclic_and_hand_listed_sets_are_scanned(monkeypatch):
+    cyclic = _grid(random.Random(3), 4, True, True)
+    graph = model._graph(cyclic, cyclic.commodities[0], model.DEFAULT_PATH_CAP)
+    assert not graph.acyclic
+    assert _tables(cyclic, 0) is None  # not counted, whatever the crossover
+    grid = _grid7()
+    listed = replace(grid, paths=(tuple(grid.paths[0]),) * len(grid.commodities))
+    for inst in (cyclic, listed):
+        assert set(inst.compiled.search) == {None}
+        _assert_scanned(inst, monkeypatch)
 
 
 def test_search_tables_form_no_reference_cycle():
