@@ -7,6 +7,7 @@ prediction, and their gap; exits 1 if any gap exceeds 1e-9.
 
 import argparse
 
+from routegame import oracle
 from routegame.braess import build_priced_braess, edge_addition_experiment, rho_formula
 from routegame.pricing import PriceSpec, eval_u
 
@@ -15,9 +16,7 @@ GAP_TOL = 1e-9
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    # the oracle scans C(n+2, 2) path-count states, but the cap counts the
-    # 3^n profiles of the post-shortcut network: n=12 already tops it
-    parser.add_argument("--n", type=int, nargs="+", default=[2, 4, 6, 10])
+    parser.add_argument("--n", type=int, nargs="+", default=[2, 4, 6, 10, 100, 300])
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--c1", type=float, default=0.5)
     parser.add_argument("--c2", type=float, default=0.5)
@@ -33,7 +32,11 @@ def main() -> int:
     worst = 0.0
     for spec in specs:
         for n in args.n:
-            report = edge_addition_experiment(*build_priced_braess(n, spec, args.c1, args.c2))
+            before, after = build_priced_braess(n, spec, args.c1, args.c2)
+            # the oracle scans C(n+2, 2) path-count states, but the cap counts
+            # the 3^n profiles of the post-shortcut network: lift it to that
+            cap = oracle.profile_count(after)
+            report = edge_addition_experiment(before, after, cap=cap)
             u = eval_u(spec, 1.0 / n)
             predicted = rho_formula(u, args.c1, args.c2)
             worst = max(worst, abs(report.rho - predicted))

@@ -19,7 +19,7 @@ import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul
@@ -107,8 +107,8 @@ class GameInstance:
     @cached_property
     def compiled(self) -> "CompiledGame":
         """Integer-indexed cost tables, built on first use and kept with the
-        instance. Not a field: equality and repr ignore it, and `replace()`
-        starts without it."""
+        instance. Not a field: equality and repr ignore it, and a new instance,
+        such as the one `prepare` returns, starts without it."""
         if not self.prepared:
             raise ValueError("instance has no enumerated paths; call prepare() first")
         return CompiledGame(self)
@@ -576,7 +576,9 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
             plist.edges = instance.edges
             by_endpoints[c.source, c.sink] = plist
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
-    return replace(instance, paths=all_paths)
+    return GameInstance(
+        instance.nodes, instance.edges, instance.commodities, all_paths, instance.meta
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,36 @@ Profiles are indexed by a mixed-radix counter over per-commodity path indices
 Players are grouped into runs: maximal blocks of consecutive commodities of
 one class (`CompiledGame.class_of`), and hence with equal cost tables. Every
 entry point makes one pass, in one thread, over the states: one path-count
-vector per run, named by its canonical (lowest-index) digits, nondecreasing
-within the run. A run of one player is a plain path index, so an instance
-without repeated commodities scans one state per profile.
+vector per run, held as its used paths and their counts. States are made on
+the fly, one at a time, and no per-state table is kept: a state takes O(used
+paths) memory and time to advance, whatever the number of players. A run of
+one player is its one used path, so an instance without repeated commodities
+scans one state per profile.
 
 All profiles of a state have the same loads: each edge adds its users'
 demands in player order, and the users a run puts on an edge all add the same
-r. Loads come from a stack of prefix sums, one level per run, with r added once
-per user, so every load has the bits of a full recompute. Equilibrium status is
-a function of the loads too. It is decided by `CompiledGame.best_move`, the
-engine's own test, once per (run, used path), and a state counts its number of
-profiles, the product of the runs' multinomials.
+r. Run 0 reads an edge's load by its user count from the sums 0.0 + r + ...,
+and every later run adds its r once per user, so every load has the bits of a
+full recompute. Equilibrium status is a function of the loads too. It is
+decided by `CompiledGame.best_move`, the engine's own test, once per (run,
+used path), and an equilibrium counts its number of profiles, the product of
+the runs' multinomials.
 
 Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
-of the terms, correctly rounded, so every profile of a state has the state's
-one cost. A state's canonical profile is its lowest-index profile, and states
-are visited in canonical-profile index order, so a strict `<` (optimum) or `>`
-(worst equilibrium) over the states finds the lowest-index extreme profile, as
-a scan of every profile would. The cap still counts profiles, not states.
+of the terms, each used path's load-free term repeated by its count, correctly
+rounded, so every profile of a state has the state's one cost. A state's
+canonical profile is its lowest-index profile, and states are visited in
+canonical-profile index order (more players on a lower path first), so a
+strict `<` (optimum) or `>` (worst equilibrium) over the states finds the
+lowest-index extreme profile, as a scan of every profile would. The cap still
+counts profiles, not states: pass a larger one for a large instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, chain, product, repeat
 from typing import Iterator, Optional, Sequence
 
 from .engine import StrategyProfile, DEFAULT_EPS_IMPROVE
@@ -121,21 +126,50 @@ def _arrangements(canonical: Sequence[int]) -> Iterator[tuple[int, ...]]:
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _orderings(canonical: tuple[int, ...]) -> int:
-    """The number of distinct orderings of `canonical` (a multinomial)."""
-    ways, placed = 1, 0
-    for d in dict.fromkeys(canonical):
-        c = canonical.count(d)
-        placed += c
-        ways *= math.comb(placed, c)
-    return ways
+def _advance(used: list[int], counts: list[int], last: int) -> bool:
+    """Step a run's state, its used paths (ascending) and their player counts,
+    to the next one in canonical order: a player leaves the highest used path
+    below `last` for the path above it, and every player on `last` joins it.
+    False after the last state."""
+    tail = 0
+    if used[-1] == last:
+        used.pop()
+        tail = counts.pop()
+    if not used:
+        return False
+    counts[-1] -= 1
+    if counts[-1]:
+        used.append(used[-1] + 1)
+        counts.append(tail + 1)
+    else:
+        used[-1] += 1
+        counts[-1] = tail + 1
+    return True
+
+
+#: A state: per run, its used paths in ascending order and their player counts.
+State = Sequence[tuple[list[int], list[int]]]
+
+
+def _canonical(state: State) -> tuple[int, ...]:
+    """The state's lowest-index profile: each run's used paths repeated by
+    their counts. A tuple of a list: tuple() of an iterator is resized, which
+    moves blocks between the interpreter's per-size tuple free lists and grew
+    a long-running process by megabytes."""
+    return tuple([d for run in state for d in chain.from_iterable(map(repeat, *run))])
+
+
+def _ways(state: State) -> int:
+    """The state's number of profiles: the product of its runs' multinomials."""
+    return math.prod(
+        math.comb(placed, c)
+        for _, counts in state
+        for placed, c in zip(accumulate(counts), counts)
+    )
 
 
 class _Indexed:
-    """Precomputed tables for the state scan, one set per run.
-
-    Loads are kept by edge number, as the engine keeps them.
-    """
+    """The state scan's tables, one entry per run; loads are by edge number."""
 
     def __init__(self, instance: GameInstance, eps_improve: float):
         self.eps = eps_improve
@@ -152,88 +186,65 @@ class _Indexed:
         self.demand = [g.demand[lo] for lo, _ in self.spans]
         # each run's rows as a tuple: a counted strategy set is listed, once
         self.paths = [tuple(g.paths[lo]) for lo, _ in self.spans]
-        # per (run, state of the run): canonical digits, used paths, canonical
-        # load-free terms, and the number of orderings
-        self.canonical: list[list[tuple[int, ...]]] = []
-        self.used: list[list[tuple[int, ...]]] = []
-        self.own: list[list[list[float]]] = []
-        self.orderings: list[list[int]] = []
+        #: per (run, path): a player's load-free cost on it
+        self.load_free = [
+            [g.load_free_cost(lo, d) for d in range(len(paths))]
+            for (lo, _), paths in zip(self.spans, self.paths)
+        ]
 
-        for (lo, hi), paths in zip(self.spans, self.paths):
-            load_free = [g.load_free_cost(lo, d) for d in range(len(paths))]
-            # lists, and tuples built from lists: tuple() of an iterator is
-            # resized, which moves blocks between the interpreter's per-size
-            # tuple free lists and grew a long-running process by megabytes
-            canonical = list(combinations_with_replacement(range(len(paths)), hi - lo))
-            self.canonical.append(canonical)
-            self.used.append([tuple(dict.fromkeys(c)) for c in canonical])
-            self.own.append([[load_free[d] for d in c] for c in canonical])
-            self.orderings.append(list(map(_orderings, canonical)))
-
-    def is_equilibrium(self, digits: list[int], f: list[float]) -> bool:
+    def is_equilibrium(self, state: State, f: list[float]) -> bool:
         """No player of the state saves more than eps by `best_move`, once per
         (run, used path), asked at eps = inf: only the saving is read."""
         eps, best_move = self.eps, self.g.best_move
-        for (lo, _), used, c in zip(self.spans, self.used, digits):
-            for d in used[c]:
+        for (lo, _), (used, _) in zip(self.spans, state):
+            for d in used:
                 current, best, _, _ = best_move(lo, d, f, math.inf)
                 if current - best > eps:
                     return False
         return True
 
-    def states(self) -> Iterator[tuple[list[int], list[float], list[float], int]]:
-        """Every state as (per-run state indices, loads, canonical load-free
-        terms in player order, number of profiles), the lists updated in
-        place; a yielded loads list itself is never changed later.
-        levels[j] holds the loads of runs 0..j-1, so advancing run j rebuilds
-        levels j+1.. and the terms of runs j.. only."""
-        demand, paths_of, canonical = self.demand, self.paths, self.canonical
-        own_of, orderings = self.own, self.orderings
-        runs = [slice(lo, hi) for lo, hi in self.spans]
-        radices = [len(c) for c in canonical]
-        k = len(radices)
-        digits = [0] * k
-        own = [0.0] * (self.spans[-1][1] if self.spans else 0)
-        levels = [[0.0] * len(self.g.c1)] + [[]] * k
-        ways = [1] * (k + 1)
+    def social_cost(self, state: State, f: list[float]) -> float:
+        """`CompiledGame.social_cost` of the state's profiles."""
+        terms: list[float] = []
+        for load_free, (used, counts) in zip(self.load_free, state):
+            for d, c in zip(used, counts):
+                terms += [load_free[d]] * c
+        return self.g.social_cost(f, terms)
+
+    def states(self) -> Iterator[tuple[State, list[float]]]:
+        """Every state with its loads, in canonical-profile index order, the
+        state's lists changed in place. levels[j] holds the loads of runs
+        0..j-1, so advancing run j rebuilds levels j+1.. only."""
+        demand, paths_of = self.demand, self.paths
+        sizes = [hi - lo for lo, hi in self.spans]
+        k, n_edges = len(sizes), len(self.g.c1)
+        sums = list(accumulate(repeat(demand[0], sizes[0]), initial=0.0)) if k else []
+        state = [([0], [m]) for m in sizes]
+        levels = [[0.0] * n_edges] + [[]] * k
         i = 0
         while True:
             for j in range(i, k):
-                d = digits[j]
-                f = levels[j].copy()
-                r = demand[j]
                 paths = paths_of[j]
-                for path in canonical[j][d]:  # r once per user
-                    for e in paths[path]:
-                        f[e] += r
+                if j:  # r once per user
+                    f, r = levels[j].copy(), demand[j]
+                    for d, c in zip(*state[j]):
+                        for _ in range(c):
+                            for e in paths[d]:
+                                f[e] += r
+                else:  # by user count
+                    f, users = [0.0] * n_edges, [0] * n_edges
+                    for d, c in zip(*state[0]):
+                        for e in paths[d]:
+                            users[e] += c
+                            f[e] = sums[users[e]]
                 levels[j + 1] = f
-                ways[j + 1] = ways[j] * orderings[j][d]
-                own[runs[j]] = own_of[j][d]
-            yield digits, levels[k], own, ways[k]
+            yield state, levels[k]
             i = k - 1
-            while i >= 0 and digits[i] + 1 == radices[i]:
-                digits[i] = 0
+            while i >= 0 and not _advance(*state[i], len(paths_of[i]) - 1):
+                state[i] = ([0], [sizes[i]])
                 i -= 1
             if i < 0:
                 return
-            digits[i] += 1
-
-    def canonical_profile(
-        self, digits: Optional[Sequence[int]]
-    ) -> Optional[StrategyProfile]:
-        """A state's lowest-index profile, or None for no state: its runs'
-        canonical digits, concatenated."""
-        if digits is None:
-            return None
-        return StrategyProfile(
-            tuple([p for j, d in enumerate(digits) for p in self.canonical[j][d]])
-        )
-
-    def profiles(self, digits: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        """The profiles of a state, in index order."""
-        runs = [self.canonical[j][d] for j, d in enumerate(digits)]
-        for parts in product(*(_arrangements(c) if len(c) > 1 else (c,) for c in runs)):
-            yield tuple([d for part in parts for d in part])
 
 
 @dataclass(frozen=True)
@@ -277,33 +288,30 @@ def _scan(
     if total > cap:
         raise ProfileCapError(f"{_count_text(total)} profiles exceed cap {cap}")
     idx = _Indexed(instance, eps_improve)
-    social_cost = instance.compiled.social_cost
     equilibrium_states: list[tuple[int, ...]] = []
     best = worst = None
     best_sc, worst_sc, count = math.inf, -math.inf, 0
-    for digits, f, own, ways in idx.states():
+    for state, f in idx.states():
         sc = None
         if optimum:
-            sc = social_cost(f, own)
+            sc = idx.social_cost(state, f)
             if sc < best_sc or best is None:
-                best, best_sc = tuple(digits), sc
-        if idx.is_equilibrium(digits, f):
-            count += ways
+                best, best_sc = _canonical(state), sc
+        if idx.is_equilibrium(state, f):
+            count += _ways(state)
             if keep:
-                equilibrium_states.append(tuple(digits))
+                equilibrium_states.append(_canonical(state))
             if sc is None:
-                sc = social_cost(f, own)
+                sc = idx.social_cost(state, f)
             if sc > worst_sc or worst is None:
-                worst, worst_sc = tuple(digits), sc
-    found = sorted(p for state in equilibrium_states for p in idx.profiles(state))
-    return _Scan(
-        list(map(StrategyProfile, found)),
-        count,
-        idx.canonical_profile(worst),
-        worst_sc,
-        idx.canonical_profile(best),
-        best_sc,
+                worst, worst_sc = _canonical(state), sc
+    found = sorted(
+        tuple([d for part in parts for d in part])
+        for canonical in equilibrium_states
+        for parts in product(*(_arrangements(canonical[lo:hi]) for lo, hi in idx.spans))
     )
+    best, worst = (None if p is None else StrategyProfile(p) for p in (best, worst))
+    return _Scan(list(map(StrategyProfile, found)), count, worst, worst_sc, best, best_sc)
 
 
 def find_all_equilibria(

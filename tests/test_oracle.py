@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,31 @@ def test_worst_equilibrium_tie_break_is_lowest_index(classic_pair_2):
     report = oracle.price_of_anarchy(before)
     # the two split equilibria tie on social cost; index order decides
     assert report.worst_equilibrium_profile == StrategyProfile((0, 1))
+
+
+def _perfbench_checks():
+    """perfbench/checks.py, which shares no code with routegame, read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("n", [20, 60, 100])
+def test_large_diamonds_match_an_independent_path_count_scan(n):
+    # the benchmark's own enumeration over path counts, with its own cost
+    # arithmetic, on every priced family and the classic diamond
+    checks = _perfbench_checks()
+    families = [("zero", {}), ("identity", {}), ("sin", {}), ("log1p", {}),
+                ("saturating", {"beta": 1.0})]
+    for fn, params in families:
+        if fn == "zero":
+            (_, after), c1, c2 = build_classic_braess(n), 1.0, 0.0
+        else:
+            (_, after), c1, c2 = build_priced_braess(n, PriceSpec(fn, params)), 0.5, 0.5
+        report = oracle.price_of_anarchy(after, cap=3**n)
+        want = checks.diamond_poa(n, c1, c2, checks.unit_price(fn, params, 1.0 / n))
+        assert report.equilibrium_count == want["count"], fn
+        assert checks.close(report.optimal_cost, want["optimal"]), fn
+        assert checks.close(report.worst_equilibrium_cost, want["worst"]), fn
