@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -122,11 +122,11 @@ class CompiledGame:
     tuple (`prepare()` gives every commodity of an endpoint pair the same one)
     and one demand. Every commodity of a class reads the same row objects, and
     every term that depends on a player's own demand but not on loads is
-    evaluated exactly once per (class, edge on one of its paths); entries for
-    edges on none of a class's paths are None. Price terms of edges with
-    c2 = 0 are 0.0 without evaluating u; a demand outside the domain of a
-    c2 != 0 price on one of the commodity's paths raises PriceDomainError
-    naming the first such commodity and the edge.
+    computed exactly once per (class, edge on one of its paths), u(r) once per
+    (price object, demand); entries for edges on none of a class's paths are
+    None. Price terms of edges with c2 = 0 are 0.0 without evaluating u; a
+    demand outside the domain of a c2 != 0 price on one of the commodity's
+    paths raises PriceDomainError naming the first such commodity and the edge.
 
     The engine and the oracle read two definitions from here and have none of
     their own: the social cost of a profile (`social_cost`) and the costs that
@@ -166,6 +166,7 @@ class CompiledGame:
         # large strategy set once per commodity costs more than the rows shared.
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
+        units: dict[float, dict] = {}  # per demand: each u(r), once, by price object id
         unique_ids = len(self.edge_index) == len(edges)
         per_commodity = []  # each commodity's class: its entries of the lists above
         for c, plist in zip(instance.commodities, instance.paths):
@@ -188,7 +189,7 @@ class CompiledGame:
                         on_paths = tuple(sorted(set().union(*compiled)))
                     strategies[id(plist)] = compiled, on_paths, search
                 compiled, on_paths, search = strategies[id(plist)]
-                price, own = self._own_rows(edges, c, on_paths)
+                price, own = self._own_rows(edges, c, on_paths, units)
                 row = classes[id(plist), c.demand] = (
                     len(classes), compiled, on_paths, price, own, search
                 )
@@ -198,21 +199,23 @@ class CompiledGame:
 
     @staticmethod
     def _own_rows(
-        edges: Sequence[EdgeSpec], c: Commodity, on_paths: Sequence[int]
+        edges: Sequence[EdgeSpec], c: Commodity, on_paths: Sequence[int], units: dict
     ) -> tuple[list[Optional[float]], list[Optional[float]]]:
-        """Commodity c's `unit_price` and `potential_term` rows."""
-        r = c.demand
+        """Commodity c's `unit_price` and `potential_term` rows, u(r) from `units`."""
+        r, units = c.demand, units.setdefault(c.demand, {})
         price: list[Optional[float]] = [None] * len(edges)
         own: list[Optional[float]] = [None] * len(edges)
         for k in on_paths:
             e = edges[k]
-            try:
-                u = eval_u(e.price, r) if e.c2 != 0.0 else 0.0
-            except PriceDomainError:
-                raise PriceDomainError(
-                    f"commodity {c.id!r}: demand {r} outside the price domain"
-                    f" of edge {e.id!r} ({e.price.fn!r})"
-                ) from None
+            u = units.get(id(e.price)) if e.c2 != 0.0 else 0.0
+            if u is None:
+                try:
+                    u = units[id(e.price)] = eval_u(e.price, r)
+                except PriceDomainError:
+                    raise PriceDomainError(
+                        f"commodity {c.id!r}: demand {r} outside the price domain"
+                        f" of edge {e.id!r} ({e.price.fn!r})"
+                    ) from None
             price[k] = e.c2 * u
             own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
         return price, own
@@ -243,7 +246,7 @@ class CompiledGame:
         number) and of each player's `load_free_cost` on its chosen path,
         correctly rounded. It depends on the multiset of terms only, so every
         profile with the same loads and the same load-free terms costs the same."""
-        return exact_sum(chain(map(mul, map(mul, self.slope, loads), loads), load_free))
+        return exact_sum([*map(mul, map(mul, self.slope, loads), loads), *load_free])
 
     def path_cost(
         self, i: int, path: Sequence[int], loads: Mapping[int, float] | Sequence[float]
@@ -615,6 +618,15 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
 
     edge_ids = set()
     for e in instance.edges:
+        # field by field only where one test, passed exactly by the valid ones, fails
+        if (
+            e.id and e.id not in edge_ids and e.tail in nodes and e.head in nodes
+            and e.tail != e.head and 0.0 <= e.a < math.inf and 0.0 <= e.b < math.inf
+            and 0.0 <= e.c1 <= 1.0 and 0.0 <= e.c2 <= 1.0
+            and abs(e.c1 + e.c2 - 1.0) <= NORMALIZATION_TOL
+        ):
+            edge_ids.add(e.id)
+            continue
         where = f"edge {e.id!r}"
         if not e.id:
             out.append("empty edge id")
@@ -639,6 +651,13 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
     bounded = [e for e in instance.edges if e.c2 != 0.0 and e.price.x_max < math.inf]
     commodity_ids = set()
     for c in instance.commodities:
+        if (
+            c.id and c.id not in commodity_ids and c.source in nodes and c.sink in nodes
+            and c.source != c.sink and 0.0 < c.demand < math.inf and not bounded
+            and c.sink in reach(c.source)
+        ):
+            commodity_ids.add(c.id)
+            continue
         if not c.id:
             out.append("empty commodity id")
         elif c.id in commodity_ids:
@@ -716,11 +735,12 @@ def cost_overflow(instance: GameInstance) -> Optional[str]:
     oracle's deviation terms stay within a few max(1, D)·W. So the instance
     passes when 8·max(1, D)·W is finite."""
     demand = sum(c.demand for c in instance.commodities if 0 < c.demand < math.inf)
-    unit = sum(
-        abs(e.c1) * (abs(e.a) * demand + abs(e.b)) + abs(e.c2)
-        for e in instance.edges
-        if all(map(math.isfinite, (e.a, e.b, e.c1, e.c2)))
-    )
+    edges = instance.edges
+    terms = [abs(e.c1) * (abs(e.a) * demand + abs(e.b)) + abs(e.c2) for e in edges]
+    unit = sum(terms)
+    if not math.isfinite(unit):  # a term is NaN or inf where a number of its edge is
+        finite = [all(map(math.isfinite, (e.a, e.b, e.c1, e.c2))) for e in edges]
+        unit = sum(t for t, keep in zip(terms, finite) if keep)
     if math.isfinite(8.0 * max(1.0, demand) * unit):
         return None
     return f"costs overflow the float range at the total demand {demand}"
@@ -795,15 +815,17 @@ _ENTRIES = {
 
 def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
     """The fields of each entry of one kind in a scenario, in `_ENTRIES` order,
-    an edge's price as a `PriceSpec` that equal price objects share. An entry
-    that fails one cheap test is checked field by field: ScenarioError names
-    the first problem of the first bad entry."""
+    an edge's price as a `PriceSpec` that equal price objects share: by == with
+    the last edge's where that has no params (in params, True == 1.0), else by
+    repr. An entry that fails one cheap test is checked field by field:
+    ScenarioError names the first problem of the first bad entry."""
     plural, keys = _ENTRIES[kind]
     # each field's JSON type, as json.loads gives it here: every number a float
     types = (str,) * 3 + tuple(dict if k == "price" else float for k in keys[3:])
     if not isinstance(doc[plural], list):
         raise ScenarioError(f"'{plural}' must be an array")
     get, key_set, ids, specs, entries = itemgetter(*keys), set(keys), set(), {}, []
+    last = spec = None  # the last edge's price object and its spec
     for item in doc[plural]:
         fields = get(item) if type(item) is dict and item.keys() == key_set else ()
         if not (
@@ -826,9 +848,10 @@ def _entries(doc: dict, kind: str, node_set: set[str]) -> list[tuple]:
                     _number(item, key, what)
             fields = get(item)
         if kind == "edge":  # the price is checked last
-            spec = specs.get(price := repr(fields[-1]))
-            if spec is None:
-                spec = specs[price] = _parse_price(fields[-1], f"edge {fields[0]!r}")
+            if spec is None or fields[-1] != last or spec.params:
+                last, spec = fields[-1], specs.get(price := repr(fields[-1]))
+                if spec is None:
+                    spec = specs[price] = _parse_price(last, f"edge {fields[0]!r}")
             fields = (*fields[:-1], spec)
         ids.add(fields[0])
         entries.append(fields)

@@ -22,13 +22,13 @@ used path), and an equilibrium counts its number of profiles, the product of
 the runs' multinomials.
 
 Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
-of the terms, each used path's load-free term repeated by its count, correctly
-rounded, so every profile of a state has the state's one cost. A state's
-canonical profile is its lowest-index profile, and states are visited in
-canonical-profile index order (more players on a lower path first), so a
-strict `<` (optimum) or `>` (worst equilibrium) over the states finds the
-lowest-index extreme profile, as a scan of every profile would. The cap still
-counts profiles, not states: pass a larger one for a large instance.
+of the terms, each used path's load-free term repeated by its count (in O(1),
+`_Multiples`), correctly rounded, so every profile of a state has the state's
+one cost. A state's canonical profile is its lowest-index profile, and states
+are visited in canonical-profile index order (more players on a lower path
+first), so a strict `<` (optimum) or `>` (worst equilibrium) over the states
+finds the lowest-index extreme profile, as a scan of every profile would. The
+cap still counts profiles, not states: pass a larger one for a large instance.
 """
 
 from __future__ import annotations
@@ -168,6 +168,20 @@ def _ways(state: State) -> int:
     )
 
 
+class _Multiples(dict):
+    """A path's load-free term t repeated c times, by c, made on first use from
+    entry 1, [t]. Where c >= 16 and p = c * t rounded is finite, it is [p, rest]
+    with rest the exact sum of -p (first: no partial sum overflows) and t * 2^b
+    over the set bits b of c, since c * t - p fits in as many bits as c."""
+
+    def __missing__(self, c: int) -> list[float]:
+        t = self[1][0]
+        if c < 16 or not math.isfinite(p := t * c):
+            return self.setdefault(c, [t] * c)
+        bits = [t * (1 << b) for b in range(c.bit_length()) if c >> b & 1]
+        return self.setdefault(c, [p, math.fsum([-p, *bits])])
+
+
 class _Indexed:
     """The state scan's tables, one entry per run; loads are by edge number."""
 
@@ -186,9 +200,9 @@ class _Indexed:
         self.demand = [g.demand[lo] for lo, _ in self.spans]
         # each run's rows as a tuple: a counted strategy set is listed, once
         self.paths = [tuple(g.paths[lo]) for lo, _ in self.spans]
-        #: per (run, path): a player's load-free cost on it
-        self.load_free = [
-            [g.load_free_cost(lo, d) for d in range(len(paths))]
+        #: per (run, path): a player's load-free cost on it, and its multiples
+        self.multiples = [
+            [_Multiples({1: [g.load_free_cost(lo, d)]}) for d in range(len(paths))]
             for (lo, _), paths in zip(self.spans, self.paths)
         ]
 
@@ -204,11 +218,11 @@ class _Indexed:
         return True
 
     def social_cost(self, state: State, f: list[float]) -> float:
-        """`CompiledGame.social_cost` of the state's profiles."""
+        """`CompiledGame.social_cost` of the state's profiles, by `_Multiples`."""
         terms: list[float] = []
-        for load_free, (used, counts) in zip(self.load_free, state):
+        for multiples, (used, counts) in zip(self.multiples, state):
             for d, c in zip(used, counts):
-                terms += [load_free[d]] * c
+                terms += multiples[d][c]
         return self.g.social_cost(f, terms)
 
     def states(self) -> Iterator[tuple[State, list[float]]]:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from functools import reduce
 from itertools import chain
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -609,7 +610,7 @@ def test_weighted_price_outside_its_domain_still_raises():
         potential(inst, StrategyProfile((0, 0, 0)))
 
 
-def test_prices_are_evaluated_once_per_class_and_edge(monkeypatch):
+def test_prices_are_evaluated_once_per_price_and_demand(monkeypatch):
     calls = []
     real = model.eval_u
     monkeypatch.setattr(model, "eval_u", lambda spec, x: calls.append(x) or real(spec, x))
@@ -619,9 +620,17 @@ def test_prices_are_evaluated_once_per_class_and_edge(monkeypatch):
     social_cost(inst, result.final)
     is_equilibrium(inst, result.final)
     # 10 players of one class; of the diamond's 5 edges only sv and wt carry
-    # a price weight
-    assert len(calls) == 2
+    # a price weight, and they share one PriceSpec
+    assert len(calls) == 1
     assert len(set(map(id, inst.compiled.unit_price))) == 1
+    # a 7x7 grid: 84 priced edges whose equal price objects share one spec,
+    # and 4 commodities of distinct demand, so 4 classes
+    text = (Path(__file__).parent / "data" / "grid7.json").read_text(encoding="utf-8")
+    grid = prepare(model.parse_scenario(text))
+    calls.clear()
+    grid.compiled
+    assert sorted(calls) == sorted(c.demand for c in grid.commodities)
+    assert len(set(calls)) == 4
 
 
 def test_repeated_sums_only_where_every_demand_is_one(classic_pair_10):

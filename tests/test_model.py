@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import model
-from routegame.braess import build_classic_braess
+from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.model import (
     Commodity,
     EdgeSpec,
@@ -708,6 +708,117 @@ def test_validation_never_mutates(classic_pair_2):
     snapshot = dataclasses.replace(before)
     validate_instance(before)
     assert before == snapshot
+
+
+def _field_by_field(instance):
+    """What validate_instance reports, from every node, edge and commodity
+    checked field by field, with no test that lets a well-formed one pass
+    (an unprepared instance)."""
+    out, nodes = [], set()
+    for n in instance.nodes:
+        if not n:
+            out.append("empty node label")
+        elif n in nodes:
+            out.append(f"duplicate node {n!r}")
+        nodes.add(n)
+    ids, succ = set(), {}
+    for e in instance.edges:
+        succ.setdefault(e.tail, []).append(e.head)
+        where = f"edge {e.id!r}"
+        if not e.id:
+            out.append("empty edge id")
+        elif e.id in ids:
+            out.append(f"duplicate edge id {e.id!r}")
+        ids.add(e.id)
+        out += [f"{where}: unknown tail node {e.tail!r}"] * (e.tail not in nodes)
+        out += [f"{where}: unknown head node {e.head!r}"] * (e.head not in nodes)
+        out += [f"{where}: self-loop forbidden"] * (e.tail == e.head)
+        out += [f"{where}: negative congestion slope"] * (e.a < 0)
+        out += [f"{where}: negative congestion intercept"] * (e.b < 0)
+        out += [f"{where}: {v}" for v in model.mixing_violations(e.c1, e.c2)]
+        if not all(map(math.isfinite, (e.a, e.b, e.c1, e.c2))):
+            out.append(f"{where}: non-finite number")
+    ids = set()
+    for c in instance.commodities:
+        if not c.id:
+            out.append("empty commodity id")
+        elif c.id in ids:
+            out.append(f"duplicate commodity id {c.id!r}")
+        ids.add(c.id)
+        bad = [f"unknown source node {c.source!r}"] * (c.source not in nodes)
+        bad += [f"unknown sink node {c.sink!r}"] * (c.sink not in nodes)
+        bad += ["source equals sink"] * (c.source == c.sink)
+        if not c.demand > 0:
+            bad.append("demand must be positive")
+        elif not math.isfinite(c.demand):
+            bad.append("demand must be finite")
+        elif c.source in nodes and c.sink in nodes:
+            reach = model._reach(succ, c.source)
+            bad += ["no s-t path"] * (c.sink not in reach)
+            for e in instance.edges:
+                if (
+                    e.c2 != 0.0
+                    and c.demand > e.price.x_max
+                    and e.tail in reach
+                    and c.sink in model._reach(succ, e.head)
+                ):
+                    bad.append(
+                        f"demand {c.demand} outside the price domain"
+                        f" of edge {e.id!r} ({e.price.fn!r})"
+                    )
+        out += [f"commodity {c.id!r}: {v}" for v in bad]
+    demand = sum(c.demand for c in instance.commodities if 0 < c.demand < math.inf)
+    unit = sum(
+        abs(e.c1) * (abs(e.a) * demand + abs(e.b)) + abs(e.c2)
+        for e in instance.edges
+        if all(map(math.isfinite, (e.a, e.b, e.c1, e.c2)))
+    )
+    if not math.isfinite(8.0 * max(1.0, demand) * unit):
+        out.append(f"costs overflow the float range at the total demand {demand}")
+    return tuple(out)
+
+
+_VALID = [
+    dataclasses.replace(build_priced_braess(4, PriceSpec("sin"))[1], paths=()),
+    parse_scenario((Path(__file__).parent / "data" / "grid6.json").read_text(encoding="utf-8")),
+]
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, -0.5, 1e308]
+
+
+@st.composite
+def _corrupted(draw):
+    """A valid diamond (sin prices) or grid with one field of one entry
+    corrupted, or the instance as it is."""
+    inst = draw(st.sampled_from(_VALID))
+    kind = draw(st.sampled_from(["node", "edge", "commodity", "none"]))
+    if kind == "node":
+        nodes = list(inst.nodes)
+        nodes[draw(st.sampled_from(range(len(nodes))))] = draw(
+            st.sampled_from(["", nodes[0], nodes[-1]])
+        )
+        return dataclasses.replace(inst, nodes=tuple(nodes))
+    if kind == "none":
+        return inst
+    entries = list(inst.edges if kind == "edge" else inst.commodities)
+    k = draw(st.sampled_from(range(len(entries))))
+    e, other = entries[k], entries[k - 1]
+    if kind == "edge":
+        changes = [{f: x} for f in ("a", "b", "c1", "c2") for x in _BAD_NUMBERS]
+        changes += [{"c1": e.c1 + 2e-9}, {"c2": e.c2 - 2e-9}, {"id": ""}, {"id": other.id}]
+        changes += [{"tail": "zz"}, {"head": "zz"}, {"head": e.tail}, {"tail": e.head}]
+    else:
+        changes = [{"demand": x} for x in _BAD_NUMBERS + [0.0, 2.0]]
+        changes += [{"id": ""}, {"id": other.id}, {"source": "zz"}, {"sink": "zz"}]
+        changes += [{"source": e.sink, "sink": e.source}, {"sink": e.source}]
+    entries[k] = dataclasses.replace(e, **draw(st.sampled_from(changes)))
+    field = "edges" if kind == "edge" else "commodities"
+    return dataclasses.replace(inst, **{field: tuple(entries)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_corrupted())
+def test_validation_lists_what_the_field_by_field_checks_give(inst):
+    assert validate_instance(inst).violations == _field_by_field(inst)
 
 
 def test_prepare_populates_sorted_nonempty_paths():

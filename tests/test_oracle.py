@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -179,3 +180,36 @@ def test_large_diamonds_match_an_independent_path_count_scan(n):
         assert report.equilibrium_count == want["count"], fn
         assert checks.close(report.optimal_cost, want["optimal"]), fn
         assert checks.close(report.worst_equilibrium_cost, want["worst"]), fn
+
+
+# terms with all 53 bits in use: m * 2^e, from subnormal to near the float max
+_TERMS = st.builds(
+    math.ldexp,
+    st.integers(min_value=2**52, max_value=2**53 - 1),
+    st.integers(min_value=-60, max_value=-40)
+    | st.integers(min_value=-1126, max_value=-1070)
+    | st.integers(min_value=940, max_value=970),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_TERMS, min_size=3, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=10**6), min_size=3, max_size=3),
+    st.sets(st.integers(min_value=0, max_value=2), min_size=1),
+    st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5),
+)
+def test_state_social_cost_has_the_bits_of_the_repeated_terms(terms, counts, used, loads):
+    # a run of the diamond's 3 paths with drawn load-free terms and counts:
+    # the state's cost is the exact sum with each used path's term repeated
+    _, after = build_priced_braess(2, PriceSpec("log1p"))
+    idx = oracle._Indexed(after, 1e-9)
+    idx.multiples = [[oracle._Multiples({1: [t]}) for t in terms]]
+    used = sorted(used)
+    counts = [counts[d] for d in used]
+    repeated = itertools.chain.from_iterable(
+        itertools.repeat(terms[d], c) for d, c in zip(used, counts)
+    )
+    want = idx.g.social_cost(loads, repeated)
+    got = idx.social_cost([(used, counts)], loads)
+    assert got.hex() == want.hex()
