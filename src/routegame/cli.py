@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import random
+import shutil
 import sys
 from typing import Optional, Sequence
 
@@ -278,37 +280,53 @@ def _flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The stock formatter reads the terminal width each time it is made, and
+    # argparse makes one per argument; this is the width it would read.
+    fmt = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="routegame",
         description="Atomic selfish routing with bulk-discount edge pricing.",
+        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a scenario file against all invariants")
+    p = sub.add_parser(
+        "validate",
+        formatter_class=fmt,
+        help="check a scenario file against all invariants",
+    )
     p.add_argument("scenario")
     _flags(p, "--format")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("equilibrate", help="run best-response dynamics")
+    p = sub.add_parser(
+        "equilibrate", formatter_class=fmt, help="run best-response dynamics"
+    )
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None, help="random initial profile")
     _flags(p, "--format", "--epsilon", "--max-moves")
     p.set_defaults(func=cmd_equilibrate)
 
-    p = sub.add_parser("enumerate", help="list all pure equilibria exhaustively")
+    p = sub.add_parser(
+        "enumerate", formatter_class=fmt, help="list all pure equilibria exhaustively"
+    )
     p.add_argument("scenario")
     _flags(p, "--format", "--epsilon", "--cap")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("poa", help="exhaustive Price of Anarchy report")
+    p = sub.add_parser(
+        "poa", formatter_class=fmt, help="exhaustive Price of Anarchy report"
+    )
     p.add_argument("scenario")
     _flags(p, "--format", "--epsilon", "--cap")
     p.set_defaults(func=cmd_poa)
 
-    p = sub.add_parser("braess", help="edge-addition experiments")
+    p = sub.add_parser("braess", formatter_class=fmt, help="edge-addition experiments")
     bsub = p.add_subparsers(dest="variant", required=True)
     for variant in ("classic", "priced"):
-        bp = bsub.add_parser(variant)
+        bp = bsub.add_parser(variant, formatter_class=fmt)
         bp.add_argument("--n", type=int, required=True, help="even number of players")
         if variant == "priced":
             bp.add_argument("--price", choices=PRICE_FAMILIES, required=True)
@@ -319,14 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("--emit-scenario", metavar="PREFIX")
         _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
         bp.set_defaults(func=cmd_braess, variant=variant)
-    bp = bsub.add_parser("pair")
+    bp = bsub.add_parser("pair", formatter_class=fmt)
     bp.add_argument("before")
     bp.add_argument("after")
     bp.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
     _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
     bp.set_defaults(func=cmd_braess, variant="pair")
 
-    p = sub.add_parser("price-curves", help="emit CSV samples of the price catalog")
+    p = sub.add_parser(
+        "price-curves", formatter_class=fmt, help="emit CSV samples of the price catalog"
+    )
     p.add_argument("--functions", default=",".join(PRICE_FAMILIES))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--x-max", type=float, default=1.0)

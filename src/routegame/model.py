@@ -22,7 +22,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
@@ -147,6 +147,18 @@ class CompiledGame:
         self.demand = tuple(c.demand for c in instance.commodities)
         #: per edge: the slope c1 * a of its congestion cost
         self.slope = tuple(e.c1 * e.a for e in edges)
+        #: the edges whose slope term in a social cost can be other than +0.0:
+        #: those whose slope is not +0.0, or all where a load can overflow
+        #: (0.0 * inf is NaN); no load exceeds the sum of the |demands|
+        finite = math.isfinite(sum(map(abs, self.demand)))
+        self.sloped = tuple(
+            k for k, s in enumerate(self.slope)
+            if not (finite and s == 0.0 and math.copysign(1.0, s) > 0)
+        )
+        # one +0.0 stands for the edges left out: the terms then differ from
+        # every edge's only in how many +0.0 they hold, so the sum keeps its
+        # bits whatever sign math.fsum gives a zero sum of -0.0 terms
+        self._zero = (0.0,) if len(self.sloped) < len(edges) else ()
         #: per commodity: its class, numbered in order of first appearance
         self.class_of: list[int]
         #: per (commodity, path): edge indices in path order
@@ -245,8 +257,13 @@ class CompiledGame:
         exact sum of slope * f * f over the edges at their `loads` (by edge
         number) and of each player's `load_free_cost` on its chosen path,
         correctly rounded. It depends on the multiset of terms only, so every
-        profile with the same loads and the same load-free terms costs the same."""
-        return exact_sum([*map(mul, map(mul, self.slope, loads), loads), *load_free])
+        profile with the same loads and the same load-free terms costs the same.
+        The +0.0 terms of the edges left out of `sloped` enter as one."""
+        slope = self.slope
+        return exact_sum([
+            *[slope[k] * loads[k] * loads[k] for k in self.sloped], *self._zero,
+            *load_free,
+        ])
 
     def path_cost(
         self, i: int, path: Sequence[int], loads: Mapping[int, float] | Sequence[float]

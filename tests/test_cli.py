@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -648,6 +649,54 @@ def _commands(parser, prefix=""):
                 yield from _commands(sub, f"{prefix}{name} ")
             return
     yield prefix.strip(), parser
+
+
+def _parsers(parser):
+    """`parser` and, depth first, every parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _stock(parser):
+    """`parser` with every formatter of its tree set back to argparse's own."""
+    for p in _parsers(parser):
+        p.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+@pytest.mark.parametrize("columns", [None, "45", "100"])
+def test_help_usage_and_errors_keep_every_byte(monkeypatch, capsys, columns):
+    # build_parser reads the terminal width once; a stock formatter reads it
+    # each time it is made, and must give the same text
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parsers = list(_parsers(build_parser()))
+    assert len(parsers) == 10
+    texts = [(p.format_help(), p.format_usage()) for p in parsers]
+    _stock(parsers[0])
+    assert [(p.format_help(), p.format_usage()) for p in parsers] == texts
+    argv = ["braess", "priced", "--n", "4", "--method", "exact"]
+    errors = []
+    for parse in (main, _stock(build_parser()).parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1]
+    assert "invalid choice: 'exact'" in errors[0].err
+
+
+def test_build_parser_reads_the_terminal_size_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    build_parser()
+    assert len(calls) == 1
 
 
 def test_each_command_accepts_only_the_flags_it_reads():
