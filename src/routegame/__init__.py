@@ -1,93 +1,46 @@
-"""Atomic selfish routing with bulk-discount edge pricing."""
+"""Atomic selfish routing with bulk-discount edge pricing.
 
-from .braess import (
-    BraessReport,
-    build_classic_braess,
-    build_priced_braess,
-    edge_addition_experiment,
-    rho_formula,
-)
-from .engine import (
-    DynamicsConfig,
-    DynamicsResult,
-    EquilibriumReport,
-    ProfileCosts,
-    StrategyProfile,
-    best_response,
-    edge_loads,
-    is_equilibrium,
-    potential,
-    profile_costs,
-    run_best_response_dynamics,
-    social_cost,
-    unit_path_cost,
-)
-from .model import (
-    Commodity,
-    EdgeSpec,
-    GameInstance,
-    PathEnumerationError,
-    ScenarioError,
-    enumerate_paths,
-    parse_scenario,
-    prepare,
-    serialize_scenario,
-    validate_instance,
-)
-from .oracle import (
-    POA_BOUND,
-    PoAReport,
-    find_all_equilibria,
-    optimal_profile,
-    price_of_anarchy,
-    profile_count,
-)
-from .pricing import (
-    PRICE_FAMILIES,
-    PriceSpec,
-    check_price_properties,
-    eval_F,
-    eval_u,
+The package's names resolve on first use: `import routegame` imports no
+submodule, and reading a name imports only the module that defines it.
+"""
+
+from importlib import import_module
+
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "braess": "BraessReport build_classic_braess build_priced_braess"
+        " edge_addition_experiment rho_formula",
+        "engine": "DynamicsConfig DynamicsResult EquilibriumReport ProfileCosts"
+        " StrategyProfile best_response edge_loads is_equilibrium potential"
+        " profile_costs run_best_response_dynamics social_cost unit_path_cost",
+        "model": "Commodity EdgeSpec GameInstance PathEnumerationError ScenarioError"
+        " enumerate_paths parse_scenario prepare profile_count serialize_scenario"
+        " validate_instance",
+        "oracle": "POA_BOUND PoAReport find_all_equilibria optimal_profile"
+        " price_of_anarchy",
+        "pricing": "PRICE_FAMILIES PriceSpec check_price_properties eval_F eval_u",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = frozenset(
+    "braess cli engine model oracle pricing random_instances search".split()
 )
 
-__all__ = [
-    "BraessReport",
-    "Commodity",
-    "DynamicsConfig",
-    "DynamicsResult",
-    "EdgeSpec",
-    "EquilibriumReport",
-    "GameInstance",
-    "POA_BOUND",
-    "PRICE_FAMILIES",
-    "PathEnumerationError",
-    "PoAReport",
-    "PriceSpec",
-    "ProfileCosts",
-    "ScenarioError",
-    "StrategyProfile",
-    "best_response",
-    "build_classic_braess",
-    "build_priced_braess",
-    "check_price_properties",
-    "edge_addition_experiment",
-    "edge_loads",
-    "enumerate_paths",
-    "eval_F",
-    "eval_u",
-    "find_all_equilibria",
-    "is_equilibrium",
-    "optimal_profile",
-    "parse_scenario",
-    "potential",
-    "prepare",
-    "price_of_anarchy",
-    "profile_costs",
-    "profile_count",
-    "rho_formula",
-    "run_best_response_dynamics",
-    "serialize_scenario",
-    "social_cost",
-    "unit_path_cost",
-    "validate_instance",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EXPORTS.keys() | _SUBMODULES)

@@ -12,12 +12,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import engine, oracle
-from .model import Commodity, EdgeSpec, GameInstance, mixing_violations, prepare
+from .model import (
+    Commodity,
+    EdgeSpec,
+    GameInstance,
+    NotConvergedError,
+    mixing_violations,
+    prepare,
+)
 from .pricing import PriceSpec, ZERO_PRICE, eval_u
-
-
-class NotConvergedError(RuntimeError):
-    """Best-response dynamics stopped at the move cap short of an equilibrium."""
 
 
 @dataclass(frozen=True)

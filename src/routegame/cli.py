@@ -6,7 +6,8 @@ violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
 error. Every scenario file is checked by `validate_instance`, and a command
 exits 1 with its first violation. Each command accepts only the flags it reads,
 all checked before anything is written to stdout. All output is deterministic
-for fixed flags and seed.
+for fixed flags and seed. A command imports the modules it runs when it runs,
+so that `validate` loads only this module, `model` and `pricing`.
 """
 
 from __future__ import annotations
@@ -18,15 +19,19 @@ import math
 import random
 import shutil
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import braess as braess_mod
-from . import engine, oracle
 from .model import (
+    DEFAULT_EPS_IMPROVE,
+    DEFAULT_MAX_MOVES,
+    DEFAULT_PROFILE_CAP,
     GameInstance,
     InvalidInstanceError,
     json_text,
+    NoEquilibriumError,
+    NotConvergedError,
     PathEnumerationError,
+    ProfileCapError,
     ScenarioError,
     parse_scenario,
     prepare,
@@ -34,6 +39,9 @@ from .model import (
     validate_instance,
 )
 from .pricing import PRICE_FAMILIES, PriceSpec, eval_F, eval_u
+
+if TYPE_CHECKING:
+    from . import engine, oracle
 
 FORMATS = ("table", "json", "csv")
 
@@ -111,6 +119,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrate(args: argparse.Namespace) -> int:
+    from . import engine
+
     instance = _prepared(args.scenario)
     k = len(instance.commodities)
     if args.seed is not None:
@@ -152,6 +162,8 @@ def _poa_summary(report: oracle.PoAReport) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import engine, oracle
+
     instance = _prepared(args.scenario)
     equilibria, report = oracle.equilibria_and_poa(
         instance, cap=args.cap, eps_improve=args.epsilon
@@ -170,6 +182,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
+    from . import oracle
+
     instance = _prepared(args.scenario)
     report = oracle.price_of_anarchy(instance, cap=args.cap, eps_improve=args.epsilon)
     _emit(_poa_summary(report), args.format)
@@ -193,10 +207,12 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_braess(args: argparse.Namespace) -> int:
+    from . import braess
+
     if args.variant == "classic":
-        before, after = braess_mod.build_classic_braess(args.n)
+        before, after = braess.build_classic_braess(args.n)
     elif args.variant == "priced":
-        before, after = braess_mod.build_priced_braess(
+        before, after = braess.build_priced_braess(
             args.n, _price_spec(args.price, args.beta), args.c1, args.c2
         )
     else:  # pair
@@ -208,7 +224,7 @@ def cmd_braess(args: argparse.Namespace) -> int:
             with open(f"{args.emit_scenario}-{role}.json", "w", encoding="utf-8") as fh:
                 fh.write(serialize_scenario(instance))
 
-    report = braess_mod.edge_addition_experiment(
+    report = braess.edge_addition_experiment(
         before,
         after,
         method=args.method,
@@ -268,9 +284,9 @@ def cmd_price_curves(args: argparse.Namespace) -> int:
 
 _FLAGS = {
     "--format": dict(choices=FORMATS, default="table"),
-    "--epsilon": dict(type=float, default=engine.DEFAULT_EPS_IMPROVE),
-    "--max-moves": dict(type=int, default=engine.DEFAULT_MAX_MOVES),
-    "--cap": dict(type=int, default=oracle.DEFAULT_PROFILE_CAP),
+    "--epsilon": dict(type=float, default=DEFAULT_EPS_IMPROVE),
+    "--max-moves": dict(type=int, default=DEFAULT_MAX_MOVES),
+    "--cap": dict(type=int, default=DEFAULT_PROFILE_CAP),
 }
 
 
@@ -375,9 +391,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         PathEnumerationError,
         InvalidInstanceError,
-        oracle.ProfileCapError,
-        oracle.NoEquilibriumError,
-        braess_mod.NotConvergedError,
+        ProfileCapError,
+        NoEquilibriumError,
+        NotConvergedError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

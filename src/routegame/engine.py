@@ -50,10 +50,14 @@ from itertools import chain
 from operator import add, getitem, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import CompiledGame, GameInstance, exact_sum
+from .model import (
+    DEFAULT_EPS_IMPROVE,
+    DEFAULT_MAX_MOVES,
+    CompiledGame,
+    GameInstance,
+    exact_sum,
+)
 
-DEFAULT_EPS_IMPROVE = 1e-9
-DEFAULT_MAX_MOVES = 100_000
 _RUNNING_LIMIT = 2.0**1000
 
 

@@ -20,9 +20,9 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
@@ -32,6 +32,11 @@ if TYPE_CHECKING:
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_PATH_CAP = 10_000
+# The engine's, oracle's and braess's defaults and errors live in this module,
+# which the CLI imports whatever the command.
+DEFAULT_EPS_IMPROVE = 1e-9
+DEFAULT_MAX_MOVES = 100_000
+DEFAULT_PROFILE_CAP = 200_000
 _TOO_MANY = "commodity {!r} has more than {} simple paths"
 #: `prepare` counts, and `CompiledGame.best_move` then searches, a strategy set
 #: on an acyclic graph with unique edge ids whose paths have more than this
@@ -61,6 +66,18 @@ class CostOverflowError(ValueError):
 
 class InvalidInstanceError(ValueError):
     """An instance violates an invariant that validate_instance reports."""
+
+
+class ProfileCapError(RuntimeError):
+    """The instance has more strategy profiles than the exhaustive-search cap."""
+
+
+class NoEquilibriumError(RuntimeError):
+    """Exhaustive search found no pure equilibrium (unexpected on affine instances)."""
+
+
+class NotConvergedError(RuntimeError):
+    """Best-response dynamics stopped at the move cap short of an equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -298,13 +315,7 @@ class CompiledGame:
         summed from 0.0 in path order. This defines a deviation: the player
         can improve by more than eps exactly when costs[d] - min(costs) > eps."""
         cost = self.edge_costs(i, d, loads)
-        costs = []
-        for path in self.paths[i]:
-            total = 0.0
-            for k in path:
-                total += cost[k]
-            costs.append(total)
-        return costs
+        return [reduce(add, map(cost.__getitem__, path), 0.0) for path in self.paths[i]]
 
     def best_move(
         self, i: int, d: int, loads: Sequence[float], eps: float, witness: bool = False
@@ -319,22 +330,27 @@ class CompiledGame:
         The strategy sets that `prepare` counts (`CountedSet`) are searched
         on their graph (`search.PathSearch`) wherever every edge cost is >= 0
         and their sum finite. All others, and a counted set compiled against
-        other edges, are scanned: every path is costed by `move_costs`."""
+        other edges, are scanned: every path is costed as by `move_costs`."""
+        cost = self.edge_costs(i, d, loads)
         search = self.search[i]
         if search is not None:
-            cost = self.edge_costs(i, d, loads)
             found = search.best_move(cost, self.paths[i][d], eps, witness)
             if found is not None:
                 return found
-        costs = self.move_costs(i, d, loads)
+        costs = []
+        for path in self.paths[i]:
+            total = 0.0
+            for k in path:
+                total += cost[k]
+            costs.append(total)
         current, best = costs[d], min(costs)
         if current - best <= eps:
             return current, best, None, current
         if not witness:
             return current, best, costs.index(best), best
-        for j, cost in enumerate(costs):
-            if current - cost > eps:
-                return current, best, j, cost
+        for j, total in enumerate(costs):
+            if current - total > eps:
+                return current, best, j, total
         return current, best, None, current  # only where a cost is NaN
 
 
@@ -599,6 +615,14 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
     return GameInstance(
         instance.nodes, instance.edges, instance.commodities, all_paths, instance.meta
     )
+
+
+def profile_count(instance: GameInstance) -> int:
+    """Product of strategy-set sizes over all commodities, an exact int of
+    any size, so the cap check rejects any instance too large to scan."""
+    if not instance.prepared:
+        raise ValueError("instance has no enumerated paths; call prepare() first")
+    return math.prod(map(len, instance.paths))
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,16 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, product, repeat
 from typing import Iterator, Optional, Sequence
 
-from .engine import StrategyProfile, DEFAULT_EPS_IMPROVE
-from .model import CostOverflowError, GameInstance
-
-DEFAULT_PROFILE_CAP = 200_000
+from .engine import StrategyProfile
+from .model import (
+    DEFAULT_EPS_IMPROVE,
+    DEFAULT_PROFILE_CAP,
+    CostOverflowError,
+    GameInstance,
+    NoEquilibriumError,
+    ProfileCapError,
+    profile_count,
+)
 
 #: The tight bound on the pure Price of Anarchy of weighted congestion games
 #: with affine costs (Awerbuch, Azar & Epstein, STOC 2005). A player's price
@@ -52,14 +58,6 @@ POA_BOUND = (3.0 + math.sqrt(5.0)) / 2.0
 #: congestion game (Christodoulou & Koutsoupias, STOC 2005).
 POA_BOUND_EQUAL_DEMANDS = 2.5
 POA_BOUND_TOL = 1e-6
-
-
-class ProfileCapError(RuntimeError):
-    """The instance has more strategy profiles than the exhaustive-search cap."""
-
-
-class NoEquilibriumError(RuntimeError):
-    """Exhaustive search found no pure equilibrium (unexpected on affine instances)."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,6 @@ def cost_ratio(cost: float, reference: float) -> float:
     if reference == 0.0:
         return 1.0 if cost == 0.0 else math.inf
     return cost / reference
-
-
-def profile_count(instance: GameInstance) -> int:
-    """Product of strategy-set sizes over all commodities, an exact int of
-    any size, so the cap check rejects any instance too large to scan."""
-    if not instance.prepared:
-        raise ValueError("instance has no enumerated paths; call prepare() first")
-    return math.prod(map(len, instance.paths))
 
 
 def _count_text(total: int) -> str:

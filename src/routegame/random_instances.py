@@ -10,9 +10,9 @@ from .model import (
     GameInstance,
     PathEnumerationError,
     prepare,
+    profile_count,
     validate_instance,
 )
-from .oracle import profile_count
 from .pricing import PRICE_FAMILIES, PriceSpec
 
 

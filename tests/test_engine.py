@@ -530,10 +530,10 @@ def test_running_potential_is_the_full_sum_after_any_moves(seed):
 
 def test_dynamics_cost_one_best_response_per_class_and_path(monkeypatch):
     calls = []
-    real = model.CompiledGame.move_costs
+    real = model.CompiledGame.edge_costs  # once per best response
     monkeypatch.setattr(
         model.CompiledGame,
-        "move_costs",
+        "edge_costs",
         lambda self, i, d, f: calls.append(i) or real(self, i, d, f),
     )
     _, after = build_priced_braess(200, PriceSpec("log1p"))
