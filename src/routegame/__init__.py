@@ -13,14 +13,13 @@ _EXPORTS = {
         "braess": "BraessReport build_classic_braess build_priced_braess"
         " edge_addition_experiment rho_formula",
         "engine": "DynamicsConfig DynamicsResult EquilibriumReport ProfileCosts"
-        " StrategyProfile best_response edge_loads is_equilibrium potential"
-        " profile_costs run_best_response_dynamics social_cost unit_path_cost",
+        " StrategyProfile is_equilibrium potential profile_costs"
+        " run_best_response_dynamics social_cost",
         "model": "Commodity EdgeSpec GameInstance PathEnumerationError ScenarioError"
         " enumerate_paths parse_scenario prepare profile_count serialize_scenario"
         " validate_instance",
-        "oracle": "POA_BOUND PoAReport find_all_equilibria optimal_profile"
-        " price_of_anarchy",
-        "pricing": "PRICE_FAMILIES PriceSpec check_price_properties eval_F eval_u",
+        "oracle": "POA_BOUND PoAReport price_of_anarchy",
+        "pricing": "PRICE_FAMILIES PriceSpec eval_F eval_u",
     }.items()
     for name in names.split()
 }

@@ -10,12 +10,12 @@ Every function here is a view over the instance's compiled table
 load-free unit price c2 * u(r) and potential term per (commodity, edge), each
 evaluated once per class of identical commodities. `profile_costs` reports
 every player's unit cost and the social cost from one set of loads, costing
-each (class, path) once by `CompiledGame.path_cost`, the cost `unit_path_cost`
-reads too; `social_cost` is its social cost. With E edges and a player's P
-paths of at most L edges, one best response by the scan costs O(E + P * L) and
-evaluates no price; a strategy set that `prepare` counts (more than
-`model.SEARCH_CROSSOVER` edge slots per edge of its acyclic graph) is searched
-instead, in time that grows with its graph, not with P (`CompiledGame.best_move`).
+each (class, path) once by `CompiledGame.path_cost`; `social_cost` is its
+social cost. With E edges and a player's P paths of at most L edges, one best
+response by the scan costs O(E + P * L) and evaluates no price; a strategy set
+that `prepare` counts (more than `model.SEARCH_CROSSOVER` edge slots per edge
+of its acyclic graph) is searched instead, in time that grows with its graph,
+not with P (`CompiledGame.best_move`).
 Between two moves the dynamics compute a best response once per (class,
 current path), and `is_equilibrium` checks each (class, current path) once,
 since a player's move costs read only its class's rows and the loads.
@@ -28,15 +28,15 @@ nonoverlapping partials, so the potential costs O(E), not O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.best_move`, which the
-oracle's scan reads too, with the bits of `CompiledGame.move_costs`: a player
-moving from path d sees each edge of d at its load f and every other edge at
-f + r, and path costs are summed in path order. So `is_equilibrium` and the
-oracle's equilibrium list agree on every profile at every eps_improve, and
-with eps_improve >= 0 the dynamics stop, short of max_moves, only on a profile
-both accept. The potential and `social_cost` are exact sums of their terms,
-correctly rounded (`math.fsum`), so they depend neither on the order of the
-terms nor on the Python version; `social_cost` evaluates the compiled table's
-one social-cost expression, which the oracle's scan evaluates too.
+oracle's scan reads too: a player moving from path d sees each edge of d at
+its load f and every other edge at f + r, and path costs are summed from 0.0
+in path order. So `is_equilibrium` and the oracle's equilibrium list agree
+on every profile at every eps_improve, and with eps_improve >= 0 the dynamics
+stop, short of max_moves, only on a profile both accept. The potential and
+`social_cost` are exact sums of their terms, correctly rounded (`math.fsum`),
+so they depend neither on the order of the terms nor on the Python version;
+`social_cost` evaluates the compiled table's one social-cost expression, which
+the oracle's scan evaluates too.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, getitem, neg
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     DEFAULT_EPS_IMPROVE,
@@ -70,16 +70,6 @@ class StrategyProfile:
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.choice):
             raise ValueError("negative path index")
-
-
-@dataclass(frozen=True)
-class EdgeLoads:
-    """Total flow per edge id induced by a strategy profile."""
-
-    load: Mapping[str, float]
-
-    def __getitem__(self, edge_id: str) -> float:
-        return self.load.get(edge_id, 0.0)
 
 
 @dataclass(frozen=True)
@@ -287,39 +277,16 @@ def _deviations(
     return tuple(costs), witness
 
 
-def edge_loads(instance: GameInstance, profile: StrategyProfile) -> EdgeLoads:
-    """Aggregate each player's demand over its chosen path."""
-    g = _check_profile(instance, profile)
-    f = _loads(g, profile.choice)
-    return EdgeLoads({eid: f[k] for eid, k in g.edge_index.items()})
-
-
-def unit_path_cost(
-    instance: GameInstance,
-    loads: EdgeLoads,
-    player: int,
-    path: Sequence[str],
-) -> float:
-    """Per-unit-flow cost player `player` pays to traverse `path` at the given
-    loads. `path` must use only edges of the player's strategy set."""
-    g = instance.compiled
-    idx = tuple(g.edge_index[eid] for eid in path)
-    for eid, k in zip(path, idx):
-        if g.unit_price[player][k] is None:
-            raise ValueError(f"edge {eid!r} is on no path of commodity {player}")
-    return g.path_cost(player, idx, {k: loads[eid] for eid, k in zip(path, idx)})
-
-
 def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
     """Total cost over all players, as `CompiledGame.social_cost` defines it."""
     return profile_costs(instance, profile).social_cost
 
 
 def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCosts:
-    """Each player's per-unit cost on its chosen path and the social cost, from
-    one set of loads, with the bits of `unit_path_cost` at `edge_loads`. Each
-    (class, path) of `CompiledGame` is costed once: its players pay the same
-    unit cost and have the same load-free cost."""
+    """Each player's per-unit cost on its chosen path (`CompiledGame.path_cost`)
+    and the social cost, from one set of loads. Each (class, path) of
+    `CompiledGame` is costed once: its players pay the same unit cost and have
+    the same load-free cost."""
     g = _check_profile(instance, profile)
     f = _loads(g, profile.choice)
     per_path: dict[tuple[int, int], tuple[float, float]] = {}
@@ -354,21 +321,6 @@ def is_equilibrium(
     f, own = _loads(g, profile.choice), _own_terms(g, profile.choice)
     costs, witness = _deviations(g, f, profile.choice, eps_improve)
     return EquilibriumReport(witness is None, costs, _potential(g, f, own), witness)
-
-
-def best_response(
-    instance: GameInstance,
-    profile: StrategyProfile,
-    player: int,
-    eps_improve: float = 0.0,
-) -> tuple[int, float]:
-    """Cheapest path for `player` by `CompiledGame.best_move`. Ties go to the
-    lowest path index, except that the player stays on its current path unless
-    that saves more than eps_improve (no churn)."""
-    g = _check_profile(instance, profile)
-    d, f = profile.choice[player], _loads(g, profile.choice)
-    current, best, j, _ = g.best_move(player, d, f, eps_improve)
-    return (d, current) if j is None else (j, best)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ only when it is read by index. A prepared instance compiles, once, into the
 integer-indexed cost tables of `CompiledGame` that the engine and the oracle
 read: the one definition of social cost and the one test of a deviation,
 `CompiledGame.best_move`. That test has two evaluators with the same bits:
-the scan (`move_costs`), which costs every path, and for the sets `prepare`
-counts the shortest-path search of `search.PathSearch` on the set's graph.
+the scan, which costs every path, and for the sets `prepare` counts the
+shortest-path search of `search.PathSearch` on the set's graph.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from copy import copy
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import accumulate, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .pricing import PriceDomainError, PriceSpec, ZERO_PRICE, eval_u
@@ -146,9 +146,10 @@ class CompiledGame:
     paths raises PriceDomainError naming the first such commodity and the edge.
 
     The engine and the oracle read two definitions from here and have none of
-    their own: the social cost of a profile (`social_cost`) and the costs that
-    decide whether a player can improve by switching paths (`move_costs`),
-    which they read through `best_move`.
+    their own: the social cost of a profile (`social_cost`) and the test of
+    whether a player can improve by switching paths (`best_move`): the edges
+    of its current path d at their load f, every other edge at f + r, each
+    path's edge costs summed from 0.0 in path order.
     """
 
     def __init__(self, instance: GameInstance):
@@ -282,9 +283,7 @@ class CompiledGame:
             *load_free,
         ])
 
-    def path_cost(
-        self, i: int, path: Sequence[int], loads: Mapping[int, float] | Sequence[float]
-    ) -> float:
+    def path_cost(self, i: int, path: Sequence[int], loads: Sequence[float]) -> float:
         """Player i's per-unit cost on `path` (edge numbers on its strategy set)
         at `loads` (by edge number): c1 * (a * f + b) + c2 * u(r) per edge,
         summed from 0.0 in path order."""
@@ -308,29 +307,23 @@ class CompiledGame:
             cost[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
         return cost
 
-    def move_costs(self, i: int, d: int, loads: Sequence[float]) -> list[float]:
-        """Player i's per-unit cost on each of its paths j if it moved there
-        from its current path d, at the profile's `loads` (by edge number);
-        entry d is its current cost. Each path's cost is its `edge_costs`
-        summed from 0.0 in path order. This defines a deviation: the player
-        can improve by more than eps exactly when costs[d] - min(costs) > eps."""
-        cost = self.edge_costs(i, d, loads)
-        return [reduce(add, map(cost.__getitem__, path), 0.0) for path in self.paths[i]]
-
     def best_move(
         self, i: int, d: int, loads: Sequence[float], eps: float, witness: bool = False
     ) -> tuple[float, float, Optional[int], float]:
-        """(current cost, least cost, j, cost of j) of player i on path d by
-        `move_costs`, with its bits: the one test of a deviation, which the
-        engine and the oracle read. j is None, and its cost the current cost,
-        when no path is more than eps cheaper (current - least <= eps).
-        Otherwise j is the first path at the least cost or, with `witness`,
-        the first path more than eps cheaper.
+        """(current cost, least cost, j, cost of j) of player i on path d at
+        the profile's `loads` (by edge number): the one test of a deviation,
+        which the engine and the oracle read. A path's cost if the player moved
+        there is its `edge_costs` (the edges of d at their load f, every other
+        edge at f + r) summed from 0.0 in path order; the current cost is path
+        d's. j is None, and its cost the current cost, when no path is more
+        than eps cheaper (current - least <= eps). Otherwise j is the first
+        path at the least cost or, with `witness`, the first path more than
+        eps cheaper.
 
         The strategy sets that `prepare` counts (`CountedSet`) are searched
         on their graph (`search.PathSearch`) wherever every edge cost is >= 0
         and their sum finite. All others, and a counted set compiled against
-        other edges, are scanned: every path is costed as by `move_costs`."""
+        other edges, are scanned: every path is costed."""
         cost = self.edge_costs(i, d, loads)
         search = self.search[i]
         if search is not None:

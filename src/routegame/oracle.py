@@ -318,15 +318,6 @@ def _scan(
     return _Scan(list(map(StrategyProfile, found)), count, worst, worst_sc, best, best_sc)
 
 
-def find_all_equilibria(
-    instance: GameInstance,
-    cap: int = DEFAULT_PROFILE_CAP,
-    eps_improve: float = DEFAULT_EPS_IMPROVE,
-) -> list[StrategyProfile]:
-    """Every pure equilibrium, in profile-index order."""
-    return _scan(instance, cap, eps_improve, keep=True).equilibria
-
-
 def worst_equilibrium(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
@@ -336,15 +327,6 @@ def worst_equilibrium(
     plus the total equilibrium count."""
     scan = _scan(instance, cap, eps_improve).checked()
     return scan.worst, scan.worst_cost, scan.count
-
-
-def optimal_profile(
-    instance: GameInstance,
-    cap: int = DEFAULT_PROFILE_CAP,
-) -> tuple[StrategyProfile, float]:
-    """Global social-cost minimum; ties broken by lowest profile index."""
-    scan = _scan(instance, cap, DEFAULT_EPS_IMPROVE, optimum=True)
-    return scan.optimum, scan.optimal_cost
 
 
 def price_of_anarchy(
@@ -363,6 +345,7 @@ def equilibria_and_poa(
     cap: int = DEFAULT_PROFILE_CAP,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
 ) -> tuple[list[StrategyProfile], PoAReport]:
-    """find_all_equilibria and price_of_anarchy from the same single pass."""
+    """Every pure equilibrium, in profile-index order, and price_of_anarchy,
+    from the same single pass."""
     scan = _scan(instance, cap, eps_improve, optimum=True, keep=True)
     return scan.equilibria, scan.report()

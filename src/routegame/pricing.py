@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 PRICE_FAMILIES = ("zero", "identity", "sin", "log1p", "saturating")
-
-#: Families whose per-unit price tends to 1 at vanishing volume.
-_UNIT_LIMIT_FAMILIES = frozenset(PRICE_FAMILIES) - {"zero"}
-
-#: Slack allowed when checking that a sampled unit-price sequence is nonincreasing.
-_MONOTONE_SLACK = 1e-12
 
 
 class PriceDomainError(ValueError):
@@ -81,56 +75,3 @@ def eval_u(spec: PriceSpec, x: float) -> float:
     if x == 0:
         return 0.0 if spec.fn == "zero" else 1.0
     return eval_F(spec, x) / x
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Grid check of the bulk-discount properties of a price function."""
-
-    price_within_flow: bool       # F(x) <= x on every grid point
-    unit_price_nonincreasing: bool
-    unit_limit_is_one: bool       # u at the smallest grid point is ~1
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.price_within_flow
-            and self.unit_price_nonincreasing
-            and self.unit_limit_is_one
-        )
-
-
-def check_function_properties(
-    total_price: Callable[[float], float],
-    grid: Sequence[float],
-    expect_unit_limit: bool = True,
-) -> PropertyReport:
-    """Check bulk-discount properties of an arbitrary total-price function.
-
-    The grid must be sorted ascending with strictly positive points.
-    """
-    if len(grid) == 0:
-        raise ValueError("empty sample grid")
-    if any(x <= 0 for x in grid):
-        raise ValueError("grid points must be strictly positive")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be sorted ascending")
-
-    values = [total_price(x) for x in grid]
-    unit = [f / x for f, x in zip(values, grid)]
-
-    within = all(f <= x + _MONOTONE_SLACK for f, x in zip(values, grid))
-    nonincreasing = all(
-        b <= a + _MONOTONE_SLACK for a, b in zip(unit, unit[1:])
-    )
-    limit_ok = abs(unit[0] - 1.0) <= 1e-6 if expect_unit_limit else True
-    return PropertyReport(within, nonincreasing, limit_ok)
-
-
-def check_price_properties(spec: PriceSpec, grid: Sequence[float]) -> PropertyReport:
-    """Check the bulk-discount properties of a catalog family on a sample grid."""
-    return check_function_properties(
-        lambda x: eval_F(spec, x),
-        grid,
-        expect_unit_limit=spec.fn in _UNIT_LIMIT_FAMILIES,
-    )

@@ -1,7 +1,7 @@
 """Best responses by exact shortest-path search over a strategy set's graph.
 
 In a network congestion game a player's best response is a shortest-path
-problem. `CompiledGame.move_costs`, the scan, costs every path of a strategy
+problem. The scan of `CompiledGame.best_move` costs every path of a strategy
 set: O(E + P * L) for P paths of at most L edges. `PathSearch` answers the
 same question on the set's graph, the union of its paths' edges, in time that
 grows with the graph rather than with P. It searches exactly the sets that

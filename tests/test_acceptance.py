@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from test_oracle import scan_equilibria
 from routegame import engine, oracle
 from routegame.braess import (
     build_classic_braess,
@@ -45,7 +46,7 @@ def random_suite():
     suite = []
     for _ in range(500):
         inst = random_affine_instance(rng)
-        equilibria = oracle.find_all_equilibria(inst)
+        equilibria = scan_equilibria(inst)
         suite.append((inst, equilibria))
     return suite
 
@@ -109,19 +110,17 @@ def test_criterion_05_potential_deviation_identity():
                 tuple(rng.randrange(len(inst.paths[i])) for i in range(k))
             )
             phi = engine.potential(inst, prof)
-            loads = engine.edge_loads(inst, prof)
+            costs = engine.profile_costs(inst, prof).unit_costs
             for i, cur in enumerate(prof.choice):
                 r = inst.commodities[i].demand
-                cur_cost = engine.unit_path_cost(inst, loads, i, inst.paths[i][cur])
+                cur_cost = costs[i]
                 for j in range(len(inst.paths[i])):
                     if j == cur:
                         continue
                     moved = StrategyProfile(
                         prof.choice[:i] + (j,) + prof.choice[i + 1:]
                     )
-                    new_cost = engine.unit_path_cost(
-                        inst, engine.edge_loads(inst, moved), i, inst.paths[i][j]
-                    )
+                    new_cost = engine.profile_costs(inst, moved).unit_costs[i]
                     delta_phi = engine.potential(inst, moved) - phi
                     assert abs(delta_phi - 2.0 * r * (new_cost - cur_cost)) <= 1e-9
     _report("5 deviation identity", time.perf_counter() - t0, 30.0)

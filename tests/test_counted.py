@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_model import _grid as _unit_grid
+from test_oracle import scan_equilibria
 from test_search import EPS, _grid
 from routegame import cli, engine, model, oracle
 from routegame.model import (
@@ -281,7 +282,7 @@ def test_the_oracle_and_validate_list_a_counted_set_once(monkeypatch):
     calls = _listings(monkeypatch)
     for _ in range(2):
         assert oracle.price_of_anarchy(inst) == oracle.price_of_anarchy(listed)
-        assert oracle.find_all_equilibria(inst) == oracle.find_all_equilibria(listed)
+        assert scan_equilibria(inst) == scan_equilibria(listed)
         assert validate_instance(inst) == validate_instance(listed)
         assert validate_instance(inst).ok
     assert calls == ["p0"]

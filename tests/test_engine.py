@@ -12,17 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame import engine
-from routegame.braess import build_classic_braess, build_priced_braess
+from routegame.braess import build_priced_braess
 from routegame.engine import (
     DynamicsConfig,
     StrategyProfile,
-    best_response,
-    edge_loads,
     is_equilibrium,
     potential,
+    profile_costs,
     run_best_response_dynamics,
     social_cost,
-    unit_path_cost,
 )
 from routegame import model
 from routegame.model import Commodity, EdgeSpec, GameInstance, exact_sum, prepare
@@ -47,20 +45,38 @@ def random_profile(rng, inst):
     )
 
 
+def loads_by_id(inst, prof):
+    """Each edge's load under the profile, by edge id."""
+    g = inst.compiled
+    f = engine._loads(g, prof.choice)
+    return {eid: f[k] for eid, k in g.edge_index.items()}
+
+
+def unit_cost(inst, prof, i):
+    """Player i's unit cost on its chosen path."""
+    return profile_costs(inst, prof).unit_costs[i]
+
+
+def best_move(inst, prof, i):
+    """`CompiledGame.best_move` of player i at the profile's loads, eps 0."""
+    g = inst.compiled
+    return g.best_move(i, prof.choice[i], engine._loads(g, prof.choice), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # loads
 
 
 def test_half_split_loads(classic_pair_10):
     before, _ = classic_pair_10
-    loads = edge_loads(before, half_split(10, False))
+    loads = loads_by_id(before, half_split(10, False))
     assert loads["sv"] == pytest.approx(0.5, abs=1e-12)
     assert loads["wt"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_all_zigzag_loads(classic_pair_10):
     _, after = classic_pair_10
-    loads = edge_loads(after, all_zigzag(10))
+    loads = loads_by_id(after, all_zigzag(10))
     assert loads["sv"] == pytest.approx(1.0, abs=1e-12)
     assert loads["wt"] == pytest.approx(1.0, abs=1e-12)
     assert loads["vt"] == 0.0
@@ -68,7 +84,7 @@ def test_all_zigzag_loads(classic_pair_10):
 
 def test_empty_instance_has_zero_loads():
     inst = GameInstance(("a", "b"), (EdgeSpec("ab", "a", "b", 1.0, 0.0),), ())
-    loads = edge_loads(inst, StrategyProfile(()))
+    loads = loads_by_id(inst, StrategyProfile(()))
     assert loads["ab"] == 0.0
 
 
@@ -78,8 +94,7 @@ def test_empty_instance_has_zero_loads():
 
 def test_priced_top_path_costs_175(priced_identity_pair_10):
     before, _ = priced_identity_pair_10
-    loads = edge_loads(before, half_split(10, False))
-    cost = unit_path_cost(before, loads, 0, before.paths[0][TOP])
+    cost = unit_cost(before, half_split(10, False), 0)
     assert cost == pytest.approx(1.0 + (0.5 + 1.0) / 2.0, abs=1e-12)
 
 
@@ -91,8 +106,8 @@ def test_constant_edge_costs_one_at_any_load():
             (Commodity("x", "a", "b", 7.0),),
         )
     )
-    loads = edge_loads(inst, StrategyProfile((0,)))
-    assert unit_path_cost(inst, loads, 0, ("ab",)) == 1.0
+    assert inst.paths[0] == (("ab",),)
+    assert unit_cost(inst, StrategyProfile((0,)), 0) == 1.0
 
 
 def test_path_cost_is_sum_of_edge_costs():
@@ -111,13 +126,10 @@ def test_path_cost_is_sum_of_edge_costs():
             ("n0", "n1", "n2", "n3"), edges, (Commodity("x", "n0", "n3", 0.4),)
         )
     )
-    loads = edge_loads(inst, StrategyProfile((0,)))
     manual = sum(
         e.c1 * (e.a * 0.4 + e.b) + e.c2 * eval_u(price, 0.4) for e in edges
     )
-    assert unit_path_cost(inst, loads, 0, inst.paths[0][0]) == pytest.approx(
-        manual, rel=1e-12
-    )
+    assert unit_cost(inst, StrategyProfile((0,)), 0) == pytest.approx(manual, rel=1e-12)
 
 
 def test_social_cost_reproduces_braess_narrative(classic_pair_10):
@@ -148,10 +160,8 @@ def test_social_cost_equals_demand_weighted_path_costs(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
     prof = random_profile(rng, inst)
-    loads = edge_loads(inst, prof)
     total = sum(
-        c.demand * unit_path_cost(inst, loads, i, inst.paths[i][prof.choice[i]])
-        for i, c in enumerate(inst.commodities)
+        c.demand * unit_cost(inst, prof, i) for i, c in enumerate(inst.commodities)
     )
     assert social_cost(inst, prof) == pytest.approx(total, rel=1e-12, abs=1e-300)
 
@@ -197,17 +207,14 @@ def test_deviation_identity(seed):
     inst = random_affine_instance(rng)
     prof = random_profile(rng, inst)
     phi = potential(inst, prof)
-    loads = edge_loads(inst, prof)
     for i, cur in enumerate(prof.choice):
         r = inst.commodities[i].demand
-        cur_cost = unit_path_cost(inst, loads, i, inst.paths[i][cur])
+        cur_cost = unit_cost(inst, prof, i)
         for j in range(len(inst.paths[i])):
             if j == cur:
                 continue
             moved = StrategyProfile(prof.choice[:i] + (j,) + prof.choice[i + 1:])
-            new_cost = unit_path_cost(
-                inst, edge_loads(inst, moved), i, inst.paths[i][j]
-            )
+            new_cost = unit_cost(inst, moved, i)
             delta_phi = potential(inst, moved) - phi
             assert delta_phi == pytest.approx(
                 2.0 * r * (new_cost - cur_cost), abs=1e-9
@@ -251,8 +258,7 @@ def test_single_path_commodities_are_always_at_equilibrium():
 def test_best_response_migrates_to_zigzag(classic_pair_10):
     _, after = classic_pair_10
     for player in (0, 9):
-        idx, cost = best_response(after, half_split(10, True), player)
-        assert idx == ZIG
+        assert best_move(after, half_split(10, True), player)[2] == ZIG
 
 
 def test_best_response_keeps_only_path():
@@ -263,7 +269,7 @@ def test_best_response_keeps_only_path():
             (Commodity("c", "a", "b", 1.0),),
         )
     )
-    assert best_response(inst, StrategyProfile((0,)), 0) == (0, 1.0)
+    assert best_move(inst, StrategyProfile((0,)), 0) == (1.0, 1.0, None, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,17 +279,14 @@ def test_best_response_matches_exhaustive_minimum(seed):
     inst = random_affine_instance(rng, max_players=2)
     prof = random_profile(rng, inst)
     player = rng.randrange(len(inst.commodities))
-    idx, cost = best_response(inst, prof, player)
+    *_, cost = best_move(inst, prof, player)
     # brute force over the player's strategies
     options = []
     for j in range(len(inst.paths[player])):
         moved = StrategyProfile(
             prof.choice[:player] + (j,) + prof.choice[player + 1:]
         )
-        c = unit_path_cost(
-            inst, edge_loads(inst, moved), player, inst.paths[player][j]
-        )
-        options.append(c)
+        options.append(unit_cost(inst, moved, player))
     assert cost == pytest.approx(min(options), abs=1e-12)
 
 
@@ -368,7 +371,7 @@ def test_dynamics_on_random_instances(seed):
 def test_loads_recomputable_after_move_sequence(classic_pair_10):
     _, after = classic_pair_10
     result = run_best_response_dynamics(after, half_split(10, True))
-    loads = edge_loads(after, result.final)
+    loads = loads_by_id(after, result.final)
     manual = {e.id: 0.0 for e in after.edges}
     for i, c in enumerate(result.final.choice):
         for eid in after.paths[i][c]:
@@ -652,14 +655,24 @@ def test_compiled_table_is_cached_and_not_part_of_the_value(classic_pair_10):
     assert "compiled" not in repr(after)
 
 
-def test_unit_path_cost_rejects_edges_off_the_strategy_set():
+def test_edge_costs_charge_the_demand_off_the_current_path():
     inst = prepare(
         GameInstance(
             ("a", "b", "c"),
-            (EdgeSpec("ab", "a", "b", 1.0, 0.0), EdgeSpec("bc", "b", "c", 1.0, 0.0)),
-            (Commodity("x", "a", "b", 1.0),),
+            (
+                EdgeSpec("ab", "a", "b", 1.0, 0.0),
+                EdgeSpec("ac", "a", "c", 2.0, 0.5),
+                EdgeSpec("cb", "c", "b", 1.0, 0.0),
+                EdgeSpec("ba", "b", "a", 1.0, 0.0),
+            ),
+            (Commodity("x", "a", "b", 0.5), Commodity("y", "a", "c", 0.25)),
         )
     )
-    loads = edge_loads(inst, StrategyProfile((0,)))
-    with pytest.raises(ValueError, match="'bc'"):
-        unit_path_cost(inst, loads, 0, ("bc",))
+    g = inst.compiled
+    d = inst.paths[0].index(("ab",))
+    f = engine._loads(g, (d, 0))
+    cost = dict(zip(g.edge_index, g.edge_costs(0, d, f)))
+    # "ab" at its load, "ac" and "cb" at load + 0.5, "ba" off x's strategy set
+    assert cost == {"ab": 0.5, "ac": 2.0, "cb": 0.5, "ba": 0.0}
+    assert g.path_cost(0, g.paths[0][d], f) == 0.5
+    assert g.best_move(0, d, f, 0.0) == (0.5, 0.5, None, 0.5)

@@ -2,16 +2,18 @@
 
 Every comparison is exact (==). Loads, unit path costs and the players'
 current costs must equal the model's dict-based ones: loads summed from 0.0 in
-player order, path costs summed from 0.0 in path order. Best responses,
-witnesses and dynamics must follow the documented deviation rule over the
-model's move costs (`ExactCosts.move_costs`), ties included. Social costs and
-potentials must equal the correctly rounded exact sums of their terms, which
-depend on no summation order.
+player order, path costs summed from 0.0 in path order. Best moves
+(`CompiledGame.best_move`), witnesses and dynamics must follow the documented
+deviation rule over the model's move costs (`ExactCosts.move_costs`), ties
+included. Social costs and potentials must equal the correctly rounded exact
+sums of their terms, which depend on no summation order.
 """
 
 import ast
 import json
 import random
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -48,6 +50,14 @@ def _random_profile(rng, inst):
     return StrategyProfile(tuple(rng.randrange(len(p)) for p in inst.paths))
 
 
+def move_costs(g, i, d, f):
+    """Player i's unit cost on each of its paths if it moved there from path d
+    at loads f (by edge number): the deviation rule `CompiledGame.best_move`
+    decides, each path's `edge_costs` summed from 0.0 in path order."""
+    cost = g.edge_costs(i, d, f)
+    return [reduce(add, map(cost.__getitem__, path), 0.0) for path in g.paths[i]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @example(4619)  # a best response the original engine cost at 3.421049362381544, not ...443
@@ -57,13 +67,13 @@ def test_engine_views_match_exact_model_bit_for_bit(seed):
     prof = _random_profile(rng, inst)
     eps = rng.choice([0.0, 1e-9, 0.05])
 
-    exact = ExactCosts(inst)
-    loads = engine.edge_loads(inst, prof)
+    exact, g = ExactCosts(inst), inst.compiled
+    loads = engine._loads(g, prof.choice)
     exact_loads = exact.loads(prof.choice)
-    assert list(loads.load.items()) == list(exact_loads.items())
+    assert [(e, loads[k]) for e, k in g.edge_index.items()] == list(exact_loads.items())
     for i, plist in enumerate(inst.paths):
-        for path in plist:
-            assert engine.unit_path_cost(inst, loads, i, path) == exact.unit_path_cost(
+        for j, path in enumerate(plist):
+            assert g.path_cost(i, g.paths[i][j], loads) == exact.unit_path_cost(
                 i, path, exact_loads
             )
     assert engine.social_cost(inst, prof) == exact.social_cost(prof.choice)
@@ -106,13 +116,13 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
     for _ in range(5):
         prof = _random_profile(rng, inst)
         costs = engine.profile_costs(inst, prof)
-        loads = engine.edge_loads(inst, prof)
+        loads = engine._loads(g, prof.choice)
         exact = ExactCosts(inst)
         exact_loads = exact.loads(prof.choice)
         assert len(costs.unit_costs) == len(prof.choice)
         for i, d in enumerate(prof.choice):
             path = inst.paths[i][d]
-            assert costs.unit_costs[i] == engine.unit_path_cost(inst, loads, i, path)
+            assert costs.unit_costs[i] == g.path_cost(i, g.paths[i][d], loads)
             assert costs.unit_costs[i] == exact.unit_path_cost(i, path, exact_loads)
         assert costs.social_cost == exact.social_cost(prof.choice)
 
@@ -135,11 +145,13 @@ def _assert_moves_follow_move_costs(inst, prof, eps):
     report = engine.is_equilibrium(inst, prof, eps)
     assert (report.player_costs, report.witness) == (costs, witness)
     assert report.is_equilibrium == (witness is None)
+    g = inst.compiled
+    f = engine._loads(g, prof.choice)
     for i, (m, c) in enumerate(zip(moves, prof.choice)):
+        assert move_costs(g, i, c, f) == m
         best = min(range(len(m)), key=m.__getitem__)
-        if costs[i] - m[best] <= eps:
-            best = c
-        assert engine.best_response(inst, prof, i, eps) == (best, m[best])
+        j = None if costs[i] - m[best] <= eps else best
+        assert g.best_move(i, c, f, eps) == (m[c], m[best], j, m[c if j is None else j])
 
 
 def _rule_dynamics(inst, start, config):
@@ -249,9 +261,9 @@ def test_a_move_sees_a_kept_edge_at_its_load():
         )
     )
     prof = StrategyProfile((0, 0, 0))
-    f = engine.edge_loads(inst, prof)["sv"]
+    f = engine._loads(inst.compiled, prof.choice)[inst.compiled.edge_index["sv"]]
     assert (f - 0.2) + 0.2 != f
-    costs = inst.compiled.move_costs(1, 0, [f, f, 0.0])
+    costs = move_costs(inst.compiled, 1, 0, [f, f, 0.0])
     assert costs == [f + f, f + 0.2] == ExactCosts(inst).move_costs(1, prof.choice)
     assert costs[1] != ((f - 0.2) + 0.2) + 0.2
     for eps in (0.0, 1e-9, 0.05):
@@ -273,7 +285,7 @@ def test_a_tie_is_no_improvement():
     )
     prof = StrategyProfile((1,))
     assert ExactCosts(inst).move_costs(0, prof.choice) == [1.0, 1.0]
-    assert engine.best_response(inst, prof, 0, 0.0) == (1, 1.0)
+    assert inst.compiled.best_move(0, 1, [0.0, 1.0], 0.0) == (1.0, 1.0, None, 1.0)
     assert engine.is_equilibrium(inst, prof, 0.0).is_equilibrium
     for eps in (0.0, 1e-9, 0.05):
         _assert_moves_follow_move_costs(inst, prof, eps)

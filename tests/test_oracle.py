@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
-from routegame.engine import StrategyProfile, is_equilibrium, social_cost
+from routegame.engine import StrategyProfile, is_equilibrium
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare
 from routegame.pricing import PriceSpec
 from routegame.random_instances import random_affine_instance
@@ -24,6 +24,19 @@ def single_path_instance(k=5):
             tuple(Commodity(f"c{i}", "a", "b", 0.2) for i in range(k)),
         )
     )
+
+
+def scan_equilibria(
+    inst, cap=oracle.DEFAULT_PROFILE_CAP, eps_improve=oracle.DEFAULT_EPS_IMPROVE
+):
+    """Every equilibrium the oracle's scan lists, in profile-index order."""
+    return oracle._scan(inst, cap, eps_improve, keep=True).equilibria
+
+
+def scan_optimum(inst, cap=oracle.DEFAULT_PROFILE_CAP):
+    """The oracle scan's optimal profile and its social cost."""
+    scan = oracle._scan(inst, cap, oracle.DEFAULT_EPS_IMPROVE, optimum=True)
+    return scan.optimum, scan.optimal_cost
 
 
 def brute_force_equilibria(inst, eps=1e-9):
@@ -59,20 +72,20 @@ def test_profile_count_mixed_radices():
 
 def test_classic_without_shortcut_has_exactly_the_splits(classic_pair_2):
     before, _ = classic_pair_2
-    found = oracle.find_all_equilibria(before)
+    found = scan_equilibria(before)
     assert found == [StrategyProfile((0, 1)), StrategyProfile((1, 0))]
 
 
 def test_all_zigzag_is_found_with_shortcut(classic_pair_2):
     _, after = classic_pair_2
-    found = oracle.find_all_equilibria(after)
+    found = scan_equilibria(after)
     assert StrategyProfile((1, 1)) in found
 
 
 def test_single_path_instance_unique_profile():
     inst = single_path_instance()
-    assert oracle.find_all_equilibria(inst) == [StrategyProfile((0,) * 5)]
-    prof, sc = oracle.optimal_profile(inst)
+    assert scan_equilibria(inst) == [StrategyProfile((0,) * 5)]
+    prof, sc = scan_optimum(inst)
     assert prof == StrategyProfile((0,) * 5)
     report = oracle.price_of_anarchy(inst)
     assert report.poa == 1.0
@@ -80,7 +93,7 @@ def test_single_path_instance_unique_profile():
 
 def test_optimal_profile_classic_split(classic_pair_2):
     _, after = classic_pair_2
-    prof, sc = oracle.optimal_profile(after)
+    prof, sc = scan_optimum(after)
     assert sc == pytest.approx(1.5, abs=1e-12)
     # one player per side path, lowest profile index wins the tie
     assert sorted(prof.choice) == [0, 2]
@@ -90,13 +103,13 @@ def test_optimal_profile_of_a_large_run_is_its_canonical_digits():
     # 2**40 profiles in 41 states: the optimum's lowest-index profile is built
     # from its state's digits, not found among its C(40, 20) orderings
     before, _ = build_classic_braess(40)
-    prof, _ = oracle.optimal_profile(before, cap=2**63)
+    prof, _ = scan_optimum(before, cap=2**63)
     assert prof.choice == (0,) * 20 + (1,) * 20
 
 
 def test_optimal_profile_priced_identity():
     _, after = build_priced_braess(2, PriceSpec("identity"))
-    prof, sc = oracle.optimal_profile(after)
+    prof, sc = scan_optimum(after)
     assert sc == pytest.approx((5 + 2 * 1.0) / 4.0, abs=1e-12)
 
 
@@ -112,9 +125,9 @@ def test_poa_classic_is_four_thirds(classic_pair_2):
 def test_cap_exceeded_raises(classic_pair_2):
     _, after = classic_pair_2
     with pytest.raises(oracle.ProfileCapError):
-        oracle.find_all_equilibria(after, cap=8)
+        scan_equilibria(after, cap=8)
     with pytest.raises(oracle.ProfileCapError):
-        oracle.optimal_profile(after, cap=8)
+        scan_optimum(after, cap=8)
 
 
 def test_requires_prepared_instance():
@@ -132,7 +145,7 @@ def test_requires_prepared_instance():
 def test_oracle_agrees_with_engine_brute_force(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng, max_profiles=500)
-    assert oracle.find_all_equilibria(inst) == brute_force_equilibria(inst)
+    assert scan_equilibria(inst) == brute_force_equilibria(inst)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +153,7 @@ def test_oracle_agrees_with_engine_brute_force(seed):
 def test_dynamics_finals_appear_in_oracle_list(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng, max_profiles=500)
-    equilibria = oracle.find_all_equilibria(inst)
+    equilibria = scan_equilibria(inst)
     start = StrategyProfile(tuple(rng.randrange(len(p)) for p in inst.paths))
     result = engine.run_best_response_dynamics(inst, start)
     assert result.converged

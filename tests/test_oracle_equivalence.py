@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import exact_costs
 from exact_costs import ExactCosts
+from test_oracle import scan_equilibria, scan_optimum
 from tie_rich import repeated, seeded_instances, tie_rich_instances
 from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
@@ -63,17 +64,17 @@ def _assert_entry_points_match(inst, cap, epsilons=EPSILONS):
     for eps in epsilons:
         found = _outcome(exact.equilibria, eps, cap)
         if found == "ProfileCapError":
-            for fn in (oracle.find_all_equilibria,) + scans:
+            for fn in (scan_equilibria,) + scans:
                 assert _outcome(fn, inst, cap, eps) == found, fn.__name__
-            assert _outcome(oracle.optimal_profile, inst, cap) == found
+            assert _outcome(scan_optimum, inst, cap) == found
             continue
         equilibria = list(map(StrategyProfile, found))
-        assert oracle.find_all_equilibria(inst, cap, eps) == equilibria
+        assert scan_equilibria(inst, cap, eps) == equilibria
         if cost is None:
             profiles = list(exact.profiles())
             cost = {p: exact.social_cost(p) for p in profiles}
             optimum = min(profiles, key=cost.__getitem__)  # the lowest-index minimum
-            assert oracle.optimal_profile(inst, cap) == (
+            assert scan_optimum(inst, cap) == (
                 StrategyProfile(optimum), cost[optimum]
             )
         if not equilibria:
@@ -206,7 +207,7 @@ def test_overflowing_social_costs_are_inf():
     )
     for choice in product((0, 1), repeat=2):
         assert engine.social_cost(inst, StrategyProfile(choice)) == math.inf
-    assert oracle.optimal_profile(inst) == (StrategyProfile((0, 0)), math.inf)
+    assert scan_optimum(inst) == (StrategyProfile((0, 0)), math.inf)
     with pytest.raises(CostOverflowError):  # inf / inf is no PoA
         oracle.price_of_anarchy(inst)
     _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
@@ -215,7 +216,7 @@ def test_overflowing_social_costs_are_inf():
 def test_no_equilibrium_raises_like_brute_force():
     # with a negative tolerance every profile has an "improving" deviation
     _, after = build_classic_braess(2)
-    assert oracle.find_all_equilibria(after, eps_improve=-1.0) == []
+    assert scan_equilibria(after, eps_improve=-1.0) == []
     cap = oracle.DEFAULT_PROFILE_CAP
     _assert_entry_points_match(after, cap, (-1.0,))
     assert _outcome(oracle.price_of_anarchy, after, cap, -1.0) == "NoEquilibriumError"
@@ -246,7 +247,7 @@ def test_loads_sum_demands_in_player_order():
         assert costs[0] == costs[1]
     cap = oracle.DEFAULT_PROFILE_CAP
     for eps in EPSILONS:
-        found = oracle.find_all_equilibria(inst, cap, eps)
+        found = scan_equilibria(inst, cap, eps)
         assert [p.choice for p in found] == [(0, 0, 1), (1, 0, 1), (1, 1, 0)]
     _assert_entry_points_match(inst, cap)
 
@@ -257,7 +258,7 @@ def _assert_oracle_lists_the_engine_equilibria(inst):
         accepted = [
             p for p in profiles if engine.is_equilibrium(inst, p, eps).is_equilibrium
         ]
-        assert oracle.find_all_equilibria(inst, len(profiles), eps) == accepted, eps
+        assert scan_equilibria(inst, len(profiles), eps) == accepted, eps
 
 
 def test_a_deviation_compares_whole_path_costs():
@@ -278,7 +279,7 @@ def test_a_deviation_compares_whole_path_costs():
     )
     assert (0.2 + 0.5) + 0.1 < 0.5 + 0.3
     assert ExactCosts(inst).move_costs(0, (1, 0)) == [1.5, 1.5]
-    found = oracle.find_all_equilibria(inst, eps_improve=0.0)
+    found = scan_equilibria(inst, eps_improve=0.0)
     assert [p.choice for p in found] == [(0, 1), (1, 0)]
     _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
     _assert_oracle_lists_the_engine_equilibria(inst)
@@ -317,7 +318,7 @@ def test_an_edge_whose_slope_underflows_keeps_its_load():
         )
     )
     assert inst.compiled.slope[0] == 0.0
-    found = oracle.find_all_equilibria(inst, eps_improve=0.0)
+    found = scan_equilibria(inst, eps_improve=0.0)
     assert [p.choice for p in found] == [(0, 1), (1, 0)]
     _assert_oracle_lists_the_engine_equilibria(inst)
 
@@ -338,7 +339,7 @@ def test_load_free_deviations_match_brute_force():
         )
     )
     _assert_entry_points_match(inst, oracle.DEFAULT_PROFILE_CAP)
-    assert [p.choice for p in oracle.find_all_equilibria(inst)] == [
+    assert [p.choice for p in scan_equilibria(inst)] == [
         (0, 0), (0, 2), (2, 0), (2, 2)
     ]
 

@@ -5,11 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routegame.pricing import (
-    PRICE_FAMILIES,
     PriceDomainError,
     PriceSpec,
-    check_function_properties,
-    check_price_properties,
     eval_F,
     eval_u,
 )
@@ -26,6 +23,26 @@ ALL_SPECS = [
 def grid(n, x_max=1.0):
     # near-zero leading point so the u -> 1 limit is observable
     return [1e-9] + [x_max * (i + 1) / n for i in range(n)]
+
+
+SLACK = 1e-12  # rounding allowed in F(x) <= x and in u's monotonicity
+
+
+def assert_bulk_discount(F, xs, unit_limit=1.0):
+    """The paper's assumptions on a price function F, on the ascending positive
+    grid xs: F(x) <= x, u(x) = F(x)/x nonincreasing, and u -> unit_limit as
+    x -> 0+ (1 for a bulk discount, 0 for `zero`, the unpriced network)."""
+    Fx = [F(x) for x in xs]
+    u = [f / x for f, x in zip(Fx, xs)]
+    assert all(f <= x + SLACK for f, x in zip(Fx, xs))
+    assert all(b <= a + SLACK for a, b in zip(u, u[1:]))
+    assert abs(u[0] - unit_limit) <= 1e-6
+
+
+def assert_spec_bulk_discount(spec, xs):
+    assert_bulk_discount(
+        lambda x: eval_F(spec, x), xs, 0.0 if spec.fn == "zero" else 1.0
+    )
 
 
 def test_eval_F_analytic_values():
@@ -63,30 +80,30 @@ def test_sin_domain_is_bounded():
 
 @pytest.mark.parametrize("fam", ["sin", "log1p"])
 def test_catalog_families_pass_property_check(fam):
-    report = check_price_properties(PriceSpec(fam), grid(1000))
-    assert report.ok
+    assert_spec_bulk_discount(PriceSpec(fam), grid(1000))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.fn)
 def test_discount_monotone_on_dense_grid(spec):
-    report = check_price_properties(spec, grid(10_000))
-    assert report.price_within_flow
-    assert report.unit_price_nonincreasing
-    assert report.unit_limit_is_one
+    assert_spec_bulk_discount(spec, grid(10_000))
 
 
-def test_injected_overpricing_fails_check():
-    report = check_function_properties(lambda x: 2 * x, grid(100))
-    assert not report.price_within_flow
+def test_zero_price_is_free_on_the_dense_grid():
+    spec = PriceSpec("zero")
+    xs = [0.0, *grid(10_000)]
+    assert {eval_F(spec, x) for x in xs} == {eval_u(spec, x) for x in xs} == {0.0}
 
 
-def test_property_check_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        check_price_properties(PriceSpec("sin"), [])
-    with pytest.raises(ValueError):
-        check_price_properties(PriceSpec("sin"), [0.5, 0.1])
-    with pytest.raises(ValueError):
-        check_price_properties(PriceSpec("sin"), [0.0, 0.1])
+def test_bulk_discount_check_catches_overpricing():
+    with pytest.raises(AssertionError):
+        assert_bulk_discount(lambda x: 2 * x, grid(100))
+
+
+def test_bulk_discount_check_catches_a_rising_unit_price():
+    # F(x) = x * (1 + x) / 2 stays within the flow on (0, 1] and tends to
+    # unit price 1/2 at 0+, but its unit price (1 + x) / 2 rises with the flow
+    with pytest.raises(AssertionError):
+        assert_bulk_discount(lambda x: x * (1 + x) / 2, grid(100), unit_limit=0.5)
 
 
 def test_spec_validation():

@@ -1,6 +1,7 @@
 """The shortest-path search against the scan it replaces on large strategy sets.
 
-`_scan` applies the deviation rule to every path's cost by `move_costs`;
+`_scan` applies the deviation rule to every path's cost by `move_costs`, a
+test-side restatement of the cost `CompiledGame.best_move` scans;
 `search.PathSearch` finds the same (current cost, least cost, path index, its
 cost) on the strategy set's graph. Both are called directly here, and compared
 with ==; `_tables` prepares with `model.SEARCH_CROSSOVER` at 0, so the size
@@ -17,7 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_equivalence import _assert_dynamics_match, _assert_moves_follow_move_costs
+from test_equivalence import (
+    _assert_dynamics_match,
+    _assert_moves_follow_move_costs,
+    move_costs,
+)
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
 from routegame import engine, model, oracle, search
 from routegame.braess import build_priced_braess
@@ -36,7 +41,7 @@ EPS = (-1.0, 0.0, 1e-9, 0.05)
 
 def _scan(g, i, d, f, eps, witness):
     """`CompiledGame.best_move` by the documented rule over `move_costs`."""
-    costs = g.move_costs(i, d, f)
+    costs = move_costs(g, i, d, f)
     current, best = costs[d], min(costs)
     if witness:
         j = next((j for j, c in enumerate(costs) if current - c > eps), None)
@@ -185,7 +190,7 @@ def test_a_prefix_not_least_at_its_node_can_still_tie_at_the_sink():
     ]
     inst, table, cost, d = _trap(edges)
     assert inst.paths[0] == (("e0",), ("e1", "e3"), ("e2", "e3"))
-    assert inst.compiled.move_costs(0, d, [0.0] * 4) == [5.0, 2.0, 2.0]
+    assert move_costs(inst.compiled, 0, d, [0.0] * 4) == [5.0, 2.0, 2.0]
     assert table.best_move(cost, inst.compiled.paths[0][d], 0.0, False) == (
         5.0, 2.0, 1, 2.0
     )
@@ -210,7 +215,7 @@ def test_the_pruning_bound_is_deflated_for_rounding():
     ]
     inst, table, cost, d = _trap(edges)
     assert inst.paths[0] == (("e0",), ("e1", "e3", "e4"), ("e2", "e5"))
-    assert inst.compiled.move_costs(0, d, [0.0] * 6) == [5.0, 1.0, 1.0]
+    assert move_costs(inst.compiled, 0, d, [0.0] * 6) == [5.0, 1.0, 1.0]
     assert table.best_move(cost, inst.compiled.paths[0][d], 0.0, False) == (
         5.0, 1.0, 1, 1.0
     )
