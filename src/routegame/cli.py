@@ -143,7 +143,7 @@ def cmd_equilibrate(args: argparse.Namespace) -> int:
                 c.id: cost for c, cost in zip(instance.commodities, costs.unit_costs)
             },
             "social_cost": costs.social_cost,
-            "potential": result.potential_trace[-1],
+            "potential": result.potential,
         },
         args.format,
     )

@@ -22,9 +22,8 @@ since a player's move costs read only its class's rows and the loads.
 A move updates the loads of only the edges the mover leaves or joins: in O(1)
 each from `CompiledGame.repeated_sums` when every player has the same demand,
 otherwise by re-summing each edge's users in player order (O(N) each, in C,
-for N players). It then updates the mover's own potential term in O(L) and a
-running exact sum of all players' own terms, kept as at most a few dozen
-nonoverlapping partials, so the potential costs O(E), not O(E + N).
+for N players). The dynamics sum the potential once, for the final profile,
+in O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.best_move`, which the
@@ -41,14 +40,13 @@ the oracle's scan evaluates too.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add, getitem, neg
-from typing import Iterable, Optional, Sequence
+from operator import add, getitem
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import (
     DEFAULT_EPS_IMPROVE,
@@ -57,8 +55,6 @@ from .model import (
     GameInstance,
     exact_sum,
 )
-
-_RUNNING_LIMIT = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,7 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> Compiled
 
 
 class _Flow:
-    """The number of users of each edge under a profile, their loads, each
-    player's own term of the potential, and the exact sum of those terms.
+    """The number of users of each edge under a profile, and their loads.
 
     Loads are summed from 0.0 in player order, so each float equals that of a
     rebuild from scratch. When every player has the same demand, an edge's load
@@ -134,22 +129,6 @@ class _Flow:
                     self.users[k].append(i)
                     self.demands[k].append(g.demand[i])
             self.loads = _loads(g, choice)
-        self.own = _own_terms(g, choice)
-        # The exact sum of `own` as nonoverlapping partials, or None where it
-        # cannot stand in for `own` in `potential`: an instance with a negative
-        # coefficient or demand, or an own term that is negative, not finite or
-        # makes the partials overflow.
-        self.partials: Optional[list[float]] = None
-        if min(chain(g.c1, g.a, g.b, g.demand, self.own), default=0.0) >= 0.0:
-            self.partials = _exact_parts(self.own)
-
-    def _add_own(self, term: float, old: float) -> None:
-        """Replace the own term `old` by `term` in `partials`, or give them up."""
-        p = self.partials
-        if p is not None and not (
-            0.0 <= term < math.inf and _add_exact(p, -old) and _add_exact(p, term)
-        ):
-            self.partials = None
 
     def _edit(self, k: int, player: int, step: int) -> None:
         """Take the player off edge k (step -1) or put it on (step 1)."""
@@ -174,21 +153,6 @@ class _Flow:
         for k in new_path:
             if k not in old_path:
                 self._edit(k, player, 1)
-        term = exact_sum([self.g.potential_term[player][k] for k in new_path])
-        self._add_own(term, self.own[player])
-        self.own[player] = term
-
-    def potential(self) -> float:
-        """`_potential` at the flow's loads and own terms, in O(E +
-        len(partials)) where the partials, whose exact sum is that of the own
-        terms, can stand in for them: where every term is nonnegative and the
-        result positive and below 2**1000, no intermediate sum overflows and
-        no signed zero or inf of the full sum is lost."""
-        if self.partials is not None:
-            phi = _potential(self.g, self.loads, self.partials)
-            if 0.0 < phi < _RUNNING_LIMIT:
-                return phi
-        return _potential(self.g, self.loads, self.own)
 
 
 def _own_terms(g: CompiledGame, choice: Sequence[int]) -> list[float]:
@@ -207,41 +171,6 @@ def _potential(g: CompiledGame, f: Sequence[float], own: Iterable[float]) -> flo
     c1, a, b = g.c1, g.a, g.b
     edge_terms = [c1[k] * (a[k] * x + b[k]) * x for k, x in enumerate(f)]
     return exact_sum(chain(edge_terms, own))
-
-
-def _exact_parts(terms: Sequence[float]) -> Optional[list[float]]:
-    """Nonoverlapping floats, in increasing magnitude, whose exact sum is that
-    of `terms`: their correctly rounded sum, then that of what remains, until
-    nothing does. None where a sum is not finite."""
-    parts: list[float] = []
-    while True:
-        try:
-            x = math.fsum(chain(terms, map(neg, parts)))
-        except OverflowError:
-            return None
-        if not x:
-            return parts[::-1]
-        if not math.isfinite(x):
-            return None
-        parts.append(x)
-
-
-def _add_exact(partials: list[float], x: float) -> bool:
-    """Add x to `partials`, nonoverlapping floats in increasing magnitude whose
-    sum is kept exact (Shewchuk's msum, as in `math.fsum`). False where an
-    intermediate sum overflows, which leaves `partials` unusable."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-    return math.isfinite(x)
 
 
 def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
@@ -333,8 +262,7 @@ class DynamicsConfig:
             raise ValueError("max_moves must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     player: int
     old_path: int
     new_path: int
@@ -345,7 +273,7 @@ class Move:
 class DynamicsResult:
     final: StrategyProfile
     moves: tuple[Move, ...]
-    potential_trace: tuple[float, ...]   # potential after the initial state and each move
+    potential: float   # the final profile's, summed once when the run ends
     converged: bool
 
 
@@ -364,7 +292,6 @@ def run_best_response_dynamics(
     choice = list(initial.choice)
     moves: list[Move] = []
     flow = _Flow(g, choice)
-    trace = [flow.potential()]
     # best moves by (class, current path) since the last move: a player's
     # move costs read only its class's rows and the loads
     memo: dict[tuple[int, int], tuple[float, float, Optional[int], float]] = {}
@@ -384,7 +311,6 @@ def run_best_response_dynamics(
             moves.append(Move(i, d, j, current - best))
             flow.move(i, d, j)
             choice[i] = j
-            trace.append(flow.potential())
             moved = True
         if len(moves) >= config.max_moves:
             converged = _deviations(g, flow.loads, choice, eps)[1] is None
@@ -392,6 +318,5 @@ def run_best_response_dynamics(
         if not moved:
             converged = eps >= 0 or not choice
             break
-    return DynamicsResult(
-        StrategyProfile(tuple(choice)), tuple(moves), tuple(trace), converged
-    )
+    phi = _potential(g, flow.loads, _own_terms(g, choice))
+    return DynamicsResult(StrategyProfile(tuple(choice)), tuple(moves), phi, converged)

@@ -294,6 +294,22 @@ def test_best_response_matches_exhaustive_minimum(seed):
 # dynamics
 
 
+def _replayed_choices(start, moves):
+    """The start's choice and the choice after each move."""
+    choice = list(start.choice)
+    yield tuple(choice)
+    for move in moves:
+        choice[move.player] = move.new_path
+        yield tuple(choice)
+
+
+def _replayed_potentials(inst, start, moves):
+    """`potential` of the start and of the profile after each move."""
+    return [
+        potential(inst, StrategyProfile(c)) for c in _replayed_choices(start, moves)
+    ]
+
+
 def test_dynamics_migrates_onto_the_shortcut(classic_pair_10):
     # Strict-improvement moves drain the side paths onto the zigzag until only
     # tied stragglers remain; the result is a (weak) equilibrium.
@@ -302,10 +318,11 @@ def test_dynamics_migrates_onto_the_shortcut(classic_pair_10):
     assert result.converged
     assert is_equilibrium(after, result.final).is_equilibrium
     assert sum(1 for c in result.final.choice if c == ZIG) >= 8
-    deltas = [
-        b - a for a, b in zip(result.potential_trace, result.potential_trace[1:])
-    ]
-    assert all(d < 0 for d in deltas)
+    trace = _replayed_potentials(after, half_split(10, True), result.moves)
+    for k, move in enumerate(result.moves):
+        assert trace[k + 1] < trace[k]
+        expected = 2.0 * after.commodities[move.player].demand * move.improvement
+        assert trace[k] - trace[k + 1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_starting_at_equilibrium_makes_no_moves(classic_pair_10):
@@ -330,7 +347,7 @@ def test_zero_move_cap_makes_no_move(classic_pair_10):
     result = run_best_response_dynamics(after, start, DynamicsConfig(max_moves=0))
     assert result.moves == ()
     assert result.final == start
-    assert result.potential_trace == (potential(after, start),)
+    assert _same_float(result.potential, potential(after, start))
     assert not result.converged
 
 
@@ -353,12 +370,15 @@ def test_negative_move_cap_is_rejected():
 def test_dynamics_on_random_instances(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng)
-    result = run_best_response_dynamics(inst, random_profile(rng, inst))
+    start = random_profile(rng, inst)
+    result = run_best_response_dynamics(inst, start)
     assert result.converged
     assert is_equilibrium(inst, result.final).is_equilibrium
     # every move is a strict potential descent of twice the weighted improvement
+    trace = _replayed_potentials(inst, start, result.moves)
     for k, move in enumerate(result.moves):
-        drop = result.potential_trace[k] - result.potential_trace[k + 1]
+        assert trace[k + 1] < trace[k]
+        drop = trace[k] - trace[k + 1]
         expected = 2.0 * inst.commodities[move.player].demand * move.improvement
         assert drop == pytest.approx(expected, abs=1e-9)
     # termination within the profile space
@@ -381,7 +401,7 @@ def test_loads_recomputable_after_move_sequence(classic_pair_10):
 
 
 # ---------------------------------------------------------------------------
-# the running potential
+# the potential along a run
 
 
 def _full_potential(inst, choice):
@@ -408,16 +428,16 @@ def _same_float(x, y):
 
 
 def _assert_trace_is_full_sums(inst, start, config=DynamicsConfig()):
+    """Run the dynamics and replay their moves from the start: `potential` of
+    each profile on the way, and the run's final potential, have the bits of
+    the sum from scratch. Returns the result and the replayed potentials."""
     result = run_best_response_dynamics(inst, start, config)
-    choice = list(start.choice)
-    full = [_full_potential(inst, choice)]
-    for move in result.moves:
-        choice[move.player] = move.new_path
-        full.append(_full_potential(inst, choice))
-    assert len(result.potential_trace) == len(full)
-    for got, want in zip(result.potential_trace, full):
+    trace = _replayed_potentials(inst, start, result.moves)
+    full = [_full_potential(inst, c) for c in _replayed_choices(start, result.moves)]
+    for got, want in zip(trace, full):
         assert _same_float(got, want), (got, want)
-    return result
+    assert _same_float(result.potential, full[-1]), (result.potential, full[-1])
+    return result, trace
 
 
 def _parallel(lines, demands, c1=1.0):
@@ -438,27 +458,28 @@ def _parallel(lines, demands, c1=1.0):
 def test_running_potential_with_infinite_own_terms():
     # on e0 each player's own term (1e308 * 2) * 2 is inf
     inst = _parallel([(1e308, 0.0), (1.0, 0.0)], [2.0, 2.0, 2.0])
-    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
-    assert result.potential_trace[0] == math.inf
-    assert math.isfinite(result.potential_trace[-1])
+    result, trace = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
+    assert trace[0] == math.inf
+    assert math.isfinite(result.potential)
     assert len(result.moves) == 3
 
 
 def test_running_potential_past_the_float_limit():
     # each own term on e0 is 8e307 and three of them overflow a running sum
     inst = _parallel([(0.0, 8e307), (0.0, 1e307), (0.0, 1e307)], [1.0] * 3)
-    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
-    assert result.potential_trace[0] == math.inf
-    assert math.isfinite(result.potential_trace[-1])
+    result, trace = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0)))
+    assert trace[0] == math.inf
+    assert math.isfinite(result.potential)
     # the own terms' sum (1e308) is finite, the edge term (1e308 * 2) * 2 not
     inst = _parallel([(1e308, 0.0), (1.0, 0.0)], [0.5] * 4)
-    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0, 0)))
-    assert result.potential_trace[0] == math.inf
-    assert math.isfinite(result.potential_trace[-1])
+    result, trace = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0, 0, 0)))
+    assert trace[0] == math.inf
+    assert math.isfinite(result.potential)
     # every term is finite, and the whole sum passes the limit after a move
     inst = _parallel([(0.0, 5e307), (0.0, 4e307)], [1.0, 1.0])
-    result = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0)))
-    assert result.potential_trace == (math.inf, math.inf, 1.6e308)
+    result, trace = _assert_trace_is_full_sums(inst, StrategyProfile((0, 0)))
+    assert trace == [math.inf, math.inf, 1.6e308]
+    assert result.potential == 1.6e308
 
 
 @pytest.mark.parametrize("c1", [0.0, -0.0, 1.0])
@@ -467,16 +488,16 @@ def test_running_potential_of_an_all_zero_cost_instance(c1):
     # from e1 to e0
     inst = _parallel([(0.0, 0.0), (0.0, 0.0)], [1.0, 0.5, 1.0], c1=c1)
     config = DynamicsConfig(eps_improve=-1.0, max_moves=3)
-    result = _assert_trace_is_full_sums(inst, StrategyProfile((1, 1, 1)), config)
-    assert len(result.potential_trace) == 4
-    assert not any(result.potential_trace)
+    result, trace = _assert_trace_is_full_sums(inst, StrategyProfile((1, 1, 1)), config)
+    assert len(trace) == 4
+    assert not any(trace)
 
 
-def _assert_one_shot_potential_is_the_flows(inst):
-    """`potential` and `is_equilibrium` sum the potential once, without a
-    `_Flow`; on every profile they give the bits of `_Flow.potential`."""
+def _assert_one_shot_potential_is_the_full_sum(inst):
+    """`potential` and `is_equilibrium` sum the potential once; on every
+    profile they give the bits of the sum from scratch."""
     for choice in itertools.product(*(range(len(p)) for p in inst.paths)):
-        want = engine._Flow(inst.compiled, choice).potential()
+        want = _full_potential(inst, choice)
         profile = StrategyProfile(choice)
         assert _same_float(potential(inst, profile), want)
         assert _same_float(is_equilibrium(inst, profile).potential, want)
@@ -495,24 +516,24 @@ def _assert_one_shot_potential_is_the_flows(inst):
         ([(1e308, 0.0), (1.0, 0.0)], [2.0, 2.0, 2.0], 1.0),  # infinite own terms
     ],
 )
-def test_one_shot_potential_is_the_flows(lines, demands, c1):
-    _assert_one_shot_potential_is_the_flows(_parallel(lines, demands, c1))
+def test_one_shot_potential_is_the_full_sum(lines, demands, c1):
+    _assert_one_shot_potential_is_the_full_sum(_parallel(lines, demands, c1))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_one_shot_potential_is_the_flows_on_random_instances(seed):
+def test_one_shot_potential_is_the_full_sum_on_random_instances(seed):
     rng = random.Random(seed)
     inst = random_affine_instance(rng, max_profiles=200)
     scale = rng.choice([1.0, 1e300, 1e308, -1.0])
     edges = tuple(replace(e, a=e.a * scale, b=e.b * scale) for e in inst.edges)
     inst = prepare(replace(inst, edges=edges, paths=()))
-    _assert_one_shot_potential_is_the_flows(inst)
+    _assert_one_shot_potential_is_the_full_sum(inst)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_running_potential_is_the_full_sum_after_any_moves(seed):
+def test_flow_loads_are_the_rebuilt_loads_after_any_moves(seed):
     # random moves, not best responses, on instances whose costs are scaled up
     # to and past the float range, or negated
     rng = random.Random(seed)
@@ -523,7 +544,9 @@ def test_running_potential_is_the_full_sum_after_any_moves(seed):
     choice = list(random_profile(rng, inst).choice)
     flow = engine._Flow(inst.compiled, choice)
     for _ in range(30):
-        assert _same_float(flow.potential(), _full_potential(inst, choice))
+        want = engine._loads(inst.compiled, choice)
+        assert len(flow.loads) == len(want)
+        assert all(map(_same_float, flow.loads, want)), (flow.loads, want)
         i = rng.randrange(len(choice))
         j = rng.randrange(len(inst.paths[i]))
         if j != choice[i]:
@@ -550,6 +573,20 @@ def test_dynamics_cost_one_best_response_per_class_and_path(monkeypatch):
     result = run_best_response_dynamics(after, random_profile(random.Random(7), after))
     assert result.converged and result.moves
     assert len(calls) <= (len(result.moves) + 1) * 3
+
+
+def test_dynamics_sum_the_potential_once_per_run(monkeypatch):
+    calls = []
+    real = engine._potential
+    monkeypatch.setattr(
+        engine, "_potential", lambda *args: calls.append(1) or real(*args)
+    )
+    _, after = build_priced_braess(200, PriceSpec("log1p"))
+    start = random_profile(random.Random(7), after)
+    result = run_best_response_dynamics(after, start)
+    assert result.converged and len(result.moves) > 1
+    assert len(calls) == 1
+    assert _same_float(result.potential, potential(after, result.final))
 
 
 def test_equilibrium_checks_cost_one_best_move_per_class_and_path(monkeypatch):

@@ -190,7 +190,8 @@ def _assert_dynamics_match(inst, start, config=DynamicsConfig()):
     for move in got.moves:
         choice[move.player] = move.new_path
         trace.append(exact.potential(choice))
-    assert got.potential_trace == tuple(trace)
+    assert got.potential == exact.potential(final)
+    assert all(b < a for a, b in zip(trace, trace[1:])), trace
 
 
 def _random_config(rng):
