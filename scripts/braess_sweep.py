@@ -7,8 +7,8 @@ prediction, and their gap; exits 1 if any gap exceeds 1e-9.
 
 import argparse
 
-from routegame import oracle
 from routegame.braess import build_priced_braess, edge_addition_experiment, rho_formula
+from routegame.model import profile_count
 from routegame.pricing import PriceSpec, eval_u
 
 GAP_TOL = 1e-9
@@ -35,7 +35,7 @@ def main() -> int:
             before, after = build_priced_braess(n, spec, args.c1, args.c2)
             # the oracle scans C(n+2, 2) path-count states, but the cap counts
             # the 3^n profiles of the post-shortcut network: lift it to that
-            cap = oracle.profile_count(after)
+            cap = profile_count(after)
             report = edge_addition_experiment(before, after, cap=cap)
             u = eval_u(spec, 1.0 / n)
             predicted = rho_formula(u, args.c1, args.c2)

@@ -9,7 +9,6 @@ zero-cost shortcut v->w whose addition raises the equilibrium cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import engine, oracle
 from .model import (
@@ -20,7 +19,7 @@ from .model import (
     mixing_violations,
     prepare,
 )
-from .pricing import PriceSpec, ZERO_PRICE, eval_u
+from .pricing import PriceSpec, ZERO_PRICE
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class BraessReport:
     after_cost: float             # worst-equilibrium per-unit cost, shortcut present
     rho: float                    # after / before
     n_players: int
-    formula_rho: Optional[float] = None
-    price_family: Optional[str] = None
 
 
 def rho_formula(u: float, c1: float, c2: float) -> float:
@@ -60,7 +57,6 @@ def _diamond(
     variable: tuple[PriceSpec, float, float],
     with_shortcut: bool,
     n: int,
-    meta: dict,
 ) -> GameInstance:
     price, c1, c2 = variable
     edges = [
@@ -74,13 +70,7 @@ def _diamond(
     commodities = tuple(
         Commodity(f"u{i + 1}", "s", "t", 1.0 / n) for i in range(n)
     )
-    instance = GameInstance(
-        ("s", "v", "w", "t"),
-        tuple(edges),
-        commodities,
-        meta={**meta, "shortcut": with_shortcut},
-    )
-    return prepare(instance)
+    return prepare(GameInstance(("s", "v", "w", "t"), tuple(edges), commodities))
 
 
 def build_classic_braess(n: int) -> tuple[GameInstance, GameInstance]:
@@ -89,12 +79,8 @@ def build_classic_braess(n: int) -> tuple[GameInstance, GameInstance]:
     n even players of demand 1/n each; the half-split equilibrium costs 3/2 per
     unit, the post-shortcut equilibrium costs 2."""
     _check_n(n)
-    meta = {"construction": "classic", "n": n}
     variable = (ZERO_PRICE, 1.0, 0.0)
-    return (
-        _diamond(variable, False, n, meta),
-        _diamond(variable, True, n, meta),
-    )
+    return _diamond(variable, False, n), _diamond(variable, True, n)
 
 
 def build_priced_braess(
@@ -108,21 +94,11 @@ def build_priced_braess(
     classic construction."""
     _check_n(n)
     _check_mixing(c1, c2)
-    meta = {
-        "construction": "priced",
-        "n": n,
-        "price": price,
-        "c1": c1,
-        "c2": c2,
-    }
     if c2 == 0.0:
         variable = (ZERO_PRICE, 1.0, 0.0)  # price weight zero: drop the price spec
     else:
         variable = (price, c1, c2)
-    return (
-        _diamond(variable, False, n, meta),
-        _diamond(variable, True, n, meta),
-    )
+    return _diamond(variable, False, n), _diamond(variable, True, n)
 
 
 def _worst_equilibrium_unit_cost(
@@ -152,15 +128,6 @@ def _worst_equilibrium_unit_cost(
     return max(engine.profile_costs(instance, worst).unit_costs)
 
 
-def _recognized_formula(before: GameInstance, after: GameInstance) -> Optional[dict]:
-    mb, ma = dict(before.meta), dict(after.meta)
-    if mb.pop("shortcut", None) is not False or ma.pop("shortcut", None) is not True:
-        return None
-    if mb != ma or mb.get("construction") not in ("classic", "priced"):
-        return None
-    return mb
-
-
 def edge_addition_experiment(
     before: GameInstance,
     after: GameInstance,
@@ -172,8 +139,7 @@ def edge_addition_experiment(
     """Compare worst-equilibrium unit costs before and after an edge addition.
 
     method="oracle" uses exhaustive search (true worst equilibrium);
-    method="dynamics" samples one equilibrium via best-response dynamics.
-    The closed-form prediction is attached only for builder-produced pairs."""
+    method="dynamics" samples one equilibrium via best-response dynamics."""
     if before.commodities != after.commodities:
         raise ValueError("instances do not share commodities")
     if not before.commodities:
@@ -184,24 +150,9 @@ def edge_addition_experiment(
     after_cost = _worst_equilibrium_unit_cost(
         after, method, cap, eps_improve, max_moves
     )
-
-    formula = None
-    family = None
-    tag = _recognized_formula(before, after)
-    if tag is not None:
-        if tag["construction"] == "classic":
-            formula = rho_formula(0.0, 1.0, 0.0)
-        else:
-            spec: PriceSpec = tag["price"]
-            family = spec.fn
-            u = eval_u(spec, 1.0 / tag["n"])
-            formula = rho_formula(u, tag["c1"], tag["c2"])
-
     return BraessReport(
         before_cost=before_cost,
         after_cost=after_cost,
         rho=oracle.cost_ratio(after_cost, before_cost),
         n_players=len(before.commodities),
-        formula_rho=formula,
-        price_family=family,
     )

@@ -32,7 +32,6 @@ from .model import (
     NotConvergedError,
     PathEnumerationError,
     ProfileCapError,
-    ScenarioError,
     parse_scenario,
     prepare,
     serialize_scenario,
@@ -51,14 +50,15 @@ def _fmt_float(v: float) -> str:
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
+    """(key, value) per leaf, a key being the dict keys on its way joined by "."."""
     items: list[tuple[str, object]] = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            items.extend(_flatten(v, f"{prefix}{k}." if prefix else f"{k}."))
+            items.extend(_flatten(v, f"{prefix}{k}."))
     elif isinstance(obj, (list, tuple)):
-        items.append((prefix.rstrip("."), " ".join(str(x) for x in obj)))
+        items.append((prefix[:-1], " ".join(str(x) for x in obj)))
     else:
-        items.append((prefix.rstrip("."), obj))
+        items.append((prefix[:-1], obj))
     return items
 
 
@@ -212,9 +212,8 @@ def cmd_braess(args: argparse.Namespace) -> int:
     if args.variant == "classic":
         before, after = braess.build_classic_braess(args.n)
     elif args.variant == "priced":
-        before, after = braess.build_priced_braess(
-            args.n, _price_spec(args.price, args.beta), args.c1, args.c2
-        )
+        spec = _price_spec(args.price, args.beta)
+        before, after = braess.build_priced_braess(args.n, spec, args.c1, args.c2)
     else:  # pair
         before = _prepared(args.before)
         after = _prepared(args.after)
@@ -238,10 +237,13 @@ def cmd_braess(args: argparse.Namespace) -> int:
         "after_cost": report.after_cost,
         "rho": report.rho,
     }
-    if report.formula_rho is not None:
-        out["formula_rho"] = report.formula_rho
-    if report.price_family is not None:
-        out["price_family"] = report.price_family
+    # the closed form of the diamond built here: 4/3 unpriced, rho(u(1/n)) priced
+    if args.variant == "classic":
+        out["formula_rho"] = braess.rho_formula(0.0, 1.0, 0.0)
+    elif args.variant == "priced":
+        u = eval_u(spec, 1.0 / args.n)
+        out["formula_rho"] = braess.rho_formula(u, args.c1, args.c2)
+        out["price_family"] = spec.fn
     _emit(out, args.format)
     return 0
 
@@ -382,12 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _usage_error("--cap must be at least 1")
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (
         PathEnumerationError,
         InvalidInstanceError,
@@ -397,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -19,7 +19,7 @@ import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, repeat
 from operator import itemgetter
@@ -39,12 +39,12 @@ DEFAULT_MAX_MOVES = 100_000
 DEFAULT_PROFILE_CAP = 200_000
 _TOO_MANY = "commodity {!r} has more than {} simple paths"
 #: `prepare` counts, and `CompiledGame.best_move` then searches, a strategy set
-#: on an acyclic graph with unique edge ids whose paths have more than this
-#: many edge slots (the sum of the path lengths) per edge of its graph; it
-#: lists the others, which are scanned. Measured per call on a 2-vCPU VM
-#: (Python 3.11), search time over scan time: 2.6-3.0 on the Braess diamonds
-#: (1.0-1.4 slots per edge), 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5
-#: grid (14), 0.3 on a 6x6 grid (42) and 0.09 on a 7x7 grid (132, 924 paths).
+#: on an acyclic graph whose paths have more than this many edge slots (the
+#: sum of the path lengths) per edge of its graph; it lists the others, which
+#: are scanned. Measured per call on a 2-vCPU VM (Python 3.11), search time
+#: over scan time: 2.6-3.0 on the Braess diamonds (1.0-1.4 slots per edge),
+#: 1.1-1.7 at 8.3-8.6, 0.6-0.9 at 9-10, 0.7 on a 5x5 grid (14), 0.3 on a 6x6
+#: grid (42) and 0.09 on a 7x7 grid (132, 924 paths).
 #: `prepare` counts the slots without listing the paths, and keeps a set to be
 #: searched as a `CountedSet`.
 SEARCH_CROSSOVER = 10
@@ -110,10 +110,8 @@ class GameInstance:
     nodes: tuple[str, ...]
     edges: tuple[EdgeSpec, ...]
     commodities: tuple[Commodity, ...]
-    #: Per-commodity strategy sets; empty until populated via prepare().
+    #: Per-commodity strategy sets, from prepare(); empty until then.
     paths: tuple[tuple[Path, ...], ...] = ()
-    #: Builder provenance (not serialized, ignored by equality).
-    meta: Mapping[str, object] = field(default_factory=dict, compare=False)
 
     @property
     def prepared(self) -> bool:
@@ -154,10 +152,6 @@ class CompiledGame:
 
     def __init__(self, instance: GameInstance):
         edges = instance.edges
-        #: edge id -> index of its first occurrence
-        self.edge_index: dict[str, int] = {}
-        for k, e in enumerate(edges):
-            self.edge_index.setdefault(e.id, k)
         self.c1 = tuple(e.c1 for e in edges)
         self.c2 = tuple(e.c2 for e in edges)
         self.a = tuple(e.a for e in edges)
@@ -197,17 +191,17 @@ class CompiledGame:
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
         units: dict[float, dict] = {}  # per demand: each u(r), once, by price object id
-        unique_ids = len(self.edge_index) == len(edges)
         per_commodity = []  # each commodity's class: its entries of the lists above
         for c, plist in zip(instance.commodities, instance.paths):
             row = classes.get((id(plist), c.demand))
             if row is None:
                 if id(plist) not in strategies:
-                    compiled = getattr(plist, "rows", None)
-                    if not (unique_ids and getattr(plist, "edges", None) is edges):
-                        to_index = self.edge_index.__getitem__
-                        compiled = tuple(tuple(map(to_index, p)) for p in plist)
-                    search = None
+                    if getattr(plist, "edges", None) is not edges:
+                        raise ValueError(
+                            "strategy set not prepared for this instance's edges;"
+                            " call prepare() first"
+                        )
+                    compiled, search = plist.rows, None
                     if isinstance(compiled, CountedSet):  # to search, unlisted
                         # imported here: a process that never searches does
                         # not compile the module
@@ -322,8 +316,7 @@ class CompiledGame:
 
         The strategy sets that `prepare` counts (`CountedSet`) are searched
         on their graph (`search.PathSearch`) wherever every edge cost is >= 0
-        and their sum finite. All others, and a counted set compiled against
-        other edges, are scanned: every path is costed."""
+        and their sum finite. All others are scanned: every path is costed."""
         cost = self.edge_costs(i, d, loads)
         search = self.search[i]
         if search is not None:
@@ -458,17 +451,15 @@ def _counted(
     instance: GameInstance, commodity: Commodity, cap: int, graph: Graph
 ) -> Optional[CountedSet]:
     """The commodity's paths as a `CountedSet`, a set that `CompiledGame`
-    searches: on an acyclic graph with unique edge ids, more than
-    `SEARCH_CROSSOVER` edge slots per edge; else None. The slots are counted
-    only where they can be that many: a path has at most nodes - 1 edges, and
-    the graph at least nodes - 1 edges."""
+    searches: on an acyclic graph, more than `SEARCH_CROSSOVER` edge slots per
+    edge; else None. The slots are counted only where they can be that many:
+    a path has at most nodes - 1 edges, and the graph at least nodes - 1
+    edges."""
     out, _, acyclic, total = graph
     if not acyclic or total <= SEARCH_CROSSOVER:
         return None
     edges = sum(map(len, out))
-    if total * (len(out) - 1) <= SEARCH_CROSSOVER * edges or len(
-        {e.id for e in instance.edges}
-    ) < len(instance.edges):
+    if total * (len(out) - 1) <= SEARCH_CROSSOVER * edges:
         return None
     slots = [0] * len(out)  # per node: the edges of its paths to the sink
     for v in reversed(range(len(out))):
@@ -502,9 +493,16 @@ def _graph(instance: GameInstance, commodity: Commodity, cap: int) -> Graph:
     edge-id order, counts each node's paths to the sink in postorder. Where it
     meets no cycle, a node counting none has no path to the sink and the cap
     is checked before any path is built; otherwise a reach over in-edges finds
-    the nodes with a path. Raises PathEnumerationError where no path exists or
-    more than `cap` paths are counted."""
+    the nodes with a path. Raises InvalidInstanceError where an edge id
+    repeats, and PathEnumerationError where no path exists or more than `cap`
+    paths are counted."""
     edges, source, sink = instance.edges, commodity.source, commodity.sink
+    if len({e.id for e in edges}) < len(edges):
+        seen: set[str] = set()
+        for e in edges:
+            if e.id in seen:
+                raise InvalidInstanceError(f"duplicate edge id {e.id!r}")
+            seen.add(e.id)
     out: dict[str, list[tuple[str, int, str]]] = {}  # per tail: (id, number, head)
     for k, e in enumerate(edges):
         if e.tail != sink:
@@ -553,9 +551,8 @@ def _paths_and_rows(
 ) -> tuple[list[Path], list[tuple[int, ...]]]:
     """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
     A depth-first walk of the commodity's `Graph` (built here unless given)
-    builds each path's ids and row together, in lexicographic order (sorted
-    only where ids repeat), in time and memory that grow with the paths
-    listed."""
+    builds each path's ids and row together, in lexicographic order, in time
+    and memory that grow with the paths listed."""
     out, sink, *_ = graph or _graph(instance, commodity, cap)
     if sink == 0:  # the source is the sink
         return [()], [()]
@@ -582,8 +579,6 @@ def _paths_and_rows(
             if trail:
                 ids.pop()
                 trail.pop()
-    if len({e.id for e in instance.edges}) < len(instance.edges):
-        paths, rows = map(list, zip(*sorted(zip(paths, rows))))
     return paths, rows
 
 
@@ -605,9 +600,7 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
             plist.edges = instance.edges
             by_endpoints[c.source, c.sink] = plist
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)
-    return GameInstance(
-        instance.nodes, instance.edges, instance.commodities, all_paths, instance.meta
-    )
+    return GameInstance(instance.nodes, instance.edges, instance.commodities, all_paths)
 
 
 def profile_count(instance: GameInstance) -> int:
@@ -728,21 +721,6 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
     overflow = cost_overflow(instance)
     if overflow is not None:
         out.append(overflow)
-
-    if instance.paths:
-        if len(instance.paths) != len(instance.commodities):
-            out.append("paths populated for wrong number of commodities")
-        else:
-            known = {e.id: e for e in instance.edges}
-            for c, plist in zip(instance.commodities, instance.paths):
-                where = f"commodity {c.id!r}"
-                if not plist:
-                    out.append(f"{where}: empty strategy set")
-                if list(plist) != sorted(plist):
-                    out.append(f"{where}: paths not in lexicographic order")
-                for p in plist:
-                    if not _is_simple_path(p, known, c.source, c.sink):
-                        out.append(f"{where}: invalid path {p}")
     return ValidationReport(tuple(out))
 
 
@@ -778,22 +756,6 @@ def cost_overflow(instance: GameInstance) -> Optional[str]:
     if math.isfinite(8.0 * max(1.0, demand) * unit):
         return None
     return f"costs overflow the float range at the total demand {demand}"
-
-
-def _is_simple_path(
-    path: Path, edges: Mapping[str, EdgeSpec], source: str, sink: str
-) -> bool:
-    node = source
-    seen = {source}
-    for eid in path:
-        e = edges.get(eid)
-        if e is None or e.tail != node:
-            return False
-        node = e.head
-        if node in seen:
-            return False
-        seen.add(node)
-    return node == sink
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +946,7 @@ def json_text(obj: object, indent: str = "\n") -> str:
 
 
 def serialize_scenario(instance: GameInstance) -> str:
-    """Render an instance back to scenario JSON (paths and meta are not serialized)."""
+    """Render an instance back to scenario JSON (paths are not serialized)."""
     doc = {
         "nodes": list(instance.nodes),
         "edges": [

@@ -45,7 +45,7 @@ def test_classic_experiment(classic_pair_10):
     assert report.before_cost == pytest.approx(1.5, abs=1e-12)
     assert report.after_cost == pytest.approx(2.0, abs=1e-12)
     assert report.rho == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert report.formula_rho == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert report.rho == pytest.approx(rho_formula(0.0, 1.0, 0.0), abs=1e-12)
     assert report.n_players == 10
 
 
@@ -55,7 +55,8 @@ def test_priced_identity_experiment(priced_identity_pair_10):
     assert report.before_cost == pytest.approx(1.75, abs=1e-12)
     assert report.after_cost == pytest.approx(2.0, abs=1e-12)
     assert report.rho == pytest.approx(8.0 / 7.0, abs=1e-12)
-    assert report.price_family == "identity"
+    u = eval_u(PriceSpec("identity"), 1.0 / 10)
+    assert report.rho == pytest.approx(rho_formula(u, 0.5, 0.5), abs=1e-12)
 
 
 def test_zero_price_weight_reduces_to_classic():
@@ -121,7 +122,6 @@ def test_simulation_matches_formula(spec, n):
     report = edge_addition_experiment(before, after)
     expected = rho_formula(eval_u(spec, 1.0 / n), 0.5, 0.5)
     assert report.rho == pytest.approx(expected, abs=1e-9)
-    assert report.formula_rho == pytest.approx(expected, abs=1e-15)
 
 
 def test_log1p_n4_value():
@@ -148,18 +148,6 @@ def test_dynamics_method_on_classic(classic_pair_10):
     # dynamics samples one equilibrium per instance; before is the half-split
     assert report.before_cost == pytest.approx(1.5, abs=1e-12)
     assert report.rho >= 1.0
-
-
-def test_formula_absent_for_unrecognized_pairs(classic_pair_10):
-    import dataclasses
-
-    before, after = classic_pair_10
-    stripped = (
-        dataclasses.replace(before, meta={}),
-        dataclasses.replace(after, meta={}),
-    )
-    report = edge_addition_experiment(*stripped)
-    assert report.formula_rho is None
 
 
 def test_mismatched_commodities_rejected(classic_pair_10, classic_pair_2):

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import routegame
-from routegame.braess import build_classic_braess, build_priced_braess
+from routegame.braess import build_classic_braess, build_priced_braess, rho_formula
 from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
-from routegame.pricing import PriceSpec
+from routegame.pricing import PriceSpec, eval_u
 
 
 @pytest.fixture()
@@ -401,6 +401,8 @@ def test_braess_classic_cli(capsys):
     code, doc, _ = run_json(capsys, "braess", "classic", "--n", "10")
     assert code == 0
     assert doc["rho"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert doc["formula_rho"] == rho_formula(0.0, 1.0, 0.0)
+    assert "price_family" not in doc
 
 
 def test_braess_priced_cli(capsys):
@@ -409,6 +411,7 @@ def test_braess_priced_cli(capsys):
     )
     assert code == 0
     assert doc["rho"] == pytest.approx(8.0 / 7.0, abs=1e-12)
+    assert doc["formula_rho"] == rho_formula(eval_u(PriceSpec("identity"), 0.1), 0.5, 0.5)
     assert doc["price_family"] == "identity"
 
 
@@ -488,7 +491,8 @@ def test_braess_emit_scenario_and_pair(capsys, tmp_path):
     )
     assert code == 0
     assert pair_doc["rho"] == pytest.approx(doc["rho"], abs=1e-12)
-    assert "formula_rho" not in pair_doc  # provenance lost through serialization
+    # the closed form is printed for the diamonds the command builds only
+    assert "formula_rho" not in pair_doc and "price_family" not in pair_doc
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +620,26 @@ def test_csv_quotes_a_commodity_id_with_a_comma_or_a_quote(capsys, tmp_path):
     assert row["player_unit_costs.a,b"] == format(
         run_json(capsys, "equilibrate", str(path))[1]["player_unit_costs"]["a,b"], ".9g"
     )
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_keys_keep_the_trailing_dots_of_an_id(capsys, tmp_path, fmt):
+    _, after = build_classic_braess(2)
+    doc = json.loads(serialize_scenario(after))
+    doc["commodities"][0]["id"] = "p"
+    doc["commodities"][1]["id"] = "p.."
+    path = tmp_path / "dots.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "equilibrate", str(path), "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        keys = list(_csv_rows(out))
+    else:
+        keys = [line.split()[0] for line in out.splitlines()]
+    assert keys == [
+        "converged", "moves", "final_profile.p", "final_profile.p..",
+        "player_unit_costs.p", "player_unit_costs.p..", "social_cost", "potential",
+    ]
 
 
 def test_csv_without_special_characters_is_a_plain_join(capsys):

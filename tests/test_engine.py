@@ -47,9 +47,8 @@ def random_profile(rng, inst):
 
 def loads_by_id(inst, prof):
     """Each edge's load under the profile, by edge id."""
-    g = inst.compiled
-    f = engine._loads(g, prof.choice)
-    return {eid: f[k] for eid, k in g.edge_index.items()}
+    f = engine._loads(inst.compiled, prof.choice)
+    return {e.id: f[k] for k, e in enumerate(inst.edges)}
 
 
 def unit_cost(inst, prof, i):
@@ -708,7 +707,8 @@ def test_edge_costs_charge_the_demand_off_the_current_path():
     g = inst.compiled
     d = inst.paths[0].index(("ab",))
     f = engine._loads(g, (d, 0))
-    cost = dict(zip(g.edge_index, g.edge_costs(0, d, f)))
+    index = {e.id: k for k, e in enumerate(inst.edges)}
+    cost = dict(zip(index, g.edge_costs(0, d, f)))
     # "ab" at its load, "ac" and "cb" at load + 0.5, "ba" off x's strategy set
     assert cost == {"ab": 0.5, "ac": 2.0, "cb": 0.5, "ba": 0.0}
     assert g.path_cost(0, g.paths[0][d], f) == 0.5

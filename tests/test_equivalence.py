@@ -70,7 +70,8 @@ def test_engine_views_match_exact_model_bit_for_bit(seed):
     exact, g = ExactCosts(inst), inst.compiled
     loads = engine._loads(g, prof.choice)
     exact_loads = exact.loads(prof.choice)
-    assert [(e, loads[k]) for e, k in g.edge_index.items()] == list(exact_loads.items())
+    index = {e.id: k for k, e in enumerate(inst.edges)}
+    assert [(e, loads[k]) for e, k in index.items()] == list(exact_loads.items())
     for i, plist in enumerate(inst.paths):
         for j, path in enumerate(plist):
             assert g.path_cost(i, g.paths[i][j], loads) == exact.unit_path_cost(
@@ -94,9 +95,10 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
     # costs each (class, path) once; every entry must equal what evaluating
     # each commodity, and each player through the string-keyed views, gives.
     g = inst.compiled
+    index = {e.id: k for k, e in enumerate(inst.edges)}
     for i, (c, plist) in enumerate(zip(inst.commodities, inst.paths)):
         r = c.demand
-        assert g.paths[i] == tuple(tuple(g.edge_index[e] for e in p) for p in plist)
+        assert g.paths[i] == tuple(tuple(index[e] for e in p) for p in plist)
         assert g.edges_of[i] == tuple(sorted({k for p in g.paths[i] for k in p}))
         for k, e in enumerate(inst.edges):
             price = own = None
@@ -262,7 +264,8 @@ def test_a_move_sees_a_kept_edge_at_its_load():
         )
     )
     prof = StrategyProfile((0, 0, 0))
-    f = engine._loads(inst.compiled, prof.choice)[inst.compiled.edge_index["sv"]]
+    index = {e.id: k for k, e in enumerate(inst.edges)}
+    f = engine._loads(inst.compiled, prof.choice)[index["sv"]]
     assert (f - 0.2) + 0.2 != f
     costs = move_costs(inst.compiled, 1, 0, [f, f, 0.0])
     assert costs == [f + f, f + 0.2] == ExactCosts(inst).move_costs(1, prof.choice)

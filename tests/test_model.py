@@ -20,6 +20,7 @@ from routegame.model import (
     Commodity,
     EdgeSpec,
     GameInstance,
+    InvalidInstanceError,
     PathEnumerationError,
     ScenarioError,
     enumerate_paths,
@@ -446,7 +447,7 @@ def _all_simple_paths(inst, source, sink):
 def _random_graph(rng):
     """Up to 7 nodes and 14 edges: cycles, parallel edges and ids such as e2
     and e10 (which sort as strings), a sink that may be unreachable or equal
-    to the source, and rarely an id used twice."""
+    to the source, and rarely an id used twice, which no path walk accepts."""
     n = rng.randint(1, 7)
     nodes = tuple(f"n{i}" for i in range(n))
     edges = []
@@ -464,9 +465,6 @@ def _assert_rows_match(inst, c, paths):
     for path, row in zip(paths, paths.rows):
         assert tuple(inst.edges[k].id for k in row) == path
         assert _is_walk(inst, row, c.source, c.sink)
-    for j in range(len(paths) - 1):  # equal id tuples: in edge-number order
-        if paths[j] == paths[j + 1]:
-            assert paths.rows[j] < paths.rows[j + 1]
 
 
 def _is_walk(inst, row, source, sink):
@@ -484,6 +482,15 @@ def test_enumeration_matches_an_independent_enumerator(seed):
     rng = random.Random(seed)
     inst = _random_graph(rng)
     c = inst.commodities[0]
+    ids = [e.id for e in inst.edges]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        for walk in (lambda: enumerate_paths(inst, c), lambda: prepare(inst)):
+            with pytest.raises(InvalidInstanceError) as raised:
+                walk()
+            assert str(raised.value) == f"duplicate edge id {repeated!r}"
+            assert validate_instance(inst).violations[0] == str(raised.value)
+        return
     expected = _all_simple_paths(inst, c.source, c.sink)
     if not expected:
         with pytest.raises(PathEnumerationError, match="no path"):
@@ -604,26 +611,18 @@ def test_compile_reads_the_rows_of_its_own_edges_only():
     inst = build_classic_braess(2)[1]
     g = inst.compiled
     assert all(rows is plist.rows for rows, plist in zip(g.paths, inst.paths))
-    # the same strategy sets over the edges in another order: mapped by id
-    flipped = dataclasses.replace(inst, edges=inst.edges[::-1])
-    assert flipped.paths[0].edges is not flipped.edges
-    index = {e.id: k for k, e in enumerate(flipped.edges)}
-    assert flipped.compiled.paths[0] == tuple(
-        tuple(index[eid] for eid in p) for p in flipped.paths[0]
-    )
-    assert flipped.compiled.paths[0] != inst.compiled.paths[0]
 
 
-def test_compile_maps_a_duplicate_id_to_its_first_edge():
-    inst = prepare(
-        GameInstance(
-            ("s", "t"),
-            (EdgeSpec("e", "s", "t", 1.0, 0.0), EdgeSpec("e", "s", "t", 2.0, 0.0)),
-            (Commodity("x", "s", "t", 1.0),),
-        )
-    )
-    assert inst.paths[0] == (("e",), ("e",)) and inst.paths[0].rows == ((0,), (1,))
-    assert inst.compiled.paths[0] == ((0,), (0,))
+@pytest.mark.parametrize("how", ["listed by hand", "prepared for reversed edges"])
+def test_compile_rejects_sets_prepare_did_not_make_for_its_edges(how):
+    inst = build_classic_braess(2)[1]
+    if how == "listed by hand":
+        inst = dataclasses.replace(inst, paths=tuple(map(tuple, inst.paths)))
+    else:  # the same strategy sets over the edges in another order
+        inst = dataclasses.replace(inst, edges=inst.edges[::-1])
+    with pytest.raises(ValueError, match=r"call prepare\(\) first"):
+        inst.compiled
+    assert prepare(dataclasses.replace(inst, paths=())).compiled.paths
 
 
 # ---------------------------------------------------------------------------

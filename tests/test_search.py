@@ -293,30 +293,14 @@ def test_non_finite_or_huge_edge_costs_keep_the_scan(monkeypatch, load):
     assert _assert_scanned(inst, monkeypatch, loads=[load] * len(inst.edges))
 
 
-def test_a_duplicate_edge_id_keeps_the_scan(monkeypatch):
-    inst = _grid7()
-    extra = replace(inst.edges[0], a=0.0)  # same id, tail and head
-    inst = prepare(replace(inst, edges=inst.edges + (extra,), paths=()))
-    assert set(inst.compiled.search) == {None}
-    _assert_scanned(inst, monkeypatch)
+def test_cyclic_and_listed_sets_are_scanned(monkeypatch):
+    from test_counted import _listed  # which imports this module
 
-
-def test_a_strategy_set_missing_a_path_of_its_graph_keeps_the_scan(monkeypatch):
-    inst = _grid7()
-    paths = inst.paths[0][:462] + inst.paths[0][463:]
-    assert set().union(*paths) == set().union(*inst.paths[0])  # the same graph
-    inst = replace(inst, paths=(paths,) * len(inst.commodities))
-    assert set(inst.compiled.search) == {None}
-    _assert_scanned(inst, monkeypatch)
-
-
-def test_cyclic_and_hand_listed_sets_are_scanned(monkeypatch):
     cyclic = _grid(random.Random(3), 4, True, True)
     graph = model._graph(cyclic, cyclic.commodities[0], model.DEFAULT_PATH_CAP)
     assert not graph.acyclic
     assert _tables(cyclic, 0) is None  # not counted, whatever the crossover
-    grid = _grid7()
-    listed = replace(grid, paths=(tuple(grid.paths[0]),) * len(grid.commodities))
+    listed = _listed(_grid7())  # the walk's list of a set `prepare` counts
     for inst in (cyclic, listed):
         assert set(inst.compiled.search) == {None}
         _assert_scanned(inst, monkeypatch)
