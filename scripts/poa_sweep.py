@@ -58,7 +58,8 @@ def main() -> int:
             result = run_best_response_dynamics(
                 inst, start, DynamicsConfig(eps_improve=eps)
             )
-            if not result.converged or result.final not in equilibria:
+            listed = [p for p, _ in equilibria]
+            if not result.converged or result.final not in listed:
                 unlisted += 1
                 print(
                     f"[{k}] epsilon {eps}: dynamics ended on {result.final.choice}"

@@ -12,9 +12,8 @@ _EXPORTS = {
     for module, names in {
         "braess": "BraessReport build_classic_braess build_priced_braess"
         " edge_addition_experiment rho_formula",
-        "engine": "DynamicsConfig DynamicsResult EquilibriumReport ProfileCosts"
-        " StrategyProfile is_equilibrium potential profile_costs"
-        " run_best_response_dynamics social_cost",
+        "engine": "DynamicsConfig DynamicsResult ProfileCosts StrategyProfile"
+        " profile_costs run_best_response_dynamics",
         "model": "Commodity EdgeSpec GameInstance PathEnumerationError ScenarioError"
         " enumerate_paths parse_scenario prepare profile_count serialize_scenario"
         " validate_instance",

@@ -162,7 +162,7 @@ def _poa_summary(report: oracle.PoAReport) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import engine, oracle
+    from . import oracle
 
     instance = _prepared(args.scenario)
     equilibria, report = oracle.equilibria_and_poa(
@@ -170,10 +170,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     )
     _emit(
         {
-            "equilibria": [list(p.choice) for p in equilibria],
-            "equilibrium_social_costs": [
-                engine.social_cost(instance, p) for p in equilibria
-            ],
+            "equilibria": [list(p.choice) for p, _ in equilibria],
+            "equilibrium_social_costs": [cost for _, cost in equilibria],
             **_poa_summary(report),
         },
         args.format,

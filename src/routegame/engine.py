@@ -1,4 +1,4 @@
-"""Cost evaluation, the routing potential, equilibrium checks, and best-response dynamics.
+"""Cost evaluation, the routing potential, and best-response dynamics.
 
 Per-unit edge cost for player i: c1 * (a * f_e + b) + c2 * u(r_i), where f_e is
 the total load on the edge and r_i the player's own demand. A unilateral switch
@@ -10,32 +10,31 @@ Every function here is a view over the instance's compiled table
 load-free unit price c2 * u(r) and potential term per (commodity, edge), each
 evaluated once per class of identical commodities. `profile_costs` reports
 every player's unit cost and the social cost from one set of loads, costing
-each (class, path) once by `CompiledGame.path_cost`; `social_cost` is its
-social cost. With E edges and a player's P paths of at most L edges, one best
-response by the scan costs O(E + P * L) and evaluates no price; a strategy set
-that `prepare` counts (more than `model.SEARCH_CROSSOVER` edge slots per edge
-of its acyclic graph) is searched instead, in time that grows with its graph,
-not with P (`CompiledGame.best_move`).
-Between two moves the dynamics compute a best response once per (class,
-current path), and `is_equilibrium` checks each (class, current path) once,
-since a player's move costs read only its class's rows and the loads.
-A move updates the loads of only the edges the mover leaves or joins: in O(1)
-each from `CompiledGame.repeated_sums` when every player has the same demand,
-otherwise by re-summing each edge's users in player order (O(N) each, in C,
-for N players). The dynamics sum the potential once, for the final profile,
-in O(E + N).
+each (class, path) once by `CompiledGame.path_cost`. With E edges and a
+player's P paths of at most L edges, one best response by the scan costs
+O(E + P * L) and evaluates no price; a strategy set that `prepare` counts
+(more than `model.SEARCH_CROSSOVER` edge slots per edge of its acyclic graph)
+is searched instead, in time that grows with its graph, not with P
+(`CompiledGame.best_move`). Between two moves the dynamics compute a best
+response once per (class, current path), since a player's move costs read
+only its class's rows and the loads; at the move cap, `CompiledGame.stable`
+checks each (class, current path) once. A move updates the loads of only the
+edges the mover leaves or joins: in O(1) each from
+`CompiledGame.repeated_sums` when every player has the same demand, otherwise
+by re-summing each edge's users in player order (O(N) each, in C, for N
+players). The dynamics sum the potential once, for the final profile, in
+O(E + N).
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.best_move`, which the
-oracle's scan reads too: a player moving from path d sees each edge of d at
-its load f and every other edge at f + r, and path costs are summed from 0.0
-in path order. So `is_equilibrium` and the oracle's equilibrium list agree
-on every profile at every eps_improve, and with eps_improve >= 0 the dynamics
-stop, short of max_moves, only on a profile both accept. The potential and
-`social_cost` are exact sums of their terms, correctly rounded (`math.fsum`),
-so they depend neither on the order of the terms nor on the Python version;
-`social_cost` evaluates the compiled table's one social-cost expression, which
-the oracle's scan evaluates too.
+oracle's equilibrium test `CompiledGame.stable` reads too: a player moving
+from path d sees each edge of d at its load f and every other edge at f + r,
+and path costs are summed from 0.0 in path order. So with eps_improve >= 0
+the dynamics stop, short of max_moves, only on a profile the oracle lists.
+The potential and the social cost are exact sums of their terms, correctly
+rounded (`math.fsum`), so they depend neither on the order of the terms nor
+on the Python version; the social cost is the compiled table's one
+social-cost expression, which the oracle's scan evaluates too.
 """
 
 from __future__ import annotations
@@ -74,21 +73,6 @@ class ProfileCosts:
 
     unit_costs: tuple[float, ...]   # each player's per-unit cost on its chosen path
     social_cost: float
-
-
-@dataclass(frozen=True)
-class DeviationWitness:
-    player: int
-    path: int            # the first path more than eps cheaper than the current one
-    improvement: float   # current cost minus the cost after the move, > eps
-
-
-@dataclass(frozen=True)
-class EquilibriumReport:
-    is_equilibrium: bool
-    player_costs: tuple[float, ...]
-    potential: float
-    witness: Optional[DeviationWitness] = None
 
 
 def _check_profile(instance: GameInstance, profile: StrategyProfile) -> CompiledGame:
@@ -184,33 +168,6 @@ def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
     return f
 
 
-def _deviations(
-    g: CompiledGame, f: Sequence[float], choice: Sequence[int], eps_improve: float
-) -> tuple[tuple[float, ...], Optional[DeviationWitness]]:
-    """Each player's current cost and the first (player, path), in player and
-    then path order, more than eps_improve cheaper, or None. A player's costs
-    read only its class's rows, so `best_move` runs once per (class, current
-    path)."""
-    moves: dict[tuple[int, int], tuple[float, float, Optional[int], float]] = {}
-    costs = []
-    witness = None
-    for i, d in enumerate(choice):
-        key = g.class_of[i], d
-        move = moves.get(key)
-        if move is None:
-            move = moves[key] = g.best_move(i, d, f, eps_improve, witness=True)
-        current, _, j, cost = move
-        costs.append(current)
-        if j is not None and witness is None:
-            witness = DeviationWitness(i, j, current - cost)
-    return tuple(costs), witness
-
-
-def social_cost(instance: GameInstance, profile: StrategyProfile) -> float:
-    """Total cost over all players, as `CompiledGame.social_cost` defines it."""
-    return profile_costs(instance, profile).social_cost
-
-
 def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCosts:
     """Each player's per-unit cost on its chosen path (`CompiledGame.path_cost`)
     and the social cost, from one set of loads. Each (class, path) of
@@ -229,27 +186,6 @@ def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCo
         unit.append(costs[0])
         load_free.append(costs[1])
     return ProfileCosts(tuple(unit), g.social_cost(f, load_free))
-
-
-def potential(instance: GameInstance, profile: StrategyProfile) -> float:
-    """Scalar whose change under any unilateral switch is twice the mover's
-    demand times the mover's cost change; its minima are equilibria."""
-    g = _check_profile(instance, profile)
-    return _potential(g, _loads(g, profile.choice), _own_terms(g, profile.choice))
-
-
-def is_equilibrium(
-    instance: GameInstance,
-    profile: StrategyProfile,
-    eps_improve: float = DEFAULT_EPS_IMPROVE,
-) -> EquilibriumReport:
-    """Check every player against every path by `CompiledGame.best_move`;
-    the witness is the first path j, in (player order, path order), whose
-    cost is more than eps_improve below the player's current cost."""
-    g = _check_profile(instance, profile)
-    f, own = _loads(g, profile.choice), _own_terms(g, profile.choice)
-    costs, witness = _deviations(g, f, profile.choice, eps_improve)
-    return EquilibriumReport(witness is None, costs, _potential(g, f, own), witness)
 
 
 @dataclass(frozen=True)
@@ -294,7 +230,7 @@ def run_best_response_dynamics(
     flow = _Flow(g, choice)
     # best moves by (class, current path) since the last move: a player's
     # move costs read only its class's rows and the loads
-    memo: dict[tuple[int, int], tuple[float, float, Optional[int], float]] = {}
+    memo: dict[tuple[int, int], tuple[float, float, Optional[int]]] = {}
     while True:
         moved = False
         for i in range(len(choice)):
@@ -304,7 +240,7 @@ def run_best_response_dynamics(
             move = memo.get((g.class_of[i], d))
             if move is None:
                 move = memo[g.class_of[i], d] = g.best_move(i, d, flow.loads, eps)
-            current, best, j, _ = move
+            current, best, j = move
             if j is None or j == d:
                 continue
             memo.clear()
@@ -313,7 +249,8 @@ def run_best_response_dynamics(
             choice[i] = j
             moved = True
         if len(moves) >= config.max_moves:
-            converged = _deviations(g, flow.loads, choice, eps)[1] is None
+            pairs = {(g.class_of[i], d): (i, d) for i, d in enumerate(choice)}
+            converged = g.stable(pairs.values(), flow.loads, eps)
             break
         if not moved:
             converged = eps >= 0 or not choice

@@ -7,9 +7,10 @@ that order by one walk; a set that will be searched (below) is a
 `CountedSet`, which keeps its graph's per-node path counts and builds a path
 only when it is read by index. A prepared instance compiles, once, into the
 integer-indexed cost tables of `CompiledGame` that the engine and the oracle
-read: the one definition of social cost and the one test of a deviation,
-`CompiledGame.best_move`. That test has two evaluators with the same bits:
-the scan, which costs every path, and for the sets `prepare` counts the
+read: the one definition of social cost, the one deviation rule,
+`CompiledGame.best_move`, and the one equilibrium test built on it,
+`CompiledGame.stable`. The rule has two evaluators with the same bits: the
+scan, which costs every path, and for the sets `prepare` counts the
 shortest-path search of `search.PathSearch` on the set's graph.
 """
 
@@ -143,17 +144,17 @@ class CompiledGame:
     demand outside the domain of a c2 != 0 price on one of the commodity's
     paths raises PriceDomainError naming the first such commodity and the edge.
 
-    The engine and the oracle read two definitions from here and have none of
-    their own: the social cost of a profile (`social_cost`) and the test of
-    whether a player can improve by switching paths (`best_move`): the edges
-    of its current path d at their load f, every other edge at f + r, each
-    path's edge costs summed from 0.0 in path order.
+    The engine and the oracle read their definitions from here and have none
+    of their own: the social cost of a profile (`social_cost`), the rule by
+    which a player improves by switching paths (`best_move`): the edges of its
+    current path d at their load f, every other edge at f + r, each path's
+    edge costs summed from 0.0 in path order; and the equilibrium test on it
+    (`stable`).
     """
 
     def __init__(self, instance: GameInstance):
         edges = instance.edges
         self.c1 = tuple(e.c1 for e in edges)
-        self.c2 = tuple(e.c2 for e in edges)
         self.a = tuple(e.a for e in edges)
         self.b = tuple(e.b for e in edges)
         self.demand = tuple(c.demand for c in instance.commodities)
@@ -254,15 +255,13 @@ class CompiledGame:
             return None
         return tuple(accumulate(repeat(r, len(self.demand)), initial=0.0))
 
-    def path_constant(self, i: int, j: int) -> float:
-        """Load-free unit cost of commodity i's path j: the exact sum of its
-        edges' c2 * u(r) and c1 * b, correctly rounded."""
-        path, price, c1, b = self.paths[i][j], self.unit_price[i], self.c1, self.b
-        return exact_sum([price[k] for k in path] + [c1[k] * b[k] for k in path])
-
     def load_free_cost(self, i: int, j: int) -> float:
-        """Player i's load-free cost on path j."""
-        return self.demand[i] * self.path_constant(i, j)
+        """Player i's load-free cost on path j: its demand times the exact sum
+        of the path's edges' c2 * u(r) and c1 * b, correctly rounded."""
+        path, price, c1, b = self.paths[i][j], self.unit_price[i], self.c1, self.b
+        return self.demand[i] * exact_sum(
+            [price[k] for k in path] + [c1[k] * b[k] for k in path]
+        )
 
     def social_cost(self, loads: Sequence[float], load_free: Iterable[float]) -> float:
         """The social cost of a profile, the only one the package computes: the
@@ -302,17 +301,15 @@ class CompiledGame:
         return cost
 
     def best_move(
-        self, i: int, d: int, loads: Sequence[float], eps: float, witness: bool = False
-    ) -> tuple[float, float, Optional[int], float]:
-        """(current cost, least cost, j, cost of j) of player i on path d at
-        the profile's `loads` (by edge number): the one test of a deviation,
-        which the engine and the oracle read. A path's cost if the player moved
-        there is its `edge_costs` (the edges of d at their load f, every other
-        edge at f + r) summed from 0.0 in path order; the current cost is path
-        d's. j is None, and its cost the current cost, when no path is more
-        than eps cheaper (current - least <= eps). Otherwise j is the first
-        path at the least cost or, with `witness`, the first path more than
-        eps cheaper.
+        self, i: int, d: int, loads: Sequence[float], eps: float
+    ) -> tuple[float, float, Optional[int]]:
+        """(current cost, least cost, j) of player i on path d at the profile's
+        `loads` (by edge number): the one deviation rule, which the dynamics
+        and `stable` read. A path's cost if the player moved there is its
+        `edge_costs` (the edges of d at their load f, every other edge at
+        f + r) summed from 0.0 in path order; the current cost is path d's.
+        j is the first path at the least cost when that is more than eps below
+        the current cost, otherwise None.
 
         The strategy sets that `prepare` counts (`CountedSet`) are searched
         on their graph (`search.PathSearch`) wherever every edge cost is >= 0
@@ -320,7 +317,7 @@ class CompiledGame:
         cost = self.edge_costs(i, d, loads)
         search = self.search[i]
         if search is not None:
-            found = search.best_move(cost, self.paths[i][d], eps, witness)
+            found = search.best_move(cost, self.paths[i][d], eps)
             if found is not None:
                 return found
         costs = []
@@ -331,13 +328,22 @@ class CompiledGame:
             costs.append(total)
         current, best = costs[d], min(costs)
         if current - best <= eps:
-            return current, best, None, current
-        if not witness:
-            return current, best, costs.index(best), best
-        for j, total in enumerate(costs):
-            if current - total > eps:
-                return current, best, j, total
-        return current, best, None, current  # only where a cost is NaN
+            return current, best, None
+        return current, best, costs.index(best)
+
+    def stable(
+        self, pairs: Iterable[tuple[int, int]], loads: Sequence[float], eps: float
+    ) -> bool:
+        """The one equilibrium test: False when some player i on path d, of the
+        (i, d) in `pairs`, saves more than eps by `best_move` at the profile's
+        `loads`. Asked at eps = inf, `best_move` only costs the paths. A
+        player's move costs read only its class's rows and the loads, so one
+        player per (class, used path) decides for all of its players."""
+        for i, d in pairs:
+            current, best, _ = self.best_move(i, d, loads, math.inf)
+            if current - best > eps:
+                return False
+        return True
 
 
 def exact_sum(terms: Iterable[float]) -> float:

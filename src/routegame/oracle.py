@@ -17,18 +17,19 @@ demands in player order, and the users a run puts on an edge all add the same
 r. Run 0 reads an edge's load by its user count from the sums 0.0 + r + ...,
 and every later run adds its r once per user, so every load has the bits of a
 full recompute. Equilibrium status is a function of the loads too. It is
-decided by `CompiledGame.best_move`, the engine's own test, once per (run,
-used path), and an equilibrium counts its number of profiles, the product of
-the runs' multinomials.
+decided by `CompiledGame.stable`, on the engine's own deviation rule, once per
+(run, used path), and an equilibrium counts its number of profiles, the
+product of the runs' multinomials.
 
 Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
 of the terms, each used path's load-free term repeated by its count (in O(1),
 `_Multiples`), correctly rounded, so every profile of a state has the state's
-one cost. A state's canonical profile is its lowest-index profile, and states
-are visited in canonical-profile index order (more players on a lower path
-first), so a strict `<` (optimum) or `>` (worst equilibrium) over the states
-finds the lowest-index extreme profile, as a scan of every profile would. The
-cap still counts profiles, not states: pass a larger one for a large instance.
+one cost, which the list of equilibria carries. A state's canonical profile is
+its lowest-index profile, and states are visited in canonical-profile index
+order (more players on a lower path first), so a strict `<` (optimum) or `>`
+(worst equilibrium) over the states finds the lowest-index extreme profile, as
+a scan of every profile would. The cap still counts profiles, not states: pass
+a larger one for a large instance.
 """
 
 from __future__ import annotations
@@ -175,8 +176,7 @@ class _Multiples(dict):
 class _Indexed:
     """The state scan's tables, one entry per run; loads are by edge number."""
 
-    def __init__(self, instance: GameInstance, eps_improve: float):
-        self.eps = eps_improve
+    def __init__(self, instance: GameInstance):
         g = self.g = instance.compiled
 
         #: per run: its first player and one past its last
@@ -195,17 +195,6 @@ class _Indexed:
             [_Multiples({1: [g.load_free_cost(lo, d)]}) for d in range(len(paths))]
             for (lo, _), paths in zip(self.spans, self.paths)
         ]
-
-    def is_equilibrium(self, state: State, f: list[float]) -> bool:
-        """No player of the state saves more than eps by `best_move`, once per
-        (run, used path), asked at eps = inf: only the saving is read."""
-        eps, best_move = self.eps, self.g.best_move
-        for (lo, _), (used, _) in zip(self.spans, state):
-            for d in used:
-                current, best, _, _ = best_move(lo, d, f, math.inf)
-                if current - best > eps:
-                    return False
-        return True
 
     def social_cost(self, state: State, f: list[float]) -> float:
         """`CompiledGame.social_cost` of the state's profiles, by `_Multiples`."""
@@ -253,7 +242,7 @@ class _Indexed:
 
 @dataclass(frozen=True)
 class _Scan:
-    equilibria: list[StrategyProfile]
+    equilibria: list[tuple[StrategyProfile, float]]  # each with its social cost
     count: int
     worst: Optional[StrategyProfile]
     worst_cost: float
@@ -285,14 +274,16 @@ def _scan(
     keep: bool = False,
 ) -> _Scan:
     """One pass over every state: the equilibrium count, the worst
-    equilibrium, and on request the optimum and the list of equilibria. Ties
-    go to the lowest profile index. Social costs are computed for every state
-    only when the optimum is wanted, otherwise for equilibria only."""
+    equilibrium, and on request the optimum and the list of equilibria with
+    their social costs. Ties go to the lowest profile index. Social costs are
+    computed for every state only when the optimum is wanted, otherwise for
+    equilibria only."""
     total = profile_count(instance)
     if total > cap:
         raise ProfileCapError(f"{_count_text(total)} profiles exceed cap {cap}")
-    idx = _Indexed(instance, eps_improve)
-    equilibrium_states: list[tuple[int, ...]] = []
+    idx = _Indexed(instance)
+    stable, spans = idx.g.stable, idx.spans
+    equilibrium_states: list[tuple[tuple[int, ...], float]] = []
     best = worst = None
     best_sc, worst_sc, count = math.inf, -math.inf, 0
     for state, f in idx.states():
@@ -301,21 +292,24 @@ def _scan(
             sc = idx.social_cost(state, f)
             if sc < best_sc or best is None:
                 best, best_sc = _canonical(state), sc
-        if idx.is_equilibrium(state, f):
+        # one player per (run, used path): a run's players share their rows
+        pairs = ((lo, d) for (lo, _), (used, _) in zip(spans, state) for d in used)
+        if stable(pairs, f, eps_improve):
             count += _ways(state)
-            if keep:
-                equilibrium_states.append(_canonical(state))
             if sc is None:
                 sc = idx.social_cost(state, f)
+            if keep:
+                equilibrium_states.append((_canonical(state), sc))
             if sc > worst_sc or worst is None:
                 worst, worst_sc = _canonical(state), sc
     found = sorted(
-        tuple([d for part in parts for d in part])
-        for canonical in equilibrium_states
-        for parts in product(*(_arrangements(canonical[lo:hi]) for lo, hi in idx.spans))
+        (tuple([d for part in parts for d in part]), sc)
+        for canonical, sc in equilibrium_states
+        for parts in product(*(_arrangements(canonical[lo:hi]) for lo, hi in spans))
     )
     best, worst = (None if p is None else StrategyProfile(p) for p in (best, worst))
-    return _Scan(list(map(StrategyProfile, found)), count, worst, worst_sc, best, best_sc)
+    equilibria = [(StrategyProfile(p), sc) for p, sc in found]
+    return _Scan(equilibria, count, worst, worst_sc, best, best_sc)
 
 
 def worst_equilibrium(
@@ -344,8 +338,8 @@ def equilibria_and_poa(
     instance: GameInstance,
     cap: int = DEFAULT_PROFILE_CAP,
     eps_improve: float = DEFAULT_EPS_IMPROVE,
-) -> tuple[list[StrategyProfile], PoAReport]:
-    """Every pure equilibrium, in profile-index order, and price_of_anarchy,
-    from the same single pass."""
+) -> tuple[list[tuple[StrategyProfile, float]], PoAReport]:
+    """Every pure equilibrium with its social cost, in profile-index order,
+    and price_of_anarchy, from the same single pass."""
     scan = _scan(instance, cap, eps_improve, optimum=True, keep=True)
     return scan.equilibria, scan.report()

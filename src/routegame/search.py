@@ -24,15 +24,13 @@ call, as is a finite sum; otherwise the scan answers), so:
   scan's min(costs).
 
 The index. A strategy set is sorted by edge-id tuples, so the lowest index
-whose cost qualifies (costs the minimum, or is more than eps below the current
-cost) is the lexicographically first edge-id tuple that does. A depth-first
-search over the out-edges in edge-id order meets the paths in that order,
-folds each prefix exactly as the scan does, and tests each complete path by
-the scan's own comparison. Whether a cost qualifies is monotone in the cost,
-so the search may skip a prefix when a lower bound on the fold of every
-completion does not qualify. It skips nothing else: a prefix that is not the
-least at its node can still tie at the sink, where rounding absorbs the
-difference.
+at the least cost is the lexicographically first edge-id tuple at that cost.
+A depth-first search over the out-edges in edge-id order meets the paths in
+that order, folds each prefix exactly as the scan does, and stops at the
+first complete path whose fold is at most the least one, lab[sink]. So it may
+skip a prefix when a lower bound on the fold of every completion exceeds
+lab[sink]. It skips nothing else: a prefix that is not the least at its node
+can still tie at the sink, where rounding absorbs the difference.
 
 The lower bound, deflated for rounding. Let x be a prefix's fold at node v and
 h[v] the least backward fold (sums rounded from the sink back) over v's
@@ -50,7 +48,7 @@ stays finite, as the edge costs sum to less than 2**1000.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from .model import CountedSet
@@ -80,12 +78,8 @@ class PathSearch:
         self.rank = paths.rank
 
     def best_move(
-        self,
-        cost: Sequence[float],
-        current_path: Sequence[int],
-        eps: float,
-        witness: bool,
-    ) -> Optional[tuple[float, float, Optional[int], float]]:
+        self, cost: Sequence[float], current_path: Sequence[int], eps: float
+    ) -> Optional[tuple[float, float, Optional[int]]]:
         """`CompiledGame.best_move` for a player on `current_path` at the edge
         costs `cost` (by edge number), or None where the search's premises
         fail: an edge cost that is negative or NaN, or costs summing to
@@ -97,17 +91,12 @@ class PathSearch:
         for k in current_path:
             current += cost[k]
         if current - best <= eps:
-            return current, best, None, current
-        qualifies: Callable[[float], bool]
-        if witness:
-            qualifies = lambda c: current - c > eps  # noqa: E731
-        else:
-            qualifies = best.__ge__
+            return current, best, None
         found = _simple_paths(
-            self.out, self.sink, cost, self._backward(cost), qualifies, self.deflate
+            self.out, self.sink, cost, self._backward(cost), best, self.deflate
         )
-        path, c = next(found)
-        return current, best, self.rank(path), c
+        path, _ = next(found)
+        return current, best, self.rank(path)
 
     def _forward(self, cost: Sequence[float]) -> float:
         """The least fold over the source-sink paths."""
@@ -138,13 +127,13 @@ def _simple_paths(
     sink: int,
     cost: Sequence[float],
     h: Sequence[float],
-    qualifies: Callable[[float], bool],
+    best: float,
     deflate: float,
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """Each path from node 0 to `sink` of the acyclic graph `out` whose fold
-    qualifies, as (edge numbers, fold), in edge-id order. A prefix with fold x
-    at node v is not extended when (x + h[v]) * deflate - 2**-1000 does not
-    qualify."""
+    is at most `best`, as (edge numbers, fold), in edge-id order. A prefix
+    with fold x at node v is not extended when (x + h[v]) * deflate - 2**-1000
+    exceeds `best`."""
     trail, folds = [], [0.0]
     stack = [iter(out[0])]
     while stack:
@@ -152,9 +141,9 @@ def _simple_paths(
         for _, k, w, _ in stack[-1]:
             y = x + cost[k]
             if w == sink:
-                if qualifies(y):
+                if y <= best:
                     yield (*trail, k), y
-            elif qualifies((y + h[w]) * deflate - _TINY):
+            elif (y + h[w]) * deflate - _TINY <= best:
                 trail.append(k)
                 folds.append(y)
                 stack.append(iter(out[w]))

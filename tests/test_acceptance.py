@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from test_oracle import scan_equilibria
+from test_engine import potential
+from test_oracle import scan_equilibria, stable
 from routegame import engine, oracle
 from routegame.braess import (
     build_classic_braess,
@@ -20,7 +21,7 @@ from routegame.braess import (
     rho_formula,
 )
 from routegame.cli import main
-from routegame.engine import StrategyProfile, is_equilibrium, social_cost
+from routegame.engine import StrategyProfile, profile_costs
 from routegame.pricing import PRICE_FAMILIES, PriceSpec, eval_F, eval_u
 from routegame.random_instances import random_affine_instance
 
@@ -109,7 +110,7 @@ def test_criterion_05_potential_deviation_identity():
             prof = StrategyProfile(
                 tuple(rng.randrange(len(inst.paths[i])) for i in range(k))
             )
-            phi = engine.potential(inst, prof)
+            phi = potential(inst, prof)
             costs = engine.profile_costs(inst, prof).unit_costs
             for i, cur in enumerate(prof.choice):
                 r = inst.commodities[i].demand
@@ -121,7 +122,7 @@ def test_criterion_05_potential_deviation_identity():
                         prof.choice[:i] + (j,) + prof.choice[i + 1:]
                     )
                     new_cost = engine.profile_costs(inst, moved).unit_costs[i]
-                    delta_phi = engine.potential(inst, moved) - phi
+                    delta_phi = potential(inst, moved) - phi
                     assert abs(delta_phi - 2.0 * r * (new_cost - cur_cost)) <= 1e-9
     _report("5 deviation identity", time.perf_counter() - t0, 30.0)
 
@@ -159,9 +160,9 @@ def test_criterion_08_poa_bound(random_suite):
     best, worst_eq = math.inf, -math.inf
     for choice in itertools.product(range(3), range(3)):
         prof = StrategyProfile(choice)
-        sc = social_cost(after, prof)
+        sc = profile_costs(after, prof).social_cost
         best = min(best, sc)
-        if is_equilibrium(after, prof).is_equilibrium:
+        if stable(after, prof):
             worst_eq = max(worst_eq, sc)
     assert abs(worst_eq / best - 4.0 / 3.0) <= 1e-12
     _report("8 PoA bound", time.perf_counter() - t0, 60.0)

@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import math
 import re
 import sys
@@ -14,7 +13,6 @@ from routegame.braess import (
     edge_addition_experiment,
     rho_formula,
 )
-from routegame.engine import StrategyProfile, is_equilibrium, social_cost
 from routegame.model import mixing_violations, serialize_scenario, validate_instance
 from routegame.pricing import PriceSpec, eval_u
 

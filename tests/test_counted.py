@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_model import _grid as _unit_grid
-from test_oracle import scan_equilibria
+from test_engine import potential
+from test_oracle import stable
 from test_search import EPS, _grid
 from routegame import cli, engine, model, oracle
 from routegame.model import (
@@ -161,7 +162,8 @@ def test_sets_with_a_cycle_are_listed():
 
 
 def _engine_answers(inst, seed):
-    """Dynamics from seeded starts and equilibrium checks with their witnesses."""
+    """Dynamics from seeded starts, and equilibrium checks, potentials and
+    costs of their start and final profiles."""
     rng = random.Random(seed)
     answers = []
     configs = [engine.DynamicsConfig(eps_improve=eps) for eps in (0.0, 1e-9, 0.05)]
@@ -170,7 +172,8 @@ def _engine_answers(inst, seed):
         result = engine.run_best_response_dynamics(inst, start, config)
         answers.append(result)
         for profile in (start, result.final):
-            answers.append(engine.is_equilibrium(inst, profile, config.eps_improve))
+            answers.append(stable(inst, profile, config.eps_improve))
+            answers.append(potential(inst, profile))
             answers.append(engine.profile_costs(inst, profile))
     return answers
 
@@ -182,7 +185,7 @@ def _engine_answers(inst, seed):
     st.booleans(),
     st.booleans(),
 )
-def test_dynamics_and_witnesses_match_the_listed_set(seed, k, snap, cyclic):
+def test_dynamics_and_equilibrium_checks_match_the_listed_set(seed, k, snap, cyclic):
     # a grid with edges left or up has cycles, and its sets stay listed
     inst = _grid(random.Random(seed), 4 if cyclic else k, snap, cyclic)
     backward = any(e.id[0] in "lu" for e in inst.edges)
@@ -266,20 +269,17 @@ def test_the_scan_lists_a_counted_set_once(monkeypatch, case):
         f = engine._loads(g, choice) if loads is None else loads
         for i, d in enumerate(choice):
             for eps in EPS:
-                for witness in (False, True):
-                    got = g.best_move(i, d, f, eps, witness)
-                    assert got == want.best_move(i, d, f, eps, witness)
+                assert g.best_move(i, d, f, eps) == want.best_move(i, d, f, eps)
     assert calls == ["p0"]  # all four commodities share the set
 
 
-def test_the_oracle_and_validate_list_a_counted_set_once(monkeypatch):
+def test_the_oracle_lists_a_counted_set_once(monkeypatch):
     inst = _grid7(players=1)
     listed = _listed(inst)
     assert math.prod(map(len, inst.paths)) == 924
     calls = _listings(monkeypatch)
     for _ in range(2):
         assert oracle.price_of_anarchy(inst) == oracle.price_of_anarchy(listed)
-        assert scan_equilibria(inst) == scan_equilibria(listed)
-        assert validate_instance(inst) == validate_instance(listed)
+        assert oracle.equilibria_and_poa(inst) == oracle.equilibria_and_poa(listed)
         assert validate_instance(inst).ok
     assert calls == ["p0"]

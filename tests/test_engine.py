@@ -11,16 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_oracle import stable
 from routegame import engine
 from routegame.braess import build_priced_braess
 from routegame.engine import (
     DynamicsConfig,
     StrategyProfile,
-    is_equilibrium,
-    potential,
     profile_costs,
     run_best_response_dynamics,
-    social_cost,
 )
 from routegame import model
 from routegame.model import Commodity, EdgeSpec, GameInstance, exact_sum, prepare
@@ -54,6 +52,17 @@ def loads_by_id(inst, prof):
 def unit_cost(inst, prof, i):
     """Player i's unit cost on its chosen path."""
     return profile_costs(inst, prof).unit_costs[i]
+
+
+def social_cost(inst, prof):
+    return profile_costs(inst, prof).social_cost
+
+
+def potential(inst, prof):
+    """The potential the dynamics report for a profile, summed once."""
+    g = inst.compiled
+    f, own = engine._loads(g, prof.choice), engine._own_terms(g, prof.choice)
+    return engine._potential(g, f, own)
 
 
 def best_move(inst, prof, i):
@@ -226,21 +235,19 @@ def test_deviation_identity(seed):
 
 def test_all_zigzag_is_a_weak_equilibrium(classic_pair_10):
     _, after = classic_pair_10
-    report = is_equilibrium(after, all_zigzag(10))
-    assert report.is_equilibrium
-    assert report.witness is None
-    assert report.player_costs == pytest.approx([2.0] * 10, abs=1e-12)
+    assert stable(after, all_zigzag(10))
+    costs = profile_costs(after, all_zigzag(10)).unit_costs
+    assert costs == pytest.approx([2.0] * 10, abs=1e-12)
 
 
-def test_half_split_with_shortcut_has_a_witness(classic_pair_10):
+def test_half_split_with_shortcut_is_no_equilibrium(classic_pair_10):
     _, after = classic_pair_10
-    report = is_equilibrium(after, half_split(10, True))
-    assert not report.is_equilibrium
+    assert not stable(after, half_split(10, True))
     # player 0 rides the top path at cost 1.5; the zigzag at deviated loads
     # costs 0.5 + 0 + 0.6 = 1.1
-    assert report.witness.player == 0
-    assert report.witness.path == ZIG
-    assert report.witness.improvement == pytest.approx(0.4, abs=1e-12)
+    current, best, j = best_move(after, half_split(10, True), 0)
+    assert (current, best) == pytest.approx((1.5, 1.1), abs=1e-12)
+    assert j == ZIG
 
 
 def test_single_path_commodities_are_always_at_equilibrium():
@@ -251,7 +258,7 @@ def test_single_path_commodities_are_always_at_equilibrium():
             tuple(Commodity(f"c{i}", "a", "b", 0.5) for i in range(3)),
         )
     )
-    assert is_equilibrium(inst, StrategyProfile((0, 0, 0))).is_equilibrium
+    assert stable(inst, StrategyProfile((0, 0, 0)))
 
 
 def test_best_response_migrates_to_zigzag(classic_pair_10):
@@ -268,7 +275,7 @@ def test_best_response_keeps_only_path():
             (Commodity("c", "a", "b", 1.0),),
         )
     )
-    assert best_move(inst, StrategyProfile((0,)), 0) == (1.0, 1.0, None, 1.0)
+    assert best_move(inst, StrategyProfile((0,)), 0) == (1.0, 1.0, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +285,7 @@ def test_best_response_matches_exhaustive_minimum(seed):
     inst = random_affine_instance(rng, max_players=2)
     prof = random_profile(rng, inst)
     player = rng.randrange(len(inst.commodities))
-    *_, cost = best_move(inst, prof, player)
+    _, cost, _ = best_move(inst, prof, player)
     # brute force over the player's strategies
     options = []
     for j in range(len(inst.paths[player])):
@@ -315,7 +322,7 @@ def test_dynamics_migrates_onto_the_shortcut(classic_pair_10):
     _, after = classic_pair_10
     result = run_best_response_dynamics(after, half_split(10, True))
     assert result.converged
-    assert is_equilibrium(after, result.final).is_equilibrium
+    assert stable(after, result.final)
     assert sum(1 for c in result.final.choice if c == ZIG) >= 8
     trace = _replayed_potentials(after, half_split(10, True), result.moves)
     for k, move in enumerate(result.moves):
@@ -372,7 +379,7 @@ def test_dynamics_on_random_instances(seed):
     start = random_profile(rng, inst)
     result = run_best_response_dynamics(inst, start)
     assert result.converged
-    assert is_equilibrium(inst, result.final).is_equilibrium
+    assert stable(inst, result.final)
     # every move is a strict potential descent of twice the weighted improvement
     trace = _replayed_potentials(inst, start, result.moves)
     for k, move in enumerate(result.moves):
@@ -493,13 +500,11 @@ def test_running_potential_of_an_all_zero_cost_instance(c1):
 
 
 def _assert_one_shot_potential_is_the_full_sum(inst):
-    """`potential` and `is_equilibrium` sum the potential once; on every
-    profile they give the bits of the sum from scratch."""
+    """`potential` sums the potential once; on every profile it gives the
+    bits of the sum from scratch."""
     for choice in itertools.product(*(range(len(p)) for p in inst.paths)):
         want = _full_potential(inst, choice)
-        profile = StrategyProfile(choice)
-        assert _same_float(potential(inst, profile), want)
-        assert _same_float(is_equilibrium(inst, profile).potential, want)
+        assert _same_float(potential(inst, StrategyProfile(choice)), want)
 
 
 @pytest.mark.parametrize(
@@ -594,20 +599,25 @@ def test_equilibrium_checks_cost_one_best_move_per_class_and_path(monkeypatch):
     monkeypatch.setattr(
         model.CompiledGame,
         "best_move",
-        lambda self, *args, **kw: calls.append(args[:2]) or real(self, *args, **kw),
+        lambda self, i, d, f, eps: calls.append(eps) or real(self, i, d, f, eps),
     )
     _, after = build_priced_braess(2000, PriceSpec("log1p"))
     prof = random_profile(random.Random(3), after)
-    report = is_equilibrium(after, prof)
-    pairs = {(after.compiled.class_of[i], d) for i, d in enumerate(prof.choice)}
-    assert len(calls) == len(pairs) == 3
-    assert not report.is_equilibrium and len(report.player_costs) == 2000
+    g = after.compiled
+    f = engine._loads(g, prof.choice)
+    pairs = {(g.class_of[i], d): (i, d) for i, d in enumerate(prof.choice)}
+    # at eps 1 no player saves enough: one best move per (class, path); at
+    # the default eps the first pair's player, on the top path, saves 0.16
+    assert g.stable(pairs.values(), f, 1.0)
+    assert not g.stable(pairs.values(), f, model.DEFAULT_EPS_IMPROVE)
+    assert len(pairs) == 3 and calls == [math.inf] * 4
     # the check at the dynamics' move cap: once per (class, path) as well
     calls.clear()
     config = DynamicsConfig(max_moves=100)
     result = run_best_response_dynamics(after, StrategyProfile((0,) * 2000), config)
     assert len(result.moves) == 100 and not result.converged
     assert len(calls) <= (100 + 1) * 3 + 3
+    assert 1 <= calls.count(math.inf) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +645,7 @@ def test_unweighted_price_outside_its_domain_is_never_evaluated():
     result = run_best_response_dynamics(inst, StrategyProfile((0, 0)))
     assert result.converged
     assert social_cost(inst, result.final) > 0.0
-    assert is_equilibrium(inst, result.final).is_equilibrium
+    assert stable(inst, result.final)
 
 
 def test_weighted_price_outside_its_domain_still_raises():
@@ -657,7 +667,7 @@ def test_prices_are_evaluated_once_per_price_and_demand(monkeypatch):
     inst = replace(after)  # a fresh instance: nothing compiled yet
     result = run_best_response_dynamics(inst, half_split(10, True))
     social_cost(inst, result.final)
-    is_equilibrium(inst, result.final)
+    stable(inst, result.final)
     # 10 players of one class; of the diamond's 5 edges only sv and wt carry
     # a price weight, and they share one PriceSpec
     assert len(calls) == 1
@@ -712,4 +722,4 @@ def test_edge_costs_charge_the_demand_off_the_current_path():
     # "ab" at its load, "ac" and "cb" at load + 0.5, "ba" off x's strategy set
     assert cost == {"ab": 0.5, "ac": 2.0, "cb": 0.5, "ba": 0.0}
     assert g.path_cost(0, g.paths[0][d], f) == 0.5
-    assert g.best_move(0, d, f, 0.0) == (0.5, 0.5, None, 0.5)
+    assert g.best_move(0, d, f, 0.0) == (0.5, 0.5, None)

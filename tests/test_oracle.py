@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
-from routegame.engine import StrategyProfile, is_equilibrium
+from routegame.engine import StrategyProfile
 from routegame.model import Commodity, EdgeSpec, GameInstance, prepare
 from routegame.pricing import PriceSpec
 from routegame.random_instances import random_affine_instance
@@ -29,8 +29,16 @@ def single_path_instance(k=5):
 def scan_equilibria(
     inst, cap=oracle.DEFAULT_PROFILE_CAP, eps_improve=oracle.DEFAULT_EPS_IMPROVE
 ):
-    """Every equilibrium the oracle's scan lists, in profile-index order."""
-    return oracle._scan(inst, cap, eps_improve, keep=True).equilibria
+    """Every equilibrium the oracle's scan lists, in profile-index order,
+    without its cost."""
+    return [p for p, _ in oracle._scan(inst, cap, eps_improve, keep=True).equilibria]
+
+
+def stable(inst, prof, eps=oracle.DEFAULT_EPS_IMPROVE):
+    """`CompiledGame.stable` of the profile, asked once per player, at its
+    loads summed from scratch."""
+    g = inst.compiled
+    return g.stable(enumerate(prof.choice), engine._loads(g, prof.choice), eps)
 
 
 def scan_optimum(inst, cap=oracle.DEFAULT_PROFILE_CAP):
@@ -40,11 +48,12 @@ def scan_optimum(inst, cap=oracle.DEFAULT_PROFILE_CAP):
 
 
 def brute_force_equilibria(inst, eps=1e-9):
-    # independent route: direct product over strategy sets + engine's Def.-1 check
+    # independent route: direct product over strategy sets, each profile's
+    # loads from scratch and every player asked
     out = []
     for choice in itertools.product(*(range(len(p)) for p in inst.paths)):
         p = StrategyProfile(choice)
-        if is_equilibrium(inst, p, eps).is_equilibrium:
+        if stable(inst, p, eps):
             out.append(p)
     return out
 
@@ -216,7 +225,7 @@ def test_state_social_cost_has_the_bits_of_the_repeated_terms(terms, counts, use
     # a run of the diamond's 3 paths with drawn load-free terms and counts:
     # the state's cost is the exact sum with each used path's term repeated
     _, after = build_priced_braess(2, PriceSpec("log1p"))
-    idx = oracle._Indexed(after, 1e-9)
+    idx = oracle._Indexed(after)
     idx.multiples = [[oracle._Multiples({1: [t]}) for t in terms]]
     used = sorted(used)
     counts = [counts[d] for d in used]

@@ -4,9 +4,9 @@ against the engine.
 Every comparison is exact (==). Equilibrium lists, counts and errors equal
 those of a scan of every profile in index order by the documented deviation
 rule over the model's move costs (`ExactCosts.equilibria`), ties included, and
-the list is the profiles that `engine.is_equilibrium` accepts. Social costs are
-the correctly rounded exact sums of their terms, and the optimum and the worst
-equilibrium are the lowest-index argmin and argmax of that exact cost, as a
+the list is the profiles that `CompiledGame.stable` accepts. Social costs, the
+listed equilibria's included, are the correctly rounded exact sums of their
+terms, and the optimum and the worst equilibrium are the lowest-index argmin and argmax of that exact cost, as a
 scan of every profile in index order with a strict `<` or `>` finds them.
 """
 
@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 import exact_costs
 from exact_costs import ExactCosts
-from test_oracle import scan_equilibria, scan_optimum
+from test_oracle import scan_equilibria, scan_optimum, stable
 from tie_rich import repeated, seeded_instances, tie_rich_instances
-from routegame import engine, oracle
+from routegame import oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
-from routegame.engine import StrategyProfile
+from routegame.engine import StrategyProfile, profile_costs
 from routegame.model import (
     Commodity,
     CostOverflowError,
@@ -100,7 +100,8 @@ def _assert_entry_points_match(inst, cap, epsilons=EPSILONS):
             count,
             poa,
         )
-        assert oracle.equilibria_and_poa(inst, cap, eps) == (equilibria, want)
+        listed = [(p, cost[p.choice]) for p in equilibria]
+        assert oracle.equilibria_and_poa(inst, cap, eps) == (listed, want)
         assert oracle.price_of_anarchy(inst, cap, eps) == want
 
 
@@ -128,11 +129,11 @@ def test_every_ordering_of_a_state_has_one_social_cost(seed):
         size = len(list(group))
         runs.append(set(permutations(choice[start:start + size])))
         start += size
-    cost = engine.social_cost(inst, StrategyProfile(tuple(choice)))
+    cost = profile_costs(inst, StrategyProfile(tuple(choice))).social_cost
     assert cost == ExactCosts(inst).social_cost(choice)
     for parts in islice(product(*runs), 200):
         ordering = StrategyProfile(tuple(d for part in parts for d in part))
-        assert engine.social_cost(inst, ordering) == cost
+        assert profile_costs(inst, ordering).social_cost == cost
 
 
 @settings(max_examples=120, deadline=None)
@@ -163,7 +164,9 @@ def test_exact_ties_go_to_the_lowest_index():
     # (0, 1) and (1, 0) share loads and the load-free terms 0.7 and 0.1, so
     # both cost exactly 2.8; the lower index, (0, 1), wins
     cheap = _parallel_edges(0.7, 0.1)
-    costs = [engine.social_cost(cheap, StrategyProfile(p)) for p in ((0, 1), (1, 0))]
+    costs = [
+        profile_costs(cheap, StrategyProfile(p)).social_cost for p in ((0, 1), (1, 0))
+    ]
     assert costs == [2.8, 2.8]
     report = oracle.price_of_anarchy(cheap)
     assert (report.optimal_profile.choice, report.optimal_cost) == ((0, 1), 2.8)
@@ -206,7 +209,7 @@ def test_overflowing_social_costs_are_inf():
         )
     )
     for choice in product((0, 1), repeat=2):
-        assert engine.social_cost(inst, StrategyProfile(choice)) == math.inf
+        assert profile_costs(inst, StrategyProfile(choice)).social_cost == math.inf
     assert scan_optimum(inst) == (StrategyProfile((0, 0)), math.inf)
     with pytest.raises(CostOverflowError):  # inf / inf is no PoA
         oracle.price_of_anarchy(inst)
@@ -255,9 +258,7 @@ def test_loads_sum_demands_in_player_order():
 def _assert_oracle_lists_the_engine_equilibria(inst):
     profiles = [StrategyProfile(p) for p in product(*map(range, map(len, inst.paths)))]
     for eps in EPSILONS:
-        accepted = [
-            p for p in profiles if engine.is_equilibrium(inst, p, eps).is_equilibrium
-        ]
+        accepted = [p for p in profiles if stable(inst, p, eps)]
         assert scan_equilibria(inst, len(profiles), eps) == accepted, eps
 
 
@@ -356,6 +357,16 @@ def test_log1p_diamond_n10_matches_golden(capsys, tmp_path, command):
     scenario.write_text(serialize_scenario(after))
     out = _stdout(capsys, [command, str(scenario)])
     assert out == (DATA / f"diamond10-log1p-{command}.json").read_text()
+
+
+def test_classic_n4_enumerate_matches_golden(capsys, tmp_path):
+    # 21 equilibria in 4 states, whose costs 1.625, 1.8125 and 2.0 the report
+    # prints from the oracle's one pass
+    _, after = build_classic_braess(4)
+    scenario = tmp_path / "classic4.json"
+    scenario.write_text(serialize_scenario(after))
+    out = _stdout(capsys, ["enumerate", str(scenario)])
+    assert out == (DATA / "classic4-after-enumerate.json").read_text()
 
 
 def test_braess_priced_sin_n10_matches_golden(capsys):

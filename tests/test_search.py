@@ -2,8 +2,8 @@
 
 `_scan` applies the deviation rule to every path's cost by `move_costs`, a
 test-side restatement of the cost `CompiledGame.best_move` scans;
-`search.PathSearch` finds the same (current cost, least cost, path index, its
-cost) on the strategy set's graph. Both are called directly here, and compared
+`search.PathSearch` finds the same (current cost, least cost, path index) on
+the strategy set's graph. Both are called directly here, and compared
 with ==; `_tables` prepares with `model.SEARCH_CROSSOVER` at 0, so the size
 rule that picks one per strategy set hides neither on an acyclic graph.
 """
@@ -23,6 +23,7 @@ from test_equivalence import (
     _assert_moves_follow_move_costs,
     move_costs,
 )
+from test_oracle import stable
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
 from routegame import engine, model, oracle, search
 from routegame.braess import build_priced_braess
@@ -39,15 +40,11 @@ DATA = Path(__file__).parent / "data"
 EPS = (-1.0, 0.0, 1e-9, 0.05)
 
 
-def _scan(g, i, d, f, eps, witness):
+def _scan(g, i, d, f, eps):
     """`CompiledGame.best_move` by the documented rule over `move_costs`."""
     costs = move_costs(g, i, d, f)
     current, best = costs[d], min(costs)
-    if witness:
-        j = next((j for j, c in enumerate(costs) if current - c > eps), None)
-    else:
-        j = None if current - best <= eps else costs.index(best)
-    return current, best, j, current if j is None else costs[j]
+    return current, best, None if current - best <= eps else costs.index(best)
 
 
 def _tables(inst, i):
@@ -73,9 +70,8 @@ def _assert_search_matches_scan(inst, rng, profiles=3):
                 continue
             cost = g.edge_costs(i, d, f)
             for eps in EPS:
-                for witness in (False, True):
-                    found = tables[i].best_move(cost, g.paths[i][d], eps, witness)
-                    assert found == _scan(g, i, d, f, eps, witness)
+                found = tables[i].best_move(cost, g.paths[i][d], eps)
+                assert found == _scan(g, i, d, f, eps)
 
 
 def _grid(rng, k, snap, cyclic, players=2):
@@ -172,9 +168,7 @@ def _trap(edges):
     table = _tables(inst, 0)
     assert table is not None
     for eps in (0.0, 1e-9):
-        for witness in (False, True):
-            found = table.best_move(cost, g.paths[0][d], eps, witness)
-            assert found == _scan(g, 0, d, f, eps, witness)
+        assert table.best_move(cost, g.paths[0][d], eps) == _scan(g, 0, d, f, eps)
     return inst, table, cost, d
 
 
@@ -191,12 +185,7 @@ def test_a_prefix_not_least_at_its_node_can_still_tie_at_the_sink():
     inst, table, cost, d = _trap(edges)
     assert inst.paths[0] == (("e0",), ("e1", "e3"), ("e2", "e3"))
     assert move_costs(inst.compiled, 0, d, [0.0] * 4) == [5.0, 2.0, 2.0]
-    assert table.best_move(cost, inst.compiled.paths[0][d], 0.0, False) == (
-        5.0, 2.0, 1, 2.0
-    )
-    assert table.best_move(cost, inst.compiled.paths[0][d], 2.5, True) == (
-        5.0, 2.0, 1, 2.0
-    )
+    assert table.best_move(cost, inst.compiled.paths[0][d], 0.0) == (5.0, 2.0, 1)
 
 
 def test_the_pruning_bound_is_deflated_for_rounding():
@@ -216,12 +205,7 @@ def test_the_pruning_bound_is_deflated_for_rounding():
     inst, table, cost, d = _trap(edges)
     assert inst.paths[0] == (("e0",), ("e1", "e3", "e4"), ("e2", "e5"))
     assert move_costs(inst.compiled, 0, d, [0.0] * 6) == [5.0, 1.0, 1.0]
-    assert table.best_move(cost, inst.compiled.paths[0][d], 0.0, False) == (
-        5.0, 1.0, 1, 1.0
-    )
-    assert table.best_move(cost, inst.compiled.paths[0][d], 3.99, True) == (
-        5.0, 1.0, 1, 1.0
-    )
+    assert table.best_move(cost, inst.compiled.paths[0][d], 0.0) == (5.0, 1.0, 1)
 
 
 def _grid7():
@@ -258,7 +242,7 @@ def test_grid_moves_go_through_the_search(monkeypatch):
     start = engine.StrategyProfile((0, 1, 2, 3))
     result = engine.run_best_response_dynamics(inst, start)
     assert result.converged and result.moves
-    assert engine.is_equilibrium(inst, result.final).is_equilibrium
+    assert stable(inst, result.final)
     assert answers and None not in answers
 
 
@@ -271,9 +255,7 @@ def _assert_scanned(inst, monkeypatch, loads=None):
         f = engine._loads(g, choice) if loads is None else loads
         for i, d in enumerate(choice):
             for eps in EPS:
-                for witness in (False, True):
-                    found = g.best_move(i, d, f, eps, witness)
-                    assert found == _scan(g, i, d, f, eps, witness)
+                assert g.best_move(i, d, f, eps) == _scan(g, i, d, f, eps)
     assert set(answers) <= {None}
     return answers
 

@@ -26,10 +26,16 @@ def test_engine_cost_of_oracle_profiles_is_the_reported_cost(seed):
     inst = random_affine_instance(rng)
     eps = rng.choice([0.0, 1e-9, 0.05])
     equilibria, report = oracle.equilibria_and_poa(inst, eps_improve=eps)
-    assert engine.social_cost(inst, report.optimal_profile) == report.optimal_cost
-    worst = engine.social_cost(inst, report.worst_equilibrium_profile)
+
+    def cost(p):
+        return engine.profile_costs(inst, p).social_cost
+
+    assert cost(report.optimal_profile) == report.optimal_cost
+    worst = cost(report.worst_equilibrium_profile)
     assert worst == report.worst_equilibrium_cost
-    assert max(engine.social_cost(inst, p) for p in equilibria) == worst
+    # the cost listed with each equilibrium is the engine's, bit for bit
+    assert [_bits(c) for _, c in equilibria] == [_bits(cost(p)) for p, _ in equilibria]
+    assert max(c for _, c in equilibria) == worst
 
 
 def test_enumerate_lists_the_reported_worst_cost(capsys, tmp_path):
