@@ -94,10 +94,18 @@ def _prepared(path: str) -> GameInstance:
 
 
 def _profile_report(instance: GameInstance, profile: engine.StrategyProfile) -> dict:
-    return {
-        c.id: instance.paths[i][profile.choice[i]]
-        for i, c in enumerate(instance.commodities)
-    }
+    """Each commodity's chosen path as its edge ids, the one place the package
+    spells a path out in ids: once per path object, so that players on one
+    path share one tuple, which `json_text` writes once."""
+    ids = [e.id for e in instance.edges]
+    named: dict[int, tuple[str, ...]] = {}  # by id() of a path its set holds
+    report = {}
+    for c, plist, j in zip(instance.commodities, instance.paths, profile.choice):
+        path = plist[j]
+        report[c.id] = named.get(id(path)) or named.setdefault(
+            id(path), tuple(map(ids.__getitem__, path))
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

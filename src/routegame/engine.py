@@ -76,14 +76,13 @@ class ProfileCosts:
 
 
 def _check_profile(instance: GameInstance, profile: StrategyProfile) -> CompiledGame:
-    if not instance.prepared:
-        raise ValueError("instance has no enumerated paths; call prepare() first")
+    g = instance.compiled  # raises ValueError on an unprepared instance
     if len(profile.choice) != len(instance.commodities):
         raise ValueError("profile length does not match number of commodities")
     for i, c in enumerate(profile.choice):
-        if c >= len(instance.paths[i]):
+        if c >= len(g.paths[i]):
             raise ValueError(f"path index {c} out of range for commodity {i}")
-    return instance.compiled
+    return g
 
 
 class _Flow:

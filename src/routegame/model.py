@@ -1,11 +1,13 @@
 """Game instances: directed graph, priced edges, commodities, and strategy sets.
 
-A strategy set holds the simple source-to-sink paths of a commodity as
-edge-id sequences in lexicographic order, so that path indices are stable
-across runs and platforms. A set with few paths per edge is a list, built in
-that order by one walk; a set that will be searched (below) is a
-`CountedSet`, which keeps its graph's per-node path counts and builds a path
-only when it is read by index. A prepared instance compiles, once, into the
+A strategy set holds the simple source-to-sink paths of a commodity, each
+as the numbers of its edges (indices into the instance's edges) in path
+order. The paths are in lexicographic order of their edge ids, so that path
+indices are stable across runs and platforms; only the CLI's report spells
+a path out in ids. A set with few paths per edge is a list, built in that
+order by one walk; a set that will be searched (below) is a `CountedSet`,
+which keeps its graph's per-node path counts and builds a path only when it
+is read by index. A prepared instance compiles, once, into the
 integer-indexed cost tables of `CompiledGame` that the engine and the oracle
 read: the one definition of social cost, the one deviation rule,
 `CompiledGame.best_move`, and the one equilibrium test built on it,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from copy import copy
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, repeat
@@ -50,7 +51,7 @@ _TOO_MANY = "commodity {!r} has more than {} simple paths"
 #: searched as a `CountedSet`.
 SEARCH_CROSSOVER = 10
 
-Path = tuple[str, ...]  # ordered edge-id sequence
+Path = tuple[int, ...]  # edge numbers, indices into the instance's edges, in path order
 
 
 class ScenarioError(ValueError):
@@ -136,7 +137,7 @@ class CompiledGame:
     Edges are numbered in instance order; per-edge lists are indexed by that
     number. Commodities fall into classes: those that share one strategy-set
     tuple (`prepare()` gives every commodity of an endpoint pair the same one)
-    and one demand. Every commodity of a class reads the same row objects, and
+    and one demand. Every commodity of a class reads the same path objects, and
     every term that depends on a player's own demand but not on loads is
     computed exactly once per (class, edge on one of its paths), u(r) once per
     (price object, demand); entries for edges on none of a class's paths are
@@ -174,8 +175,8 @@ class CompiledGame:
         self._zero = (0.0,) if len(self.sloped) < len(edges) else ()
         #: per commodity: its class, numbered in order of first appearance
         self.class_of: list[int]
-        #: per (commodity, path): edge indices in path order
-        self.paths: list[tuple[tuple[int, ...], ...]]
+        #: per commodity: its strategy set, the instance's own
+        self.paths: list[Sequence[Path]]
         #: per commodity: edge indices on any of its paths, ascending
         self.edges_of: list[tuple[int, ...]]
         #: per (commodity, edge): c2 * u(r), the price part of the unit cost
@@ -188,7 +189,7 @@ class CompiledGame:
         self.search: list[Optional[PathSearch]]
 
         # Keyed by the strategy-set tuple's identity, not its value: hashing a
-        # large strategy set once per commodity costs more than the rows shared.
+        # large strategy set once per commodity costs more than the paths shared.
         strategies: dict[int, tuple] = {}
         classes: dict[tuple[int, float], tuple] = {}
         units: dict[float, dict] = {}  # per demand: each u(r), once, by price object id
@@ -202,21 +203,21 @@ class CompiledGame:
                             "strategy set not prepared for this instance's edges;"
                             " call prepare() first"
                         )
-                    compiled, search = plist.rows, None
-                    if isinstance(compiled, CountedSet):  # to search, unlisted
+                    search = None
+                    if isinstance(plist, CountedSet):  # to search, unlisted
                         # imported here: a process that never searches does
                         # not compile the module
                         from .search import PathSearch
 
-                        on_paths = tuple(sorted(compiled.offset))
-                        search = PathSearch(compiled)
+                        on_paths = tuple(sorted(plist.offset))
+                        search = PathSearch(plist)
                     else:
-                        on_paths = tuple(sorted(set().union(*compiled)))
-                    strategies[id(plist)] = compiled, on_paths, search
-                compiled, on_paths, search = strategies[id(plist)]
+                        on_paths = tuple(sorted(set().union(*plist)))
+                    strategies[id(plist)] = on_paths, search
+                on_paths, search = strategies[id(plist)]
                 price, own = self._own_rows(edges, c, on_paths, units)
                 row = classes[id(plist), c.demand] = (
-                    len(classes), compiled, on_paths, price, own, search
+                    len(classes), plist, on_paths, price, own, search
                 )
             per_commodity.append(row)
         (self.class_of, self.paths, self.edges_of, self.unit_price, self.potential_term,
@@ -370,7 +371,7 @@ class ValidationReport:
 
 
 class StrategySet(tuple):
-    """The paths `prepare` lists, with `rows`: the same paths as numbers of `edges`."""
+    """The paths `prepare` lists, stamped with the `edges` they number."""
 
 
 class Graph(NamedTuple):
@@ -379,9 +380,9 @@ class Graph(NamedTuple):
     postorder, so the source is node 0 and, where the graph is acyclic, every
     arc leads to a higher number."""
 
-    #: per node: its out-arcs in edge-id order, as (id, edge number, head,
-    #: paths from the head); the paths are counted only where acyclic
-    out: list[tuple[tuple[str, int, int, int], ...]]
+    #: per node: its out-arcs in edge-id order, as (edge number, head, paths
+    #: from the head); the paths are counted only where acyclic
+    out: list[tuple[tuple[int, int, int], ...]]
     sink: int
     acyclic: bool
     #: the number of source-sink paths, where acyclic
@@ -391,11 +392,9 @@ class Graph(NamedTuple):
 class CountedSet(Sequence):
     """A strategy set on an acyclic graph, kept as its `Graph`'s path counts
     instead of a list, in the order of `enumerate_paths`. Its length and
-    items by index come from the counts, each item built once, and `rank`
-    maps a row back to its index; `rows`, the same paths as edge numbers,
-    shares them. Any other read (iteration, slices, ==) lists the set once."""
-
-    side = 0  # what the set holds of each path: 0 its ids, 1 its row
+    paths by index come from the counts, each path built once, and `rank`
+    maps a path back to its index. Any other read (iteration, slices, ==)
+    lists the set once, by `enumerate_paths`."""
 
     def __init__(
         self, instance: GameInstance, commodity: Commodity, cap: int, graph: Graph
@@ -405,43 +404,41 @@ class CountedSet(Sequence):
         self.offset: dict[int, int] = {}  # per edge: the paths leaving its tail before it
         for arcs in graph.out:
             before = 0
-            for _, k, _, n in arcs:
+            for k, _, n in arcs:
                 self.offset[k], before = before, before + n
-        self.paths: dict[int, tuple[Path, tuple[int, ...]]] = {}  # by index
-        self.listed: dict[int, tuple] = {}  # per side: every path, once listed
-        self.rows = copy(self)
-        self.rows.side = 1
+        self.paths: dict[int, Path] = {}  # by index
+        self.listed: Optional[tuple[Path, ...]] = None  # every path, once listed
 
     def __len__(self) -> int:
         return self.graph.paths
 
     def __getitem__(self, j):
         n = self.graph.paths
-        if self.listed or not (isinstance(j, int) and -n <= j < n):
+        if self.listed is not None or not (isinstance(j, int) and -n <= j < n):
             return self._listing()[j]
         j %= n
         if j not in self.paths:  # from the source, skip the arcs whose paths come first
-            (out, sink, *_), ids, row, v, rest = self.graph, [], [], 0, j
+            (out, sink, *_), path, v, rest = self.graph, [], 0, j
             while v != sink:
-                for i, k, w, m in out[v]:
+                for k, w, m in out[v]:
                     if rest < m:
                         break
                     rest -= m
-                ids.append(i)
-                row.append(k)
+                path.append(k)
                 v = w
-            self.paths[j] = tuple(ids), tuple(row)
-        return self.paths[j][self.side]
+            self.paths[j] = tuple(path)
+        return self.paths[j]
 
-    def rank(self, row: Sequence[int]) -> int:
-        """The index of the path with edge numbers `row`."""
-        return sum(map(self.offset.__getitem__, row))
+    def rank(self, path: Sequence[int]) -> int:
+        """The index of `path`, given by its edge numbers."""
+        return sum(map(self.offset.__getitem__, path))
 
-    def _listing(self) -> tuple:
-        if not self.listed:
-            listing = _paths_and_rows(self.instance, self.commodity, self.cap, self.graph)
-            self.listed.update(enumerate(map(tuple, listing)))
-        return self.listed[self.side]
+    def _listing(self) -> tuple[Path, ...]:
+        if self.listed is None:
+            self.listed = tuple(
+                enumerate_paths(self.instance, self.commodity, self.cap, self.graph)
+            )
+        return self.listed
 
     def __iter__(self):
         return iter(self._listing())
@@ -469,7 +466,7 @@ def _counted(
         return None
     slots = [0] * len(out)  # per node: the edges of its paths to the sink
     for v in reversed(range(len(out))):
-        slots[v] = sum(n + slots[w] for _, _, w, n in out[v])
+        slots[v] = sum(n + slots[w] for _, w, n in out[v])
     if slots[0] <= SEARCH_CROSSOVER * edges:
         return None
     return CountedSet(instance, commodity, cap, graph)
@@ -479,18 +476,38 @@ def enumerate_paths(
     instance: GameInstance,
     commodity: Commodity,
     cap: int = DEFAULT_PATH_CAP,
-    rows: Optional[list[tuple[int, ...]]] = None,
     graph: Optional[Graph] = None,
 ) -> list[Path]:
-    """All simple source->sink paths of a commodity, lexicographic by edge ids.
-    Where `rows` is a list, each path's edge numbers are appended to it;
-    `graph` is the commodity's `Graph`, where the caller has it.
+    """All simple source->sink paths of a commodity as edge numbers,
+    lexicographic by edge ids. A depth-first walk of the commodity's `Graph`
+    (built here unless given) meets them in that order, in time and memory
+    that grow with the paths listed.
 
     Raises PathEnumerationError when no path exists or more than `cap` paths do.
     """
-    paths, found = _paths_and_rows(instance, commodity, cap, graph)
-    if rows is not None:
-        rows += found
+    out, sink, *_ = graph or _graph(instance, commodity, cap)
+    if sink == 0:  # the source is the sink
+        return [()]
+    paths, trail = [], []
+    on = [True] + [False] * (len(out) - 1)  # per node: on the walk's path
+    nodes, walk = [0], [iter(out[0])]
+    while walk:
+        for k, w, _ in walk[-1]:
+            if w == sink:
+                paths.append((*trail, k))
+                if len(paths) > cap:
+                    raise PathEnumerationError(_TOO_MANY.format(commodity.id, cap))
+            elif not on[w]:
+                on[w] = True
+                nodes.append(w)
+                trail.append(k)
+                walk.append(iter(out[w]))
+                break
+        else:
+            walk.pop()
+            on[nodes.pop()] = False
+            if trail:
+                trail.pop()
     return paths
 
 
@@ -546,46 +563,10 @@ def _graph(instance: GameInstance, commodity: Commodity, cap: int) -> Graph:
     nodes = [v for v in reversed(post) if v in live]
     number = dict(zip(nodes, range(len(nodes))))
     arcs = [
-        tuple([(i, k, number[w], count[w]) for i, k, w in out.get(v, ()) if w in live])
+        tuple([(k, number[w], count[w]) for _, k, w in out.get(v, ()) if w in live])
         for v in nodes
     ]
     return Graph(arcs, number[sink], acyclic, count[source])
-
-
-def _paths_and_rows(
-    instance: GameInstance, commodity: Commodity, cap: int, graph: Optional[Graph] = None
-) -> tuple[list[Path], list[tuple[int, ...]]]:
-    """`enumerate_paths`' paths, and the same paths as rows of edge numbers.
-    A depth-first walk of the commodity's `Graph` (built here unless given)
-    builds each path's ids and row together, in lexicographic order, in time
-    and memory that grow with the paths listed."""
-    out, sink, *_ = graph or _graph(instance, commodity, cap)
-    if sink == 0:  # the source is the sink
-        return [()], [()]
-    paths, rows, ids, trail = [], [], [], []
-    on = [True] + [False] * (len(out) - 1)  # per node: on the walk's path
-    nodes, walk = [0], [iter(out[0])]
-    while walk:
-        for i, k, w, _ in walk[-1]:
-            if w == sink:
-                paths.append((*ids, i))
-                rows.append((*trail, k))
-                if len(rows) > cap:
-                    raise PathEnumerationError(_TOO_MANY.format(commodity.id, cap))
-            elif not on[w]:
-                on[w] = True
-                nodes.append(w)
-                ids.append(i)
-                trail.append(k)
-                walk.append(iter(out[w]))
-                break
-        else:
-            walk.pop()
-            on[nodes.pop()] = False
-            if trail:
-                ids.pop()
-                trail.pop()
-    return paths, rows
 
 
 def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
@@ -600,9 +581,7 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
             graph = _graph(instance, c, cap)
             plist = _counted(instance, c, cap, graph)
             if plist is None:
-                rows: list[tuple[int, ...]] = []
-                plist = StrategySet(enumerate_paths(instance, c, cap, rows, graph))
-                plist.rows = tuple(rows)
+                plist = StrategySet(enumerate_paths(instance, c, cap, graph))
             plist.edges = instance.edges
             by_endpoints[c.source, c.sink] = plist
     all_paths = tuple(by_endpoints[c.source, c.sink] for c in instance.commodities)

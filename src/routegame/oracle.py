@@ -188,7 +188,7 @@ class _Indexed:
                 self.spans.append((i, i + 1))
 
         self.demand = [g.demand[lo] for lo, _ in self.spans]
-        # each run's rows as a tuple: a counted strategy set is listed, once
+        # each run's paths as a tuple: a counted strategy set is listed, once
         self.paths = [tuple(g.paths[lo]) for lo, _ in self.spans]
         #: per (run, path): a player's load-free cost on it, and its multiples
         self.multiples = [

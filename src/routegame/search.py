@@ -7,8 +7,10 @@ same question on the set's graph, the union of its paths' edges, in time that
 grows with the graph rather than with P. It searches exactly the sets that
 `prepare` counts (a `model.CountedSet`, chosen by `model.SEARCH_CROSSOVER`)
 and reads their `model.Graph`: nodes numbered in a topological order, each
-node's out-edges in edge-id order. `CompiledGame.best_move` scans every
-other set; both return the same floats and the same path index.
+node's out-arcs (edge number, head, paths from the head) in edge-id order.
+A path is its edge numbers, as everywhere in the package, and the set's
+`rank` turns the path found into its index. `CompiledGame.best_move` scans
+every other set; both return the same floats and the same path index.
 
 Exactness. A path's cost is the left fold of its edges' costs, summed from 0.0
 in path order with each addition rounded to nearest. Rounded addition is
@@ -58,7 +60,7 @@ _TINY = 2.0**-1000
 #: edge costs summing to less than this keep every fold and bound finite
 _LIMIT = 2.0**1000
 
-Arcs = tuple[tuple[str, int, int, int], ...]  # a `model.Graph` node's out-arcs
+Arcs = tuple[tuple[int, int, int], ...]  # a `model.Graph` node's out-arcs
 
 
 class PathSearch:
@@ -104,7 +106,7 @@ class PathSearch:
         lab[0] = 0.0
         for v, arcs in enumerate(self.out):
             x = lab[v]
-            for _, k, w, _ in arcs:
+            for k, w, _ in arcs:
                 y = x + cost[k]
                 if y < lab[w]:
                     lab[w] = y
@@ -115,7 +117,7 @@ class PathSearch:
         h = [math.inf] * len(self.out)
         h[self.sink] = 0.0
         for v, arcs in self.backward:
-            for _, k, w, _ in arcs:
+            for k, w, _ in arcs:
                 y = cost[k] + h[w]
                 if y < h[v]:
                     h[v] = y
@@ -138,7 +140,7 @@ def _simple_paths(
     stack = [iter(out[0])]
     while stack:
         x = folds[-1]
-        for _, k, w, _ in stack[-1]:
+        for k, w, _ in stack[-1]:
             y = x + cost[k]
             if w == sink:
                 if y <= best:

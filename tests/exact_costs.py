@@ -1,7 +1,8 @@
 """The exact model: the test suite's one oracle, for comparison with ==.
 
 Test-only, and independent of the package's cost code: it reads the prepared
-instance's edges, commodities and paths by edge id, and nothing of
+instance's edges, commodities and paths, spells each path out in edge ids
+once, and keys everything after by edge id; it reads nothing of
 `GameInstance.compiled`. A cost is the sum of its rounded terms in exact
 arithmetic, rounded once to the nearest float, with an overflow mapped to inf.
 The terms are the ones the package documents:
@@ -55,12 +56,17 @@ class ExactCosts:
     def __init__(self, inst: GameInstance):
         self.inst = inst
         self.edges = {e.id: e for e in inst.edges}
+        ids = [e.id for e in inst.edges]
+        # per commodity: its strategy set, each path as edge ids
+        self.paths = [
+            [tuple(ids[k] for k in path) for path in plist] for plist in inst.paths
+        ]
         # per commodity: c2 * u(r) by the id of each edge on one of its paths
         self.price: list[dict[str, float]] = []
         # per (commodity, path): the player's social-cost and potential terms
         self.load_free: list[list[float]] = []
         self.own: list[list[float]] = []
-        for c, plist in zip(inst.commodities, inst.paths):
+        for c, plist in zip(inst.commodities, self.paths):
             r, load_free, own = c.demand, [], []
             u = {
                 eid: eval_u(self.edges[eid].price, r) if self.edges[eid].c2 else 0.0
@@ -80,12 +86,12 @@ class ExactCosts:
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         """Every profile, in index order (commodity 0 most significant)."""
-        return product(*(range(len(p)) for p in self.inst.paths))
+        return product(*(range(len(p)) for p in self.paths))
 
     def loads(self, choice: Sequence[int]) -> dict[str, float]:
         """Each edge's load by edge id, in edge order."""
         load = {e.id: 0.0 for e in self.inst.edges}
-        for c, plist, j in zip(self.inst.commodities, self.inst.paths, choice):
+        for c, plist, j in zip(self.inst.commodities, self.paths, choice):
             for eid in plist[j]:
                 load[eid] += c.demand
         return load
@@ -123,15 +129,15 @@ class ExactCosts:
         its current path; `loads` are the profile's, computed when omitted."""
         load = self.loads(choice) if loads is None else loads
         r = self.inst.commodities[i].demand
-        current = set(self.inst.paths[i][choice[i]])
+        current = set(self.paths[i][choice[i]])
         moved = {eid: f if eid in current else f + r for eid, f in load.items()}
-        return [self.unit_path_cost(i, path, moved) for path in self.inst.paths[i]]
+        return [self.unit_path_cost(i, path, moved) for path in self.paths[i]]
 
     def equilibria(self, eps: float, cap: int) -> list[tuple[int, ...]]:
         """Every profile, in index order, where no player's current cost exceeds
         one of its move costs by more than eps. Raises ProfileCapError when
         there are more than `cap` profiles."""
-        total = math.prod(map(len, self.inst.paths))
+        total = math.prod(map(len, self.paths))
         if total > cap:
             raise ProfileCapError(f"{total} profiles exceed cap {cap}")
         found = []

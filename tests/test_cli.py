@@ -335,7 +335,7 @@ def test_equilibrate_ends_on_an_enumerated_equilibrium_at_epsilon_0(capsys, tmp_
     assert code == 0
     assert doc["equilibrium_count"] == len(doc["equilibria"]) == 43
     listed = [
-        [list(after.paths[i][j]) for i, j in enumerate(choice)]
+        [[after.edges[k].id for k in after.paths[i][j]] for i, j in enumerate(choice)]
         for choice in doc["equilibria"]
     ]
     for seed in range(200):
@@ -344,6 +344,21 @@ def test_equilibrate_ends_on_an_enumerated_equilibrium_at_epsilon_0(capsys, tmp_
         )
         assert code == 0
         assert list(doc["final_profile"].values()) in listed, seed
+
+
+def test_a_profile_report_holds_one_tuple_per_path():
+    # equilibrate prints `_profile_report`, and `json_text` writes a tuple
+    # that players share once: 3 paths for 200 players, not 200 tuples
+    from routegame.cli import _profile_report
+    from routegame.engine import StrategyProfile
+
+    _, after = build_priced_braess(200, PriceSpec("log1p"))
+    choice = tuple(j % 3 for j in range(200))
+    report = _profile_report(after, StrategyProfile(choice))
+    assert len(report) == 200 and len({id(path) for path in report.values()}) <= 3
+    assert list(report.values()) == [
+        tuple(after.edges[k].id for k in after.paths[i][j]) for i, j in enumerate(choice)
+    ]
 
 
 def test_poa_classic(capsys, classic_after_file):

@@ -2,8 +2,8 @@
 
 `prepare` keeps a strategy set that `CompiledGame` will search as a
 `model.CountedSet`: per-node path counts that give its length, its paths by
-index and the index of a row without listing the set. These tests compare it
-with the walk, `model._paths_and_rows`, and with instances whose strategy
+index and the index of a path without listing the set. These tests compare
+it with the walk, `model.enumerate_paths`, and with instances whose strategy
 sets that walk lists, bit for bit.
 """
 
@@ -35,7 +35,7 @@ from routegame.model import (
 )
 
 DATA = Path(__file__).parent / "data"
-WALK = model._paths_and_rows
+WALK = model.enumerate_paths
 
 
 def _listed(inst):
@@ -44,9 +44,10 @@ def _listed(inst):
     sets = {}
     for c in inst.commodities:
         if (c.source, c.sink) not in sets:
-            paths, rows = WALK(inst, c, model.DEFAULT_PATH_CAP)
-            plist = sets[c.source, c.sink] = StrategySet(paths)
-            plist.rows, plist.edges = tuple(rows), inst.edges
+            plist = sets[c.source, c.sink] = StrategySet(
+                WALK(inst, c, model.DEFAULT_PATH_CAP)
+            )
+            plist.edges = inst.edges
     return replace(inst, paths=tuple(sets[c.source, c.sink] for c in inst.commodities))
 
 
@@ -58,7 +59,7 @@ def _listings(monkeypatch):
         calls.append(commodity.id)
         return WALK(instance, commodity, *args)
 
-    monkeypatch.setattr(model, "_paths_and_rows", walk)
+    monkeypatch.setattr(model, "enumerate_paths", walk)
     return calls
 
 
@@ -88,7 +89,7 @@ def _random_dag(rng):
 def _assert_counted_matches_walk(inst, rng):
     c = inst.commodities[0]
     try:
-        paths, rows = WALK(inst, c, model.DEFAULT_PATH_CAP)
+        paths = WALK(inst, c, model.DEFAULT_PATH_CAP)
     except PathEnumerationError as exc:
         with pytest.raises(PathEnumerationError) as counted:
             prepare(inst)
@@ -96,15 +97,14 @@ def _assert_counted_matches_walk(inst, rng):
         return
     plist = prepare(inst).paths[0]
     assert isinstance(plist, CountedSet) and plist.edges is inst.edges
-    assert len(plist) == len(plist.rows) == len(paths)
+    assert len(plist) == len(paths)
     order = list(range(len(paths)))
     rng.shuffle(order)  # each path built alone, not after its predecessor
     for j in order:
-        assert plist[j] == paths[j] and plist.rows[j] == rows[j]
-        assert plist.rank(rows[j]) == j
-    assert plist[-1] == paths[-1] and plist.rows[-len(rows)] == rows[0]
-    assert not plist.listed  # none of the reads above listed it
-    assert plist == tuple(paths) and list(plist.rows) == rows
+        assert plist[j] == paths[j] and plist.rank(paths[j]) == j
+    assert plist[-1] == paths[-1] and plist[-len(paths)] == paths[0]
+    assert plist.listed is None  # none of the reads above listed it
+    assert plist == tuple(paths) and list(plist) == paths
     # the cap, at exactly the count and one below it, with the walk's message
     assert len(prepare(inst, cap=len(paths)).paths[0]) == len(paths)
     with pytest.raises(PathEnumerationError) as counted:
@@ -134,10 +134,10 @@ def test_prepare_counts_exactly_the_sets_compile_would_search(seed, crossover):
     # few random DAGs have 10 slots per edge: lower crossovers reach both sides
     inst = _random_dag(random.Random(seed))
     try:
-        rows = WALK(inst, inst.commodities[0], model.DEFAULT_PATH_CAP)[1]
+        paths = WALK(inst, inst.commodities[0], model.DEFAULT_PATH_CAP)
     except PathEnumerationError:
         return
-    searched = sum(map(len, rows)) > crossover * len(set().union(*rows))
+    searched = sum(map(len, paths)) > crossover * len(set().union(*paths))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "SEARCH_CROSSOVER", crossover)
         prepared = prepare(inst)
@@ -234,7 +234,7 @@ def test_a_grid_job_lists_no_path(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("a path was listed")
 
-    monkeypatch.setattr(model, "_paths_and_rows", walk)
+    monkeypatch.setattr(model, "enumerate_paths", walk)
     argv = ["equilibrate", str(DATA / "grid7.json"), "--seed", "7", "--format", "json"]
     assert _stdout(capsys, argv) == (0, (DATA / "grid7-seed7.json").read_text(), "")
 

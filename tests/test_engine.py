@@ -114,7 +114,7 @@ def test_constant_edge_costs_one_at_any_load():
             (Commodity("x", "a", "b", 7.0),),
         )
     )
-    assert inst.paths[0] == (("ab",),)
+    assert inst.paths[0] == ((0,),)  # edge 0, "ab"
     assert unit_cost(inst, StrategyProfile((0,)), 0) == 1.0
 
 
@@ -371,6 +371,22 @@ def test_negative_move_cap_is_rejected():
         DynamicsConfig(max_moves=-1)
 
 
+@pytest.mark.parametrize("entry", [profile_costs, run_best_response_dynamics])
+def test_a_profile_is_checked_against_a_prepared_instance(entry):
+    inst = GameInstance(
+        ("a", "b"),
+        (EdgeSpec("ab", "a", "b", 1.0, 0.0),),
+        (Commodity("x", "a", "b", 1.0),),
+    )
+    with pytest.raises(ValueError, match=r"no enumerated paths; call prepare\(\) first"):
+        entry(inst, StrategyProfile((0,)))
+    inst = prepare(inst)
+    with pytest.raises(ValueError, match="profile length"):
+        entry(inst, StrategyProfile((0, 0)))
+    with pytest.raises(ValueError, match="path index 1 out of range"):
+        entry(inst, StrategyProfile((1,)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dynamics_on_random_instances(seed):
@@ -400,8 +416,8 @@ def test_loads_recomputable_after_move_sequence(classic_pair_10):
     loads = loads_by_id(after, result.final)
     manual = {e.id: 0.0 for e in after.edges}
     for i, c in enumerate(result.final.choice):
-        for eid in after.paths[i][c]:
-            manual[eid] += after.commodities[i].demand
+        for k in after.paths[i][c]:
+            manual[after.edges[k].id] += after.commodities[i].demand
     for eid, v in manual.items():
         assert loads[eid] == pytest.approx(v, abs=1e-12)
 
@@ -715,7 +731,7 @@ def test_edge_costs_charge_the_demand_off_the_current_path():
         )
     )
     g = inst.compiled
-    d = inst.paths[0].index(("ab",))
+    d = inst.paths[0].index((0,))  # "ab"
     f = engine._loads(g, (d, 0))
     index = {e.id: k for k, e in enumerate(inst.edges)}
     cost = dict(zip(index, g.edge_costs(0, d, f)))

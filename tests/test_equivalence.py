@@ -74,7 +74,7 @@ def test_engine_views_match_exact_model_bit_for_bit(seed):
     exact_loads = exact.loads(prof.choice)
     index = {e.id: k for k, e in enumerate(inst.edges)}
     assert [(e, loads[k]) for e, k in index.items()] == list(exact_loads.items())
-    for i, plist in enumerate(inst.paths):
+    for i, plist in enumerate(exact.paths):
         for j, path in enumerate(plist):
             assert g.path_cost(i, g.paths[i][j], loads) == exact.unit_path_cost(
                 i, path, exact_loads
@@ -92,10 +92,9 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
     # costs each (class, path) once; every entry must equal what evaluating
     # each commodity, and each player through the string-keyed views, gives.
     g = inst.compiled
-    index = {e.id: k for k, e in enumerate(inst.edges)}
     for i, (c, plist) in enumerate(zip(inst.commodities, inst.paths)):
         r = c.demand
-        assert g.paths[i] == tuple(tuple(index[e] for e in p) for p in plist)
+        assert g.paths[i] is plist
         assert g.edges_of[i] == tuple(sorted({k for p in g.paths[i] for k in p}))
         for k, e in enumerate(inst.edges):
             price = own = None
@@ -120,7 +119,7 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
         exact_loads = exact.loads(prof.choice)
         assert len(costs.unit_costs) == len(prof.choice)
         for i, d in enumerate(prof.choice):
-            path = inst.paths[i][d]
+            path = exact.paths[i][d]
             assert costs.unit_costs[i] == g.path_cost(i, g.paths[i][d], loads)
             assert costs.unit_costs[i] == exact.unit_path_cost(i, path, exact_loads)
         assert costs.social_cost == exact.social_cost(prof.choice)

@@ -289,15 +289,22 @@ def test_lenient_parse_defers_value_checks_to_validation():
 # path enumeration
 
 
+def _ids(inst, paths):
+    """`paths`, edge numbers of `inst`, each as its edge ids."""
+    return [tuple(inst.edges[k].id for k in path) for path in paths]
+
+
 def test_classic_braess_path_sets():
     before, after = build_classic_braess(2)
-    assert before.paths[0] == (("sv", "vt"), ("sw", "wt"))
-    assert after.paths[0] == (("sv", "vt"), ("sv", "vw", "wt"), ("sw", "wt"))
+    assert _ids(before, before.paths[0]) == [("sv", "vt"), ("sw", "wt")]
+    assert _ids(after, after.paths[0]) == [
+        ("sv", "vt"), ("sv", "vw", "wt"), ("sw", "wt")
+    ]
 
 
 def test_single_edge_graph_has_one_path():
     inst = parse_scenario(MINIMAL_DOC)
-    assert enumerate_paths(inst, inst.commodities[0]) == [("ab",)]
+    assert enumerate_paths(inst, inst.commodities[0]) == [(0,)]
 
 
 def test_no_path_is_an_error():
@@ -366,7 +373,7 @@ def test_enumeration_matches_recursive_count_oracle(seed):
         paths = enumerate_paths(inst, inst.commodities[0])
         # no parallel edges generated above, so edge paths == node paths
         assert len(paths) == expected
-        assert paths == sorted(paths)
+        assert _ids(inst, paths) == sorted(_ids(inst, paths))
         assert paths == enumerate_paths(inst, inst.commodities[0])  # deterministic
 
 
@@ -376,7 +383,7 @@ def test_parallel_edges_yield_distinct_paths():
         (EdgeSpec("e1", "a", "b", 1.0, 0.0), EdgeSpec("e0", "a", "b", 0.0, 1.0)),
         (Commodity("x", "a", "b", 1.0),),
     )
-    assert enumerate_paths(inst, inst.commodities[0]) == [("e0",), ("e1",)]
+    assert enumerate_paths(inst, inst.commodities[0]) == [(1,), (0,)]  # e0, e1
 
 
 def test_prepare_leaves_no_cyclic_garbage():
@@ -460,16 +467,9 @@ def _random_graph(rng):
     return GameInstance(nodes, tuple(edges), (Commodity("x", source, sink, 1.0),))
 
 
-def _assert_rows_match(inst, c, paths):
-    assert len(paths.rows) == len(paths)
-    for path, row in zip(paths, paths.rows):
-        assert tuple(inst.edges[k].id for k in row) == path
-        assert _is_walk(inst, row, c.source, c.sink)
-
-
-def _is_walk(inst, row, source, sink):
+def _is_walk(inst, path, source, sink):
     node = source
-    for k in row:
+    for k in path:
         if inst.edges[k].tail != node:
             return False
         node = inst.edges[k].head
@@ -497,14 +497,14 @@ def test_enumeration_matches_an_independent_enumerator(seed):
             enumerate_paths(inst, c)
         return
     paths = enumerate_paths(inst, c)
-    assert type(paths) is list and paths == expected
+    assert type(paths) is list and _ids(inst, paths) == expected
+    assert all(_is_walk(inst, path, c.source, c.sink) for path in paths)
     # the cap, at exactly the count and one below it
-    assert enumerate_paths(inst, c, cap=len(expected)) == expected
+    assert enumerate_paths(inst, c, cap=len(expected)) == paths
     with pytest.raises(PathEnumerationError, match=f"more than {len(expected) - 1} "):
         enumerate_paths(inst, c, cap=len(expected) - 1)
     plist = prepare(inst).paths[0]
-    assert plist == tuple(expected) and plist.edges is inst.edges
-    _assert_rows_match(inst, c, plist)
+    assert plist == tuple(paths) and plist.edges is inst.edges
 
 
 def _grid(k):
@@ -573,14 +573,14 @@ def test_dead_ends_cost_nothing(back_edge):
     assert validate_instance(inst).ok
     with _seconds_at_most(1.0):
         prepared = prepare(inst)
-    assert prepared.paths == ((("st",),),)
+    assert prepared.paths == (((0,),),)  # edge 0, "st"
 
 
 def test_memory_grows_with_the_paths_listed_not_with_their_suffixes():
-    # A 300-edge chain, then 8 diamonds: 256 paths of 316 edges. Their ids
-    # and rows hold about 160k tuple slots (1.3 MB); keeping every node's
-    # paths to the sink as well would hold about 26M (over 200 MB). `prepare`
-    # only counts them, as they are searched; reading every row lists them.
+    # A 300-edge chain, then 8 diamonds: 256 paths of 316 edges. They hold
+    # about 81k tuple slots (0.65 MB); keeping every node's paths to the sink
+    # as well would hold about 13M (over 100 MB). `prepare` only counts them,
+    # as they are searched; reading every path lists them.
     edges = [EdgeSpec(f"c{i}", f"n{i}", f"n{i + 1}", 1.0, 0.0) for i in range(300)]
     for i in range(300, 308):
         for mid in "ab":
@@ -591,11 +591,11 @@ def test_memory_grows_with_the_paths_listed_not_with_their_suffixes():
     tracemalloc.start()
     try:
         plist = prepare(inst).paths[0]
-        rows = list(plist.rows)
+        paths = list(plist)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(plist) == 256 and len(plist[0]) == len(rows[-1]) == 316
+    assert len(plist) == 256 and len(plist[0]) == len(paths[-1]) == 316
     assert peak < 4_000_000
 
 
@@ -604,13 +604,13 @@ def test_a_path_longer_than_the_recursion_limit_is_listed():
     edges = tuple(EdgeSpec(f"c{i}", f"n{i}", f"n{i + 1}", 1.0, 0.0) for i in range(n))
     nodes = tuple(f"n{i}" for i in range(n + 1))
     inst = GameInstance(nodes, edges, (Commodity("x", "n0", f"n{n}", 1.0),))
-    assert enumerate_paths(inst, inst.commodities[0]) == [tuple(e.id for e in edges)]
+    assert enumerate_paths(inst, inst.commodities[0]) == [tuple(range(n))]
 
 
-def test_compile_reads_the_rows_of_its_own_edges_only():
+def test_compile_reads_the_strategy_sets_themselves():
     inst = build_classic_braess(2)[1]
     g = inst.compiled
-    assert all(rows is plist.rows for rows, plist in zip(g.paths, inst.paths))
+    assert all(paths is plist for paths, plist in zip(g.paths, inst.paths))
 
 
 @pytest.mark.parametrize("how", ["listed by hand", "prepared for reversed edges"])

@@ -47,17 +47,6 @@ def scan_optimum(inst, cap=oracle.DEFAULT_PROFILE_CAP):
     return scan.optimum, scan.optimal_cost
 
 
-def brute_force_equilibria(inst, eps=1e-9):
-    # independent route: direct product over strategy sets, each profile's
-    # loads from scratch and every player asked
-    out = []
-    for choice in itertools.product(*(range(len(p)) for p in inst.paths)):
-        p = StrategyProfile(choice)
-        if stable(inst, p, eps):
-            out.append(p)
-    return out
-
-
 def test_profile_count_product_rule(classic_pair_2):
     _, after = classic_pair_2
     assert oracle.profile_count(after) == 9
@@ -147,14 +136,6 @@ def test_requires_prepared_instance():
     )
     with pytest.raises(ValueError, match="prepare"):
         oracle.profile_count(inst)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_oracle_agrees_with_engine_brute_force(seed):
-    rng = random.Random(seed)
-    inst = random_affine_instance(rng, max_profiles=500)
-    assert scan_equilibria(inst) == brute_force_equilibria(inst)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,7 @@ from test_equivalence import (
     _assert_moves_follow_move_costs,
     move_costs,
 )
+from test_model import _ids
 from test_oracle import stable
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
 from routegame import engine, model, oracle, search
@@ -160,7 +161,7 @@ def _trap(edges):
     nodes = tuple(dict.fromkeys(n for e in specs for n in (e.tail, e.head)))
     inst = prepare(GameInstance(nodes, specs, (Commodity("p", "s", "t", 1.0),)))
     assert [e.id for e in inst.edges] != sorted(e.id for e in inst.edges)
-    d = inst.paths[0].index(("e0",))
+    d = _ids(inst, inst.paths[0]).index(("e0",))
     f = [0.0] * len(inst.edges)
     g = inst.compiled
     cost = g.edge_costs(0, d, f)
@@ -183,7 +184,7 @@ def test_a_prefix_not_least_at_its_node_can_still_tie_at_the_sink():
         ("e0", "s", "t", 5.0),
     ]
     inst, table, cost, d = _trap(edges)
-    assert inst.paths[0] == (("e0",), ("e1", "e3"), ("e2", "e3"))
+    assert _ids(inst, inst.paths[0]) == [("e0",), ("e1", "e3"), ("e2", "e3")]
     assert move_costs(inst.compiled, 0, d, [0.0] * 4) == [5.0, 2.0, 2.0]
     assert table.best_move(cost, inst.compiled.paths[0][d], 0.0) == (5.0, 2.0, 1)
 
@@ -203,7 +204,7 @@ def test_the_pruning_bound_is_deflated_for_rounding():
         ("e0", "s", "t", 5.0),
     ]
     inst, table, cost, d = _trap(edges)
-    assert inst.paths[0] == (("e0",), ("e1", "e3", "e4"), ("e2", "e5"))
+    assert _ids(inst, inst.paths[0]) == [("e0",), ("e1", "e3", "e4"), ("e2", "e5")]
     assert move_costs(inst.compiled, 0, d, [0.0] * 6) == [5.0, 1.0, 1.0]
     assert table.best_move(cost, inst.compiled.paths[0][d], 0.0) == (5.0, 1.0, 1)
 
