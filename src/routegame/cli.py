@@ -5,9 +5,11 @@ price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
 violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
 error. Every scenario file is checked by `validate_instance`, and a command
 exits 1 with its first violation. Each command accepts only the flags it reads,
-all checked before anything is written to stdout. All output is deterministic
-for fixed flags and seed. A command imports the modules it runs when it runs,
-so that `validate` loads only this module, `model` and `pricing`.
+all checked before anything is written to stdout. A call builds every command's
+parser but fills only the one its argv names, with the cyclic garbage collector
+paused so that the parser's reference cycles die young. All output is
+deterministic for fixed flags and seed. A command imports the modules it runs
+when it runs, so that `validate` loads only this module, `model` and `pricing`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import math
 import random
 import shutil
@@ -303,7 +306,106 @@ def _flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(name, **_FLAGS[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fill_scenario(*flags: str, func, seed: bool = False):
+    """Fill for a command that reads one scenario file."""
+
+    def fill(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+        p.add_argument("scenario")
+        if seed:
+            p.add_argument(
+                "--seed", type=int, default=None, help="random initial profile"
+            )
+        _flags(p, "--format", *flags)
+        p.set_defaults(func=func)
+
+    return fill
+
+
+def _fill_diamond(priced: bool):
+    """Fill for `braess classic` or `braess priced`, which build the diamond."""
+
+    def fill(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+        p.add_argument("--n", type=int, required=True, help="even number of players")
+        if priced:
+            p.add_argument("--price", choices=PRICE_FAMILIES, required=True)
+            p.add_argument("--beta", type=float, default=1.0)
+            p.add_argument("--c1", type=float, default=0.5)
+            p.add_argument("--c2", type=float, default=0.5)
+        p.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
+        p.add_argument("--emit-scenario", metavar="PREFIX")
+        _flags(p, "--format", "--epsilon", "--max-moves", "--cap")
+        p.set_defaults(func=cmd_braess)
+
+    return fill
+
+
+def _fill_pair(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    p.add_argument("before")
+    p.add_argument("after")
+    p.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
+    _flags(p, "--format", "--epsilon", "--max-moves", "--cap")
+    p.set_defaults(func=cmd_braess)
+
+
+def _fill_price_curves(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    p.add_argument("--functions", default=",".join(PRICE_FAMILIES))
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--x-max", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.set_defaults(func=cmd_price_curves)
+
+
+def _fill_braess(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    _subcommands(p, "variant", _VARIANTS, argv)
+
+
+# name -> (help line or None, fill(parser, the argv after the name))
+_VARIANTS = {
+    "classic": (None, _fill_diamond(priced=False)),
+    "priced": (None, _fill_diamond(priced=True)),
+    "pair": (None, _fill_pair),
+}
+_COMMANDS = {
+    "validate": (
+        "check a scenario file against all invariants",
+        _fill_scenario(func=cmd_validate),
+    ),
+    "equilibrate": (
+        "run best-response dynamics",
+        _fill_scenario("--epsilon", "--max-moves", func=cmd_equilibrate, seed=True),
+    ),
+    "enumerate": (
+        "list all pure equilibria exhaustively",
+        _fill_scenario("--epsilon", "--cap", func=cmd_enumerate),
+    ),
+    "poa": (
+        "exhaustive Price of Anarchy report",
+        _fill_scenario("--epsilon", "--cap", func=cmd_poa),
+    ),
+    "braess": ("edge-addition experiments", _fill_braess),
+    "price-curves": ("emit CSV samples of the price catalog", _fill_price_curves),
+}
+
+
+def _subcommands(
+    parser: argparse.ArgumentParser, dest: str, table: dict, argv: Sequence[str]
+) -> None:
+    """Add a subparser to `parser` for every name in `table`, but fill only the
+    one that argv's first word names, or all of them when it names none: the
+    others are parsed by nobody, and their usage, help and choice lists do not
+    depend on their arguments."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = argv[0] if argv and argv[0] in table else None
+    for name, (help_line, fill) in table.items():
+        kwargs = {} if help_line is None else {"help": help_line}
+        p = sub.add_parser(name, formatter_class=parser.formatter_class, **kwargs)
+        if named in (None, name):
+            fill(p, argv[1:])
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """Every command's parser, with arguments only along the path that argv's
+    leading words name; all are filled when argv names no command."""
     # The stock formatter reads the terminal width each time it is made, and
     # argparse makes one per argument; this is the width it would read.
     fmt = functools.partial(
@@ -314,74 +416,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Atomic selfish routing with bulk-discount edge pricing.",
         formatter_class=fmt,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "validate",
-        formatter_class=fmt,
-        help="check a scenario file against all invariants",
-    )
-    p.add_argument("scenario")
-    _flags(p, "--format")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser(
-        "equilibrate", formatter_class=fmt, help="run best-response dynamics"
-    )
-    p.add_argument("scenario")
-    p.add_argument("--seed", type=int, default=None, help="random initial profile")
-    _flags(p, "--format", "--epsilon", "--max-moves")
-    p.set_defaults(func=cmd_equilibrate)
-
-    p = sub.add_parser(
-        "enumerate", formatter_class=fmt, help="list all pure equilibria exhaustively"
-    )
-    p.add_argument("scenario")
-    _flags(p, "--format", "--epsilon", "--cap")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser(
-        "poa", formatter_class=fmt, help="exhaustive Price of Anarchy report"
-    )
-    p.add_argument("scenario")
-    _flags(p, "--format", "--epsilon", "--cap")
-    p.set_defaults(func=cmd_poa)
-
-    p = sub.add_parser("braess", formatter_class=fmt, help="edge-addition experiments")
-    bsub = p.add_subparsers(dest="variant", required=True)
-    for variant in ("classic", "priced"):
-        bp = bsub.add_parser(variant, formatter_class=fmt)
-        bp.add_argument("--n", type=int, required=True, help="even number of players")
-        if variant == "priced":
-            bp.add_argument("--price", choices=PRICE_FAMILIES, required=True)
-            bp.add_argument("--beta", type=float, default=1.0)
-            bp.add_argument("--c1", type=float, default=0.5)
-            bp.add_argument("--c2", type=float, default=0.5)
-        bp.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
-        bp.add_argument("--emit-scenario", metavar="PREFIX")
-        _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
-        bp.set_defaults(func=cmd_braess, variant=variant)
-    bp = bsub.add_parser("pair", formatter_class=fmt)
-    bp.add_argument("before")
-    bp.add_argument("after")
-    bp.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
-    _flags(bp, "--format", "--epsilon", "--max-moves", "--cap")
-    bp.set_defaults(func=cmd_braess, variant="pair")
-
-    p = sub.add_parser(
-        "price-curves", formatter_class=fmt, help="emit CSV samples of the price catalog"
-    )
-    p.add_argument("--functions", default=",".join(PRICE_FAMILIES))
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--x-max", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.set_defaults(func=cmd_price_curves)
-
+    _subcommands(parser, "command", _COMMANDS, argv)
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Build the parser and parse argv with the cyclic collector paused.
+
+    argparse ties every action to its group (`action.container`) and every
+    formatter to its root section, so a parser is cyclic garbage once parsed.
+    A collection that fires while the parser is being built promotes it, and
+    promoted garbage waits for a full collection, which walks the caller's
+    whole heap inside some later call. Paused, the parser is still young when
+    it dies, and the next young collection frees it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return build_parser(argv).parse_args(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_args(argv)
     if getattr(args, "max_moves", 0) < 0:
         return _usage_error("--max-moves must be nonnegative")
     if not math.isfinite(getattr(args, "epsilon", 0.0)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -590,10 +591,12 @@ def prepare(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> GameInstance
 
 def profile_count(instance: GameInstance) -> int:
     """Product of strategy-set sizes over all commodities, an exact int of
-    any size, so the cap check rejects any instance too large to scan."""
+    any size, so the cap check rejects any instance too large to scan. Equal
+    sizes are raised to their count: n players of m paths cost one m ** n, not
+    n products of ever longer ints."""
     if not instance.prepared:
         raise ValueError("instance has no enumerated paths; call prepare() first")
-    return math.prod(map(len, instance.paths))
+    return math.prod(m**c for m, c in Counter(map(len, instance.paths)).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import routegame
+from routegame import cli
 from routegame.braess import build_classic_braess, build_priced_braess, rho_formula
 from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
@@ -690,13 +692,18 @@ def _commands(parser, prefix=""):
     yield prefix.strip(), parser
 
 
-def _parsers(parser):
-    """`parser` and, depth first, every parser below it."""
-    yield parser
+def _tree(parser, name=""):
+    """(name, parser) for `parser` and, depth first, every parser below it."""
+    yield name, parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _parsers(sub)
+            for sub_name, sub in action.choices.items():
+                yield from _tree(sub, f"{name} {sub_name}".lstrip())
+
+
+def _parsers(parser):
+    """`parser` and, depth first, every parser below it."""
+    return [p for _, p in _tree(parser)]
 
 
 def _stock(parser):
@@ -745,6 +752,98 @@ def test_each_command_accepts_only_the_flags_it_reads():
     }
     assert flags == FLAG_SETS
     assert sum(map(len, flags.values())) == 38
+
+
+COMMANDS = ["validate", "equilibrate", "enumerate", "poa", "braess", "braess classic",
+            "braess priced", "braess pair", "price-curves"]
+# per command: help, no arguments, an unknown flag, a bad choice, a bad type
+# and an extra positional (a flag the command does not read is unknown there)
+TAILS = [["-h"], [], ["--bogus"], ["--format", "xml"], ["--method", "exact"],
+         ["--epsilon", "x"], ["--n", "x"], ["--samples", "x"], ["x.json", "y", "z"]]
+CORPUS = [cmd.split() + tail for cmd in COMMANDS for tail in TAILS] + [
+    [], ["-h"], ["bogus"], ["--", "poa"], ["--x", "validate", "f"],
+    ["braess", "--x", "priced", "--n", "2"],
+]
+
+
+def _outcome(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("columns", [None, "45", "100"])
+def test_main_answers_as_the_whole_parser_would(monkeypatch, capsys, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    filled = [_outcome(capsys, lambda: main(argv)) for argv in CORPUS]
+    whole = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): whole())
+    assert [_outcome(capsys, lambda: main(argv)) for argv in CORPUS] == filled
+    assert sum(code == 2 for code, _, _ in filled) > len(CORPUS) // 2
+
+
+def test_main_reads_argv_from_sys_argv(monkeypatch, capsys):
+    argv = ["braess", "priced", "--n", "2", "--price", "sin", "--format", "json"]
+    expected = _outcome(capsys, lambda: main(argv))
+    monkeypatch.setattr(sys, "argv", ["routegame"] + argv)
+    assert _outcome(capsys, main) == expected
+    assert expected[0] == 0 and json.loads(expected[1])["n_players"] == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, classic_after_file, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["validate", classic_after_file]) == 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["validate", "--bogus"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_a_parser_dies_young(capsys, classic_after_file):
+    # With a young collection at every allocation, a parser built while the
+    # collector runs reaches the oldest generation and stays there, dead,
+    # until a full collection; main parses with the collector paused.
+    def old_parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects(2))
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    before = old_parsers()
+    gc.set_threshold(1, 1, 10**9)
+    try:
+        assert main(["validate", classic_after_file]) == 0
+        gc.collect(1)
+    finally:
+        gc.set_threshold(*thresholds)
+    assert old_parsers() == before
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["equilibrate", "x"], "equilibrate"),
+     (["braess", "priced", "--n", "2"], "braess priced")],
+)
+def test_a_call_fills_only_the_parsers_its_argv_names(argv, named):
+    tree = dict(_tree(build_parser(argv)))
+    # every command's parser is made; braess's variants when braess is named
+    made = [c for c in COMMANDS if " " not in c or named.startswith("braess")]
+    assert list(tree) == [""] + made
+    words = named.split()
+    filled = {" ".join(words[:k]) for k in range(len(words) + 1)}
+    bare = {name for name, p in tree.items() if [a.dest for a in p._actions] == ["help"]}
+    assert bare == set(tree) - filled
+    flags = {s for a in tree[named]._actions for s in a.option_strings}
+    assert flags - {"-h", "--help"} == FLAG_SETS[named]
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,30 @@ def test_profile_count_mixed_radices():
     assert oracle.profile_count(inst) == 24
 
 
+def parallel_hops(sizes):
+    """One commodity per entry of `sizes`, routed over its own hop of that
+    many parallel edges; equal sizes share one hop, so one strategy set."""
+    hops = sorted(set(sizes))
+    nodes = tuple(f"{end}{m}" for m in hops for end in "st")
+    edges = tuple(
+        EdgeSpec(f"e{m}.{j}", f"s{m}", f"t{m}", 1.0, 0.0) for m in hops for j in range(m)
+    )
+    commodities = tuple(
+        Commodity(f"c{i}", f"s{m}", f"t{m}", 1.0) for i, m in enumerate(sizes)
+    )
+    return prepare(GameInstance(nodes, edges, commodities))
+
+
+def test_profile_count_is_the_exact_product_of_set_sizes():
+    rng = random.Random(26)
+    for _ in range(50):
+        sizes = [rng.randint(1, 7) for _ in range(rng.randint(1, 60))]
+        assert oracle.profile_count(parallel_hops(sizes)) == math.prod(sizes)
+    for n in (2, 10, 1000):
+        for inst in build_classic_braess(n):
+            assert oracle.profile_count(inst) == math.prod(map(len, inst.paths))
+
+
 def test_classic_without_shortcut_has_exactly_the_splits(classic_pair_2):
     before, _ = classic_pair_2
     found = scan_equilibria(before)
