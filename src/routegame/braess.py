@@ -53,24 +53,25 @@ def _check_n(n: int) -> None:
         raise ValueError(f"number of players must be even and positive, got {n}")
 
 
-def _diamond(
-    variable: tuple[PriceSpec, float, float],
-    with_shortcut: bool,
-    n: int,
-) -> GameInstance:
+def _diamonds(
+    variable: tuple[PriceSpec, float, float], n: int
+) -> tuple[GameInstance, GameInstance]:
+    """The diamond without and with the shortcut, for n players u1..un from s
+    to t of demand 1/n each; both hold the same commodities tuple."""
     price, c1, c2 = variable
-    edges = [
+    edges = (
         EdgeSpec("sv", "s", "v", a=1.0, b=0.0, c1=c1, c2=c2, price=price),
         EdgeSpec("vt", "v", "t", a=0.0, b=1.0),
         EdgeSpec("sw", "s", "w", a=0.0, b=1.0),
         EdgeSpec("wt", "w", "t", a=1.0, b=0.0, c1=c1, c2=c2, price=price),
-    ]
-    if with_shortcut:
-        edges.append(EdgeSpec("vw", "v", "w", a=0.0, b=0.0))
-    commodities = tuple(
-        Commodity(f"u{i + 1}", "s", "t", 1.0 / n) for i in range(n)
     )
-    return prepare(GameInstance(("s", "v", "w", "t"), tuple(edges), commodities))
+    shortcut = EdgeSpec("vw", "v", "w", a=0.0, b=0.0)
+    nodes = ("s", "v", "w", "t")
+    players = tuple(Commodity(f"u{i + 1}", "s", "t", 1.0 / n) for i in range(n))
+    return (
+        prepare(GameInstance(nodes, edges, players)),
+        prepare(GameInstance(nodes, edges + (shortcut,), players)),
+    )
 
 
 def build_classic_braess(n: int) -> tuple[GameInstance, GameInstance]:
@@ -80,7 +81,7 @@ def build_classic_braess(n: int) -> tuple[GameInstance, GameInstance]:
     unit, the post-shortcut equilibrium costs 2."""
     _check_n(n)
     variable = (ZERO_PRICE, 1.0, 0.0)
-    return _diamond(variable, False, n), _diamond(variable, True, n)
+    return _diamonds(variable, n)
 
 
 def build_priced_braess(
@@ -98,7 +99,7 @@ def build_priced_braess(
         variable = (ZERO_PRICE, 1.0, 0.0)  # price weight zero: drop the price spec
     else:
         variable = (price, c1, c2)
-    return _diamond(variable, False, n), _diamond(variable, True, n)
+    return _diamonds(variable, n)
 
 
 def _worst_equilibrium_unit_cost(

@@ -5,11 +5,12 @@ price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
 violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
 error. Every scenario file is checked by `validate_instance`, and a command
 exits 1 with its first violation. Each command accepts only the flags it reads,
-all checked before anything is written to stdout. A call builds every command's
-parser but fills only the one its argv names, with the cyclic garbage collector
-paused so that the parser's reference cycles die young. All output is
-deterministic for fixed flags and seed. A command imports the modules it runs
-when it runs, so that `validate` loads only this module, `model` and `pricing`.
+all checked before anything is written to stdout. A call makes only the parser
+its argv names, or every command's parser when argv names none, with the cyclic
+garbage collector paused so that the parser's reference cycles die young. All
+output is deterministic for fixed flags and seed. A command imports the modules
+it runs when it runs, so that `validate` loads only this module, `model` and
+`pricing`.
 """
 
 from __future__ import annotations
@@ -390,22 +391,28 @@ _COMMANDS = {
 def _subcommands(
     parser: argparse.ArgumentParser, dest: str, table: dict, argv: Sequence[str]
 ) -> None:
-    """Add a subparser to `parser` for every name in `table`, but fill only the
-    one that argv's first word names, or all of them when it names none: the
-    others are parsed by nobody, and their usage, help and choice lists do not
-    depend on their arguments."""
-    sub = parser.add_subparsers(dest=dest, required=True)
-    named = argv[0] if argv and argv[0] in table else None
-    for name, (help_line, fill) in table.items():
+    """Add to `parser` the subparser that argv's first word names, filled, or
+    a filled subparser for every name in `table` when it names none. Only the
+    named parser parses the rest of argv; what `parser` itself prints then is
+    its usage, whose choice list the metavar keeps whole."""
+    if argv and argv[0] in table:
+        names = (argv[0],)
+        sub = parser.add_subparsers(
+            dest=dest, required=True, metavar="{" + ",".join(table) + "}"
+        )
+    else:
+        names = table
+        sub = parser.add_subparsers(dest=dest, required=True)
+    for name in names:
+        help_line, fill = table[name]
         kwargs = {} if help_line is None else {"help": help_line}
         p = sub.add_parser(name, formatter_class=parser.formatter_class, **kwargs)
-        if named in (None, name):
-            fill(p, argv[1:])
+        fill(p, argv[1:])
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """Every command's parser, with arguments only along the path that argv's
-    leading words name; all are filled when argv names no command."""
+    """The parsers along the path that argv's leading words name, or at the
+    first word that names no command or variant, every parser below it."""
     # The stock formatter reads the terminal width each time it is made, and
     # argparse makes one per argument; this is the width it would read.
     fmt = functools.partial(

@@ -57,6 +57,18 @@ def test_priced_identity_experiment(priced_identity_pair_10):
     assert report.rho == pytest.approx(rho_formula(u, 0.5, 0.5), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build", [build_classic_braess, lambda n: build_priced_braess(n, PriceSpec("sin"))]
+)
+def test_both_diamonds_hold_one_commodities_tuple(build):
+    before, after = build(6)
+    assert before.commodities is after.commodities
+    assert [c.id for c in before.commodities] == [f"u{i}" for i in range(1, 7)]
+    ends = {(c.source, c.sink, c.demand) for c in before.commodities}
+    assert ends == {("s", "t", 1 / 6)}
+    assert len(before.edges) + 1 == len(after.edges) == 5
+
+
 def test_zero_price_weight_reduces_to_classic():
     cb, ca = build_classic_braess(4)
     pb, pa = build_priced_braess(4, PriceSpec("identity"), c1=1.0, c2=0.0)

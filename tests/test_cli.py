@@ -701,15 +701,26 @@ def _tree(parser, name=""):
                 yield from _tree(sub, f"{name} {sub_name}".lstrip())
 
 
-def _parsers(parser):
-    """`parser` and, depth first, every parser below it."""
-    return [p for _, p in _tree(parser)]
+def _whole_tree():
+    """The reference the CLI's text is held to, made with argparse's own calls
+    and not with the code under test: every command's and every variant's
+    parser, each filled from the CLI's tables, stock formatters, no metavar."""
 
+    def add(parser, dest, table):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (help_line, fill) in table.items():
+            kwargs = {} if help_line is None else {"help": help_line}
+            p = sub.add_parser(name, **kwargs)
+            if fill is cli._fill_braess:
+                add(p, "variant", cli._VARIANTS)
+            else:
+                fill(p, ())
 
-def _stock(parser):
-    """`parser` with every formatter of its tree set back to argparse's own."""
-    for p in _parsers(parser):
-        p.formatter_class = argparse.HelpFormatter
+    parser = argparse.ArgumentParser(
+        prog="routegame",
+        description="Atomic selfish routing with bulk-discount edge pricing.",
+    )
+    add(parser, "command", cli._COMMANDS)
     return parser
 
 
@@ -721,14 +732,15 @@ def test_help_usage_and_errors_keep_every_byte(monkeypatch, capsys, columns):
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    parsers = list(_parsers(build_parser()))
-    assert len(parsers) == 10
-    texts = [(p.format_help(), p.format_usage()) for p in parsers]
-    _stock(parsers[0])
-    assert [(p.format_help(), p.format_usage()) for p in parsers] == texts
+    texts = [
+        [(name, p.format_help(), p.format_usage()) for name, p in _tree(parser)]
+        for parser in (build_parser(), _whole_tree())
+    ]
+    assert len(texts[0]) == 10
+    assert texts[0] == texts[1]
     argv = ["braess", "priced", "--n", "4", "--method", "exact"]
     errors = []
-    for parse in (main, _stock(build_parser()).parse_args):
+    for parse in (main, _whole_tree().parse_args):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
         assert exc.value.code == 2
@@ -756,10 +768,12 @@ def test_each_command_accepts_only_the_flags_it_reads():
 
 COMMANDS = ["validate", "equilibrate", "enumerate", "poa", "braess", "braess classic",
             "braess priced", "braess pair", "price-curves"]
-# per command: help, no arguments, an unknown flag, a bad choice, a bad type
-# and an extra positional (a flag the command does not read is unknown there)
+# per command: help, no arguments, an unknown flag, a bad choice, a bad type,
+# an extra positional (a flag the command does not read is unknown there) and
+# a word that names no variant
 TAILS = [["-h"], [], ["--bogus"], ["--format", "xml"], ["--method", "exact"],
-         ["--epsilon", "x"], ["--n", "x"], ["--samples", "x"], ["x.json", "y", "z"]]
+         ["--epsilon", "x"], ["--n", "x"], ["--samples", "x"], ["x.json", "y", "z"],
+         ["bogus"]]
 CORPUS = [cmd.split() + tail for cmd in COMMANDS for tail in TAILS] + [
     [], ["-h"], ["bogus"], ["--", "poa"], ["--x", "validate", "f"],
     ["braess", "--x", "priced", "--n", "2"],
@@ -781,11 +795,10 @@ def test_main_answers_as_the_whole_parser_would(monkeypatch, capsys, columns):
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
-    filled = [_outcome(capsys, lambda: main(argv)) for argv in CORPUS]
-    whole = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): whole())
-    assert [_outcome(capsys, lambda: main(argv)) for argv in CORPUS] == filled
-    assert sum(code == 2 for code, _, _ in filled) > len(CORPUS) // 2
+    made = [_outcome(capsys, lambda: main(argv)) for argv in CORPUS]
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): _whole_tree())
+    assert [_outcome(capsys, lambda: main(argv)) for argv in CORPUS] == made
+    assert sum(code == 2 for code, _, _ in made) > len(CORPUS) // 2
 
 
 def test_main_reads_argv_from_sys_argv(monkeypatch, capsys):
@@ -829,21 +842,19 @@ def test_a_parser_dies_young(capsys, classic_after_file):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
-    [(["equilibrate", "x"], "equilibrate"),
-     (["braess", "priced", "--n", "2"], "braess priced")],
+    "argv, made",
+    [(["equilibrate", "x"], ["", "equilibrate"]),
+     (["braess", "priced", "--n", "2"], ["", "braess", "braess priced"]),
+     (["braess", "bogus"], ["", "braess", "braess classic", "braess priced",
+                            "braess pair"]),
+     ([], [""] + COMMANDS)],
 )
-def test_a_call_fills_only_the_parsers_its_argv_names(argv, named):
-    tree = dict(_tree(build_parser(argv)))
-    # every command's parser is made; braess's variants when braess is named
-    made = [c for c in COMMANDS if " " not in c or named.startswith("braess")]
-    assert list(tree) == [""] + made
-    words = named.split()
-    filled = {" ".join(words[:k]) for k in range(len(words) + 1)}
-    bare = {name for name, p in tree.items() if [a.dest for a in p._actions] == ["help"]}
-    assert bare == set(tree) - filled
-    flags = {s for a in tree[named]._actions for s in a.option_strings}
-    assert flags - {"-h", "--help"} == FLAG_SETS[named]
+def test_a_call_makes_only_the_parsers_its_argv_names(argv, made):
+    parser = build_parser(argv)
+    assert [name for name, _ in _tree(parser)] == made
+    for name, p in _commands(parser):
+        flags = {s for a in p._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == FLAG_SETS[name]
 
 
 @pytest.mark.parametrize(
