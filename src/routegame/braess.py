@@ -9,6 +9,7 @@ zero-cost shortcut v->w whose addition raises the equilibrium cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import engine, oracle
 from .model import (
@@ -74,12 +75,23 @@ def _diamonds(
     )
 
 
-def build_classic_braess(n: int) -> tuple[GameInstance, GameInstance]:
+def _check_cap(n: int, cap: Optional[int]) -> None:
+    """With a cap, raise ProfileCapError as an oracle scan of the diamond
+    without the shortcut would: it has 2^n profiles, and is scanned first."""
+    if cap is not None:
+        oracle.check_cap(2**n, cap)
+
+
+def build_classic_braess(
+    n: int, *, cap: Optional[int] = None
+) -> tuple[GameInstance, GameInstance]:
     """Unpriced diamond (pure congestion) without and with the shortcut edge.
 
     n even players of demand 1/n each; the half-split equilibrium costs 3/2 per
-    unit, the post-shortcut equilibrium costs 2."""
+    unit, the post-shortcut equilibrium costs 2. With a `cap`, a diamond the
+    oracle would refuse is refused before it is built."""
     _check_n(n)
+    _check_cap(n, cap)
     variable = (ZERO_PRICE, 1.0, 0.0)
     return _diamonds(variable, n)
 
@@ -89,12 +101,15 @@ def build_priced_braess(
     price: PriceSpec,
     c1: float = 0.5,
     c2: float = 0.5,
+    *,
+    cap: Optional[int] = None,
 ) -> tuple[GameInstance, GameInstance]:
     """Diamond whose variable edges mix congestion and per-unit price with
     weights c1/c2. With c2 = 0 the output is structurally identical to the
-    classic construction."""
+    classic construction. `cap` is as for `build_classic_braess`."""
     _check_n(n)
     _check_mixing(c1, c2)
+    _check_cap(n, cap)
     if c2 == 0.0:
         variable = (ZERO_PRICE, 1.0, 0.0)  # price weight zero: drop the price spec
     else:

@@ -5,12 +5,13 @@ price-curves. Exit codes: 0 success, 1 domain-level failure (invariant
 violations, cap exceeded, non-convergence, bound violation), 2 usage/parse/I/O
 error. Every scenario file is checked by `validate_instance`, and a command
 exits 1 with its first violation. Each command accepts only the flags it reads,
-all checked before anything is written to stdout. A call makes only the parser
-its argv names, or every command's parser when argv names none, with the cyclic
-garbage collector paused so that the parser's reference cycles die young. All
-output is deterministic for fixed flags and seed. A command imports the modules
-it runs when it runs, so that `validate` loads only this module, `model` and
-`pricing`.
+all checked before anything is written to stdout. A call whose argv names a
+command (and under `braess` a variant) parses with that one parser alone; any
+other call, or one that leaves words over, parses with the whole tree of
+parsers. Either way the cyclic garbage collector is paused so that the
+parsers' reference cycles die young. All output is deterministic for fixed
+flags and seed. A command imports the modules it runs when it runs, so that
+`validate` loads only this module, `model` and `pricing`.
 """
 
 from __future__ import annotations
@@ -219,16 +220,22 @@ def _usage_error(message: str) -> int:
 def cmd_braess(args: argparse.Namespace) -> int:
     from . import braess
 
+    # an oracle run refuses a diamond over the cap before building it, unless
+    # its scenarios are to be written first; dynamics scan nothing
+    emit = getattr(args, "emit_scenario", None)
+    cap = args.cap if args.method == "oracle" and not emit else None
     if args.variant == "classic":
-        before, after = braess.build_classic_braess(args.n)
+        before, after = braess.build_classic_braess(args.n, cap=cap)
     elif args.variant == "priced":
         spec = _price_spec(args.price, args.beta)
-        before, after = braess.build_priced_braess(args.n, spec, args.c1, args.c2)
+        before, after = braess.build_priced_braess(
+            args.n, spec, args.c1, args.c2, cap=cap
+        )
     else:  # pair
         before = _prepared(args.before)
         after = _prepared(args.after)
 
-    if getattr(args, "emit_scenario", None):
+    if emit:
         for role, instance in (("before", before), ("after", after)):
             with open(f"{args.emit_scenario}-{role}.json", "w", encoding="utf-8") as fh:
                 fh.write(serialize_scenario(instance))
@@ -310,7 +317,7 @@ def _flags(p: argparse.ArgumentParser, *names: str) -> None:
 def _fill_scenario(*flags: str, func, seed: bool = False):
     """Fill for a command that reads one scenario file."""
 
-    def fill(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    def fill(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario")
         if seed:
             p.add_argument(
@@ -325,7 +332,7 @@ def _fill_scenario(*flags: str, func, seed: bool = False):
 def _fill_diamond(priced: bool):
     """Fill for `braess classic` or `braess priced`, which build the diamond."""
 
-    def fill(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    def fill(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n", type=int, required=True, help="even number of players")
         if priced:
             p.add_argument("--price", choices=PRICE_FAMILIES, required=True)
@@ -340,7 +347,7 @@ def _fill_diamond(priced: bool):
     return fill
 
 
-def _fill_pair(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+def _fill_pair(p: argparse.ArgumentParser) -> None:
     p.add_argument("before")
     p.add_argument("after")
     p.add_argument("--method", choices=("oracle", "dynamics"), default="oracle")
@@ -348,7 +355,7 @@ def _fill_pair(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     p.set_defaults(func=cmd_braess)
 
 
-def _fill_price_curves(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+def _fill_price_curves(p: argparse.ArgumentParser) -> None:
     p.add_argument("--functions", default=",".join(PRICE_FAMILIES))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--x-max", type=float, default=1.0)
@@ -356,11 +363,11 @@ def _fill_price_curves(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
     p.set_defaults(func=cmd_price_curves)
 
 
-def _fill_braess(p: argparse.ArgumentParser, argv: Sequence[str]) -> None:
-    _subcommands(p, "variant", _VARIANTS, argv)
+def _fill_braess(p: argparse.ArgumentParser) -> None:
+    _subcommands(p, "variant", _VARIANTS)
 
 
-# name -> (help line or None, fill(parser, the argv after the name))
+# name -> (help line or None, fill(parser))
 _VARIANTS = {
     "classic": (None, _fill_diamond(priced=False)),
     "priced": (None, _fill_diamond(priced=True)),
@@ -388,47 +395,69 @@ _COMMANDS = {
 }
 
 
-def _subcommands(
-    parser: argparse.ArgumentParser, dest: str, table: dict, argv: Sequence[str]
-) -> None:
-    """Add to `parser` the subparser that argv's first word names, filled, or
-    a filled subparser for every name in `table` when it names none. Only the
-    named parser parses the rest of argv; what `parser` itself prints then is
-    its usage, whose choice list the metavar keeps whole."""
-    if argv and argv[0] in table:
-        names = (argv[0],)
-        sub = parser.add_subparsers(
-            dest=dest, required=True, metavar="{" + ",".join(table) + "}"
-        )
-    else:
-        names = table
-        sub = parser.add_subparsers(dest=dest, required=True)
-    for name in names:
-        help_line, fill = table[name]
+def _subcommands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+    """Add to `parser` a filled subparser for every name in `table`."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_line, fill) in table.items():
         kwargs = {} if help_line is None else {"help": help_line}
-        p = sub.add_parser(name, formatter_class=parser.formatter_class, **kwargs)
-        fill(p, argv[1:])
+        fill(sub.add_parser(name, formatter_class=parser.formatter_class, **kwargs))
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parsers along the path that argv's leading words name, or at the
-    first word that names no command or variant, every parser below it."""
-    # The stock formatter reads the terminal width each time it is made, and
-    # argparse makes one per argument; this is the width it would read.
-    fmt = functools.partial(
+def _formatter():
+    """The stock help formatter at the width it would read. The stock one
+    reads the terminal width each time it is made, and argparse makes one per
+    argument."""
+    return functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser, every command's and, under
+    `braess`, every variant's, 10 parsers in all."""
     parser = argparse.ArgumentParser(
         prog="routegame",
         description="Atomic selfish routing with bulk-discount edge pricing.",
-        formatter_class=fmt,
+        formatter_class=_formatter(),
     )
-    _subcommands(parser, "command", _COMMANDS, argv)
+    _subcommands(parser, "command", _COMMANDS)
     return parser
 
 
+def _parse_leaf(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """argv parsed by the one parser its leading words name, a command other
+    than `braess` or `braess` and a variant, or None when they name none or
+    that parser leaves words over. The whole tree would hand the same words
+    to the same parser, whose prog is the words that name it, and keep its
+    namespace with the names set."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return None
+    names = [command]
+    fill = _COMMANDS[command][1]
+    if fill is _fill_braess:
+        variant = argv[1] if len(argv) > 1 else None
+        if variant not in _VARIANTS:
+            return None
+        names.append(variant)
+        fill = _VARIANTS[variant][1]
+    parser = argparse.ArgumentParser(
+        prog=" ".join(["routegame", *names]), formatter_class=_formatter()
+    )
+    fill(parser)
+    args, extras = parser.parse_known_args(argv[len(names):])
+    if extras:
+        return None
+    args.command = command
+    if len(names) > 1:
+        args.variant = names[1]
+    return args
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Build the parser and parse argv with the cyclic collector paused.
+    """Parse argv with the parser its leading words name alone, or else with
+    the whole tree, so that the top-level usage and its "unrecognized
+    arguments" error are argparse's own; the cyclic collector is paused.
 
     argparse ties every action to its group (`action.container`) and every
     formatter to its root section, so a parser is cyclic garbage once parsed.
@@ -439,7 +468,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return build_parser(argv).parse_args(argv)
+        args = _parse_leaf(argv)
+        return build_parser().parse_args(argv) if args is None else args
     finally:
         if collecting:
             gc.enable()

@@ -100,6 +100,12 @@ def _count_text(total: int) -> str:
     return f"at least 10^{k}"
 
 
+def check_cap(total: int, cap: int) -> None:
+    """Raise ProfileCapError when a scan of `total` profiles would exceed `cap`."""
+    if total > cap:
+        raise ProfileCapError(f"{_count_text(total)} profiles exceed cap {cap}")
+
+
 def _arrangements(canonical: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every ordering of the nondecreasing `canonical`, in lexicographic order."""
     seq = list(canonical)
@@ -278,9 +284,7 @@ def _scan(
     their social costs. Ties go to the lowest profile index. Social costs are
     computed for every state only when the optimum is wanted, otherwise for
     equilibria only."""
-    total = profile_count(instance)
-    if total > cap:
-        raise ProfileCapError(f"{_count_text(total)} profiles exceed cap {cap}")
+    check_cap(profile_count(instance), cap)
     idx = _Indexed(instance)
     stable, spans = idx.g.stable, idx.spans
     equilibrium_states: list[tuple[tuple[int, ...], float]] = []

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import routegame
-from routegame import cli
+from routegame import braess, cli
 from routegame.braess import build_classic_braess, build_priced_braess, rho_formula
 from routegame.cli import build_parser, main
 from routegame.model import parse_scenario, serialize_scenario, validate_instance
@@ -406,12 +406,65 @@ def test_more_profiles_than_a_machine_word_exceed_the_cap(
 # braess
 
 
-@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("n, count", [(16, 3**16), (18, 2**18), (40, 2**40), (64, 2**64)])
 @pytest.mark.parametrize("variant", [["classic"], ["priced", "--price", "sin"]])
-def test_braess_beyond_the_cap_is_a_domain_failure(capsys, variant, n):
-    # the "before" diamond, scanned first, has 2**n profiles
+def test_braess_beyond_the_cap_is_a_domain_failure(capsys, variant, n, count):
+    # the diamond without the shortcut, scanned first, has 2**n profiles, the
+    # one with it 3**n: at n = 16 only the second exceeds the cap
     code, out, err = run(capsys, "braess", *variant, "--n", str(n))
-    assert (code, out, err) == (1, "", f"error: {2**n} profiles exceed cap 200000\n")
+    assert (code, out, err) == (1, "", f"error: {count} profiles exceed cap 200000\n")
+
+
+class DiamondBuilt(Exception):
+    pass
+
+
+@pytest.fixture()
+def no_diamond(monkeypatch):
+    """braess's diamond builder, made to raise DiamondBuilt if it is called."""
+
+    def build(*args):
+        raise DiamondBuilt
+
+    monkeypatch.setattr(braess, "_diamonds", build)
+
+
+@pytest.mark.parametrize(
+    "n, count", [(18, "262144"), (1_000_000, "at least 10^301029")]
+)
+@pytest.mark.parametrize("variant", [["classic"], ["priced", "--price", "sin"]])
+def test_an_oracle_braess_over_the_cap_is_refused_unbuilt(
+    capsys, no_diamond, variant, n, count
+):
+    code, out, err = run(capsys, "braess", *variant, "--n", str(n))
+    assert (code, out, err) == (1, "", f"error: {count} profiles exceed cap 200000\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["classic", "--n", "1000001"],
+      "error: number of players must be even and positive, got 1000001\n"),
+     (["priced", "--n", "1000000", "--price", "sin", "--c1", "0.7"],
+      "error: mixing coefficients not normalized\n"),
+     (["priced", "--n", "1000001", "--price", "saturating", "--beta", "inf"],
+      "error: --beta inf: saturating 'beta' must be a positive finite number\n")],
+)
+def test_a_braess_usage_error_comes_before_the_cap(capsys, no_diamond, argv, err):
+    assert run(capsys, "braess", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classic", "--n", "16"],  # 2^16 profiles before, within the cap
+     ["classic", "--n", "18", "--method", "dynamics"],
+     ["priced", "--n", "18", "--price", "sin", "--emit-scenario", "d"]],
+)
+def test_a_diamond_within_the_cap_or_not_scanned_first_is_built(
+    monkeypatch, tmp_path, no_diamond, argv
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DiamondBuilt):
+        main(["braess", *argv])
 
 
 def test_braess_classic_cli(capsys):
@@ -714,7 +767,7 @@ def _whole_tree():
             if fill is cli._fill_braess:
                 add(p, "variant", cli._VARIANTS)
             else:
-                fill(p, ())
+                fill(p)
 
     parser = argparse.ArgumentParser(
         prog="routegame",
@@ -769,11 +822,16 @@ def test_each_command_accepts_only_the_flags_it_reads():
 COMMANDS = ["validate", "equilibrate", "enumerate", "poa", "braess", "braess classic",
             "braess priced", "braess pair", "price-curves"]
 # per command: help, no arguments, an unknown flag, a bad choice, a bad type,
-# an extra positional (a flag the command does not read is unknown there) and
-# a word that names no variant
+# an extra positional (a flag the command does not read is unknown there), a
+# word that names no variant, "--" before, after and twice before a word,
+# "=" and abbreviated flags, an abbreviated help, a negative number, a flag
+# missing its value and two flags joined to their values
 TAILS = [["-h"], [], ["--bogus"], ["--format", "xml"], ["--method", "exact"],
          ["--epsilon", "x"], ["--n", "x"], ["--samples", "x"], ["x.json", "y", "z"],
-         ["bogus"]]
+         ["bogus"], ["--", "x.json"], ["x.json", "--"], ["--format=json", "x.json"],
+         ["x.json", "--form", "json"], ["x.json", "-h"], ["--he"], ["-1"],
+         ["x.json", "--format"], ["a", "b"], ["--n=4", "--method=dyn"],
+         ["--", "--", "x"]]
 CORPUS = [cmd.split() + tail for cmd in COMMANDS for tail in TAILS] + [
     [], ["-h"], ["bogus"], ["--", "poa"], ["--x", "validate", "f"],
     ["braess", "--x", "priced", "--n", "2"],
@@ -796,7 +854,7 @@ def test_main_answers_as_the_whole_parser_would(monkeypatch, capsys, columns):
     else:
         monkeypatch.setenv("COLUMNS", columns)
     made = [_outcome(capsys, lambda: main(argv)) for argv in CORPUS]
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): _whole_tree())
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: _whole_tree().parse_args(argv))
     assert [_outcome(capsys, lambda: main(argv)) for argv in CORPUS] == made
     assert sum(code == 2 for code, _, _ in made) > len(CORPUS) // 2
 
@@ -843,18 +901,24 @@ def test_a_parser_dies_young(capsys, classic_after_file):
 
 @pytest.mark.parametrize(
     "argv, made",
-    [(["equilibrate", "x"], ["", "equilibrate"]),
-     (["braess", "priced", "--n", "2"], ["", "braess", "braess priced"]),
-     (["braess", "bogus"], ["", "braess", "braess classic", "braess priced",
-                            "braess pair"]),
-     ([], [""] + COMMANDS)],
+    [(["equilibrate", "x"], 1),
+     (["braess", "priced", "--n", "2", "--price", "sin"], 1),
+     ([], 10), (["bogus"], 10), (["braess", "bogus"], 10),
+     (["validate", "x.json", "y"], 1 + 10)],  # the leaf leaves "y", then the tree
 )
-def test_a_call_makes_only_the_parsers_its_argv_names(argv, made):
-    parser = build_parser(argv)
-    assert [name for name, _ in _tree(parser)] == made
-    for name, p in _commands(parser):
-        flags = {s for a in p._actions for s in a.option_strings}
-        assert flags - {"-h", "--help"} == FLAG_SETS[name]
+def test_a_call_makes_one_parser_when_argv_names_it(monkeypatch, capsys, argv, made):
+    init = argparse.ArgumentParser.__init__
+    count = []
+
+    def counted(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    outcome = _outcome(capsys, lambda: cli._parse_args(argv))
+    assert len(count) == made
+    monkeypatch.undo()
+    assert outcome == _outcome(capsys, lambda: _whole_tree().parse_args(argv))
 
 
 @pytest.mark.parametrize(
