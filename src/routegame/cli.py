@@ -8,10 +8,10 @@ exits 1 with its first violation. Each command accepts only the flags it reads,
 all checked before anything is written to stdout. A call whose argv names a
 command (and under `braess` a variant) parses with that one parser alone; any
 other call, or one that leaves words over, parses with the whole tree of
-parsers. Either way the cyclic garbage collector is paused so that the
-parsers' reference cycles die young. All output is deterministic for fixed
-flags and seed. A command imports the modules it runs when it runs, so that
-`validate` loads only this module, `model` and `pricing`.
+parsers. The cyclic garbage collector is paused for the whole call (see
+`main`). All output is deterministic for fixed flags and seed. A command
+imports the modules it runs when it runs, so that `validate` loads only this
+module, `model` and `pricing`.
 """
 
 from __future__ import annotations
@@ -457,27 +457,34 @@ def _parse_leaf(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv with the parser its leading words name alone, or else with
     the whole tree, so that the top-level usage and its "unrecognized
-    arguments" error are argparse's own; the cyclic collector is paused.
+    arguments" error are argparse's own."""
+    args = _parse_leaf(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
-    argparse ties every action to its group (`action.container`) and every
-    formatter to its root section, so a parser is cyclic garbage once parsed.
-    A collection that fires while the parser is being built promotes it, and
-    promoted garbage waits for a full collection, which walks the caller's
-    whole heap inside some later call. Paused, the parser is still young when
-    it dies, and the next young collection frees it."""
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command argv names, with the cyclic collector paused.
+
+    A command makes no reference cycles of its own; argparse does (every
+    action points at its group, every formatter at its root section), some
+    tens of objects per parser. A collection inside a call would only walk
+    live objects: a young one promotes the instance being solved, and once
+    enough is promoted a full collection walks the caller's whole heap, some
+    5 ms in a process that runs many calls. Paused, nothing is promoted, the
+    parsers are still young when they die, and the caller's next young
+    collection frees them. The collector's prior state is restored on every
+    exit."""
+    argv = sys.argv[1:] if argv is None else argv
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _parse_leaf(argv)
-        return build_parser().parse_args(argv) if args is None else args
+        return _run(_parse_args(argv))
     finally:
         if collecting:
             gc.enable()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
     if getattr(args, "max_moves", 0) < 0:
         return _usage_error("--max-moves must be nonnegative")
     if not math.isfinite(getattr(args, "epsilon", 0.0)):

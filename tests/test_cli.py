@@ -883,7 +883,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, classic_after_file, en
 def test_a_parser_dies_young(capsys, classic_after_file):
     # With a young collection at every allocation, a parser built while the
     # collector runs reaches the oldest generation and stays there, dead,
-    # until a full collection; main parses with the collector paused.
+    # until a full collection; main runs with the collector paused.
     def old_parsers():
         return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects(2))
 
@@ -897,6 +897,53 @@ def test_a_parser_dies_young(capsys, classic_after_file):
     finally:
         gc.set_threshold(*thresholds)
     assert old_parsers() == before
+
+
+def test_a_call_runs_no_collection(capsys, classic_after_file):
+    # Even with a collection due at every allocation, none runs inside main.
+    # The count is read before anything else is allocated, since the
+    # collector is back on once main returns.
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    argv = ["equilibrate", classic_after_file, "--seed", "3"]
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(record)
+    try:
+        gc.set_threshold(1, 1, 1)
+        collections.clear()
+        code = main(argv)
+        during = len(collections)
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(record)
+    assert code == 0
+    assert during == 0
+
+
+def test_a_call_leaves_as_much_cyclic_garbage_at_any_size(capsys, tmp_path):
+    # The collector is paused for the whole call, so the command itself must
+    # make no reference cycles: what a call leaves is its parser's, whatever
+    # the size of the instance it solves.
+    def garbage(n):
+        path = tmp_path / f"after{n}.json"
+        path.write_text(serialize_scenario(build_classic_braess(n)[1]))
+        argv = ["equilibrate", str(path), "--seed", "3", "--format", "json"]
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    assert garbage(2) == garbage(200)
 
 
 @pytest.mark.parametrize(
