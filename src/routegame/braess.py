@@ -127,6 +127,7 @@ def _worst_equilibrium_unit_cost(
     """Max per-player unit cost at the worst equilibrium (by social cost)."""
     if method == "oracle":
         worst, _, _ = oracle.worst_equilibrium(instance, cap, eps_improve)
+        costs = engine.profile_costs(instance, worst)
     elif method == "dynamics":
         initial = engine.StrategyProfile((0,) * len(instance.commodities))
         result = engine.run_best_response_dynamics(
@@ -138,10 +139,10 @@ def _worst_equilibrium_unit_cost(
             raise NotConvergedError(
                 f"dynamics did not converge within {max_moves} moves"
             )
-        worst = result.final
+        costs = result.costs
     else:
         raise ValueError(f"unknown method {method!r}")
-    return max(engine.profile_costs(instance, worst).unit_costs)
+    return max(costs.unit_costs)
 
 
 def edge_addition_experiment(

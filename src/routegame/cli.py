@@ -135,27 +135,26 @@ def cmd_equilibrate(args: argparse.Namespace) -> int:
     from . import engine
 
     instance = _prepared(args.scenario)
-    k = len(instance.commodities)
     if args.seed is not None:
         rng = random.Random(args.seed)
-        choice = tuple(rng.randrange(len(instance.paths[i])) for i in range(k))
+        choice = tuple(map(rng.randrange, map(len, instance.paths)))
     else:
-        choice = (0,) * k
+        choice = (0,) * len(instance.commodities)
     result = engine.run_best_response_dynamics(
         instance,
         engine.StrategyProfile(choice),
         engine.DynamicsConfig(max_moves=args.max_moves, eps_improve=args.epsilon),
     )
-    costs = engine.profile_costs(instance, result.final)
     _emit(
         {
             "converged": result.converged,
             "moves": len(result.moves),
             "final_profile": _profile_report(instance, result.final),
             "player_unit_costs": {
-                c.id: cost for c, cost in zip(instance.commodities, costs.unit_costs)
+                c.id: cost
+                for c, cost in zip(instance.commodities, result.costs.unit_costs)
             },
-            "social_cost": costs.social_cost,
+            "social_cost": result.costs.social_cost,
             "potential": result.potential,
         },
         args.format,

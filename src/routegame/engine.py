@@ -22,8 +22,11 @@ checks each (class, current path) once. A move updates the loads of only the
 edges the mover leaves or joins: in O(1) each from
 `CompiledGame.repeated_sums` when every player has the same demand, otherwise
 by re-summing each edge's users in player order (O(N) each, in C, for N
-players). The dynamics sum the potential once, for the final profile, in
-O(E + N).
+players). When the run ends it reports the final profile's costs from its own
+loads, which equal a rebuild bit for bit, so it neither checks the profile
+again nor re-sums a load: each (class, path) group is costed once, by the
+helper `profile_costs` uses, and the potential is summed once, in O(E + N),
+with each group's own term summed once.
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.best_move`, which the
@@ -44,8 +47,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add, getitem
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import add, ge, getitem
+from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     DEFAULT_EPS_IMPROVE,
@@ -63,7 +66,7 @@ class StrategyProfile:
     choice: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.choice):
+        if min(self.choice, default=0) < 0:
             raise ValueError("negative path index")
 
 
@@ -79,9 +82,11 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> Compiled
     g = instance.compiled  # raises ValueError on an unprepared instance
     if len(profile.choice) != len(instance.commodities):
         raise ValueError("profile length does not match number of commodities")
-    for i, c in enumerate(profile.choice):
-        if c >= len(g.paths[i]):
-            raise ValueError(f"path index {c} out of range for commodity {i}")
+    beyond = list(map(ge, profile.choice, map(len, g.paths)))
+    if any(beyond):
+        i = beyond.index(True)
+        c = profile.choice[i]
+        raise ValueError(f"path index {c} out of range for commodity {i}")
     return g
 
 
@@ -138,22 +143,52 @@ class _Flow:
                 self._edit(k, player, 1)
 
 
-def _own_terms(g: CompiledGame, choice: Sequence[int]) -> list[float]:
-    """Each player's own term of the potential: `potential_term`s summed
-    exactly, once per (class, path), since a class's players share its rows."""
-    terms: dict[tuple[int, int], float] = {}
-    for i, key in enumerate(zip(g.class_of, choice)):
-        if key not in terms:
-            terms[key] = exact_sum([g.potential_term[i][k] for k in g.paths[i][key[1]]])
-    return list(map(terms.__getitem__, zip(g.class_of, choice)))
+def _groups(
+    g: CompiledGame, choice: Sequence[int]
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """Each player's (class, path) in player order, and the last player of
+    each (class, path): a class's players share its rows, so that player
+    costs the group for all of them."""
+    keys = list(zip(g.class_of, choice))
+    return keys, dict(zip(keys, range(len(keys))))
 
 
-def _potential(g: CompiledGame, f: Sequence[float], own: Iterable[float]) -> float:
+def _costs(
+    g: CompiledGame,
+    keys: Sequence[tuple[int, int]],
+    last: dict[tuple[int, int], int],
+    f: Sequence[float],
+) -> ProfileCosts:
+    """Each player's per-unit cost on its chosen path (`CompiledGame.path_cost`)
+    and the social cost at the profile's loads f, costing each (class, path)
+    group of `_groups` once."""
+    unit, load_free = {}, {}
+    for key, i in last.items():
+        unit[key] = g.path_cost(i, g.paths[i][key[1]], f)
+        load_free[key] = g.load_free_cost(i, key[1])
+    return ProfileCosts(
+        tuple(map(unit.__getitem__, keys)),
+        g.social_cost(f, map(load_free.__getitem__, keys)),
+    )
+
+
+def _potential(
+    g: CompiledGame,
+    keys: Sequence[tuple[int, int]],
+    last: dict[tuple[int, int], int],
+    f: Sequence[float],
+) -> float:
     """The exact sum of c1 * (a * x + b) * x over the edges at their loads f
-    and of the players' `own` terms, correctly rounded."""
+    and of each player's own term, correctly rounded. A player's own term is
+    its path's `potential_term`s summed exactly, once per (class, path) group
+    of `_groups`."""
     c1, a, b = g.c1, g.a, g.b
     edge_terms = [c1[k] * (a[k] * x + b[k]) * x for k, x in enumerate(f)]
-    return exact_sum(chain(edge_terms, own))
+    own = {
+        key: exact_sum([g.potential_term[i][k] for k in g.paths[i][key[1]]])
+        for key, i in last.items()
+    }
+    return exact_sum(chain(edge_terms, map(own.__getitem__, keys)))
 
 
 def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
@@ -173,18 +208,7 @@ def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCo
     `CompiledGame` is costed once: its players pay the same unit cost and have
     the same load-free cost."""
     g = _check_profile(instance, profile)
-    f = _loads(g, profile.choice)
-    per_path: dict[tuple[int, int], tuple[float, float]] = {}
-    unit, load_free = [], []
-    for i, d in enumerate(profile.choice):
-        costs = per_path.get((g.class_of[i], d))
-        if costs is None:
-            costs = per_path[g.class_of[i], d] = (
-                g.path_cost(i, g.paths[i][d], f), g.load_free_cost(i, d)
-            )
-        unit.append(costs[0])
-        load_free.append(costs[1])
-    return ProfileCosts(tuple(unit), g.social_cost(f, load_free))
+    return _costs(g, *_groups(g, profile.choice), _loads(g, profile.choice))
 
 
 @dataclass(frozen=True)
@@ -210,6 +234,8 @@ class DynamicsResult:
     moves: tuple[Move, ...]
     potential: float   # the final profile's, summed once when the run ends
     converged: bool
+    # the final profile's, from the run's own loads: the bits of profile_costs
+    costs: ProfileCosts
 
 
 def run_best_response_dynamics(
@@ -247,12 +273,17 @@ def run_best_response_dynamics(
             flow.move(i, d, j)
             choice[i] = j
             moved = True
-        if len(moves) >= config.max_moves:
-            pairs = {(g.class_of[i], d): (i, d) for i, d in enumerate(choice)}
-            converged = g.stable(pairs.values(), flow.loads, eps)
+        if len(moves) >= config.max_moves or not moved:
             break
-        if not moved:
-            converged = eps >= 0 or not choice
-            break
-    phi = _potential(g, flow.loads, _own_terms(g, choice))
-    return DynamicsResult(StrategyProfile(tuple(choice)), tuple(moves), phi, converged)
+    keys, last = _groups(g, choice)
+    if len(moves) >= config.max_moves:
+        converged = g.stable([(i, d) for (_, d), i in last.items()], flow.loads, eps)
+    else:
+        converged = eps >= 0 or not choice
+    return DynamicsResult(
+        StrategyProfile(tuple(choice)),
+        tuple(moves),
+        _potential(g, keys, last, flow.loads),
+        converged,
+        _costs(g, keys, last, flow.loads),
+    )

@@ -891,6 +891,9 @@ def parse_scenario(text: str) -> GameInstance:
 
 _encode = json.encoder.encode_basestring_ascii
 _NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}  # and NaN
+# the longest container `json_text` writes without looking for repeated items:
+# below this, finding them costs more than it can save
+_SHORT = 8
 #: JSON text of each scalar type, as json.dumps writes it
 _SCALAR_TEXT = {
     str: _encode,
@@ -904,9 +907,11 @@ _SCALAR_TEXT = {
 def json_text(obj: object, indent: str = "\n") -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for a tree of dicts with str
     keys, lists and tuples whose leaves are of type str, int, float, bool or
-    None: the package's one JSON writer. A container whose items are all
-    strings, or all finite floats, is written by C functions; other items by a
-    lookup on their type, and an object that recurs in one container once."""
+    None: the package's one JSON writer. In a container of more than
+    `_SHORT` items an object that recurs, scalar or container, is written
+    once: a report repeats its paths and their costs once per player. A
+    container whose distinct items are all strings, or all finite floats, is
+    written by C functions; other items by a lookup on their type."""
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
@@ -916,20 +921,27 @@ def json_text(obj: object, indent: str = "\n") -> str:
     if not obj:
         return brackets
     inner = indent + "  "
-    kinds = set(map(type, values))
+    if len(values) > _SHORT:  # each item object once, in order of first occurrence
+        once = dict(zip(map(id, values), values))
+        distinct = once.values()
+    else:
+        distinct = values
+    kinds = set(map(type, distinct))
     if kinds == {str}:
-        items = map(_encode, values)
-    elif kinds == {float} and all(map(math.isfinite, values)):
-        items = map(float.__repr__, values)
-    else:  # each container object written once: a report repeats its paths
-        texts: dict[int, str] = {}
-        items = [
-            text(v) if (text := _SCALAR_TEXT.get(type(v)))
-            else texts.get(id(v)) or texts.setdefault(id(v), json_text(v, inner))
-            for v in values
+        texts = map(_encode, distinct)
+    elif kinds == {float} and all(map(math.isfinite, distinct)):
+        texts = map(float.__repr__, distinct)
+    else:
+        texts = [
+            text(v) if (text := _SCALAR_TEXT.get(type(v))) else json_text(v, inner)
+            for v in distinct
         ]
+    if len(distinct) == len(values):
+        items = texts
+    else:
+        items = map(dict(zip(once, texts)).__getitem__, map(id, values))
     if brackets == "{}":
-        items = map("%s: %s".__mod__, zip(map(_encode, obj), items))
+        items = map(": ".join, zip(map(_encode, obj), items))
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 

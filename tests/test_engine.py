@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_oracle import stable
+from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
 from routegame import engine
 from routegame.braess import build_priced_braess
 from routegame.engine import (
@@ -61,8 +62,9 @@ def social_cost(inst, prof):
 def potential(inst, prof):
     """The potential the dynamics report for a profile, summed once."""
     g = inst.compiled
-    f, own = engine._loads(g, prof.choice), engine._own_terms(g, prof.choice)
-    return engine._potential(g, f, own)
+    return engine._potential(
+        g, *engine._groups(g, prof.choice), engine._loads(g, prof.choice)
+    )
 
 
 def best_move(inst, prof, i):
@@ -607,6 +609,61 @@ def test_dynamics_sum_the_potential_once_per_run(monkeypatch):
     assert result.converged and len(result.moves) > 1
     assert len(calls) == 1
     assert _same_float(result.potential, potential(after, result.final))
+
+
+def test_a_profile_off_the_strategy_sets_is_refused():
+    inst = _parallel([(1.0, 0.0), (2.0, 0.0)], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="negative path index"):
+        StrategyProfile((0, -1, 0))
+    for choice, first in [((0, 2, 5), "path index 2 out of range for commodity 1"),
+                          ((0, 1, 2), "path index 2 out of range for commodity 2")]:
+        with pytest.raises(ValueError, match=first):
+            profile_costs(inst, StrategyProfile(choice))
+        with pytest.raises(ValueError, match=first):
+            run_best_response_dynamics(inst, StrategyProfile(choice))
+    with pytest.raises(ValueError, match="does not match"):
+        profile_costs(inst, StrategyProfile((0, 1)))
+
+
+def _hexes(costs):
+    return [float.hex(x) for x in costs.unit_costs], float.hex(costs.social_cost)
+
+
+def _assert_run_costs_are_profile_costs(inst, start, config):
+    """The run's final costs, read from its own loads, have the bits of
+    `profile_costs` of its final profile, which sums the loads afresh."""
+    result = run_best_response_dynamics(inst, start, config)
+    assert _hexes(result.costs) == _hexes(profile_costs(inst, result.final))
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        # distinct demands, one demand for all, and ties with c1 of +0.0 or -0.0
+        st.tuples(seeded_instances() | one_demand_instances(), st.just(None)),
+        st.tuples(tie_rich_instances(), st.sampled_from([None, 0.0, -0.0])),
+    ),
+    st.sampled_from([1.0, -1.0, 1e150, 1e300, 1e307, 1e308]),  # toward overflow
+    st.sampled_from([0.0, 1e-9, 0.25, -1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_run_costs_are_the_profile_costs_of_its_final_profile(drawn, scale, eps, seed):
+    inst, c1 = drawn
+    edges = tuple(
+        replace(e, a=e.a * scale, b=e.b * scale, c1=e.c1 if c1 is None else c1)
+        for e in inst.edges
+    )
+    inst = prepare(replace(inst, edges=edges, paths=()))
+    start = random_profile(random.Random(seed), inst)
+    config = DynamicsConfig(max_moves=1000, eps_improve=eps)
+    free = _assert_run_costs_are_profile_costs(inst, start, config)
+    # no move at all, and runs stopped by the cap: at the number of moves the
+    # first run made, and one short of it
+    for cap in {0, len(free.moves), max(0, len(free.moves) - 1)}:
+        config = DynamicsConfig(max_moves=cap, eps_improve=eps)
+        result = _assert_run_costs_are_profile_costs(inst, start, config)
+        assert len(result.moves) == cap
 
 
 def test_equilibrium_checks_cost_one_best_move_per_class_and_path(monkeypatch):

@@ -314,6 +314,22 @@ def test_equilibrate_log1p_diamond_n200_matches_golden(capsys, tmp_path):
     assert json.loads(out)["moves"] > 100
 
 
+def test_equilibrate_log1p_diamond_n200_at_the_move_cap_matches_golden(capsys, tmp_path):
+    # stopped after 20 moves, short of an equilibrium: 3 path tuples and 3
+    # costs recur, interleaved, over the 200 players
+    _, after = build_priced_braess(200, PriceSpec("log1p"))
+    scenario = tmp_path / "diamond200.json"
+    scenario.write_text(serialize_scenario(after))
+    argv = ["equilibrate", str(scenario), "--seed", "7", "--max-moves", "20"]
+    assert main([*argv, "--format", "json"]) == 1
+    out = capsys.readouterr().out.encode()
+    assert out == (DATA / "diamond200-log1p-seed7-moves20.json").read_bytes()
+    report = json.loads(out)
+    assert report["moves"] == 20 and not report["converged"]
+    assert len(set(map(tuple, report["final_profile"].values()))) == 3
+    assert len(set(report["player_unit_costs"].values())) == 3
+
+
 def test_equilibrate_grid_matches_golden(capsys):
     out = _equilibrate_stdout(capsys, DATA / "grid6.json")
     assert out == (DATA / "grid6-seed7.json").read_text()

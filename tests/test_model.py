@@ -93,13 +93,26 @@ _JSON_TREES = st.recursive(
     | st.dictionaries(_JSON_KEYS, kids),
     max_leaves=40,
 )
-# containers of one scalar type, which the writer hands to C functions whole
+# one object n times, as a list, a tuple and every value of a dict
+_REPEATED_ITEM = st.sampled_from(_SPECIAL_FLOATS) | st.floats() | _JSON_TREES
+_JSON_REPEATS = st.one_of(
+    st.builds(lambda x, n: [x] * n, _REPEATED_ITEM, st.integers(0, 30)),
+    st.builds(lambda x, n: (x,) * n, _REPEATED_ITEM, st.integers(0, 30)),
+    st.builds(dict.fromkeys, st.lists(_JSON_KEYS, max_size=30), _REPEATED_ITEM),
+)
+# containers of one scalar type, which the writer hands to C functions whole,
+# and containers that repeat their items, which it writes once each
 _JSON_FLAT = st.one_of(
     st.lists(st.floats(allow_subnormal=True) | st.sampled_from(_SPECIAL_FLOATS)),
     st.dictionaries(_JSON_KEYS, st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
     st.lists(st.text() | st.sampled_from(_SPECIAL_TEXT)).map(tuple),
     st.dictionaries(_JSON_KEYS, st.text()),
     st.dictionaries(_JSON_KEYS, st.lists(st.text()) | st.lists(st.floats())),
+    _JSON_REPEATS,
+    st.lists(_JSON_REPEATS, max_size=12),
+    st.lists(
+        st.sampled_from(_SPECIAL_FLOATS + _SPECIAL_TEXT + [None, True, 0]), max_size=40
+    ),
 )
 
 
@@ -114,6 +127,46 @@ def test_json_text_writes_each_occurrence_of_a_shared_object():
     inner = {"p": path, "q": [path, costs]}
     obj = {"u1": path, "u2": path, "u3": [inner, inner, path], "u4": costs, "u5": inner}
     assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def _assert_json_dumps_bytes(obj):
+    assert json_text(obj).encode() == json.dumps(obj, indent=2).encode()
+
+
+# lengths on both sides of the longest container written without looking for
+# repeated items
+_COUNTS = [1, 2, model._SHORT, model._SHORT + 1, 200]
+
+
+@pytest.mark.parametrize("x", [-0.0, math.nan, math.inf, -math.inf, 5e-324])
+@pytest.mark.parametrize("n", _COUNTS)
+def test_json_text_writes_one_float_object_n_times(x, n):
+    _assert_json_dumps_bytes([x] * n)
+    _assert_json_dumps_bytes((x,) * n)
+    _assert_json_dumps_bytes({f"u{i}": x for i in range(n)})
+    _assert_json_dumps_bytes([x] * n + [1.5, x, "s"])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [("sv", "vw", "wt"), ["s", 1, -0.0, None, [math.inf]], {"k": (1.5, True), "j": {}}],
+)
+@pytest.mark.parametrize("n", _COUNTS)
+def test_json_text_writes_one_container_object_n_times(x, n):
+    _assert_json_dumps_bytes([x] * n)
+    _assert_json_dumps_bytes({f"u{i}": x for i in range(n)})
+    _assert_json_dumps_bytes({"outer": [x, {"inner": x}] * n})
+
+
+@pytest.mark.parametrize("n", _COUNTS)
+def test_json_text_tells_equal_but_distinct_zeros_apart(n):
+    # 0.0 == -0.0: objects that are equal but distinct each get their own text
+    zeros = [float(text) for text in ["0.0", "-0.0"] * n]
+    assert len(set(map(id, zeros))) == len(zeros)
+    _assert_json_dumps_bytes({f"p{i}": z for i, z in enumerate(zeros)})
+    plus, minus = zeros[:2]
+    _assert_json_dumps_bytes({f"p{i}": [plus, minus][i % 2] for i in range(2 * n)})
+    _assert_json_dumps_bytes([plus] * n + [minus] + [float("0.0")] * n)
 
 
 def _doc_with_edge(**overrides):
