@@ -17,6 +17,7 @@ from .model import (
     EdgeSpec,
     GameInstance,
     NotConvergedError,
+    exact_sum,
     mixing_violations,
     prepare,
 )
@@ -25,9 +26,9 @@ from .pricing import PriceSpec, ZERO_PRICE
 
 @dataclass(frozen=True)
 class BraessReport:
-    before_cost: float            # worst-equilibrium per-unit cost, shortcut absent
-    after_cost: float             # worst-equilibrium per-unit cost, shortcut present
-    rho: float                    # after / before
+    before_cost: float   # worst-equilibrium social cost per unit of demand, no shortcut
+    after_cost: float    # the same with the shortcut
+    rho: float           # after / before
     n_players: int
 
 
@@ -90,10 +91,7 @@ def build_classic_braess(
     n even players of demand 1/n each; the half-split equilibrium costs 3/2 per
     unit, the post-shortcut equilibrium costs 2. With a `cap`, a diamond the
     oracle would refuse is refused before it is built."""
-    _check_n(n)
-    _check_cap(n, cap)
-    variable = (ZERO_PRICE, 1.0, 0.0)
-    return _diamonds(variable, n)
+    return build_priced_braess(n, ZERO_PRICE, 1.0, 0.0, cap=cap)
 
 
 def build_priced_braess(
@@ -117,17 +115,16 @@ def build_priced_braess(
     return _diamonds(variable, n)
 
 
-def _worst_equilibrium_unit_cost(
+def _worst_equilibrium_cost(
     instance: GameInstance,
     method: str,
     cap: int,
     eps_improve: float,
     max_moves: int,
 ) -> float:
-    """Max per-player unit cost at the worst equilibrium (by social cost)."""
+    """Social cost of the worst equilibrium over the total demand."""
     if method == "oracle":
-        worst, _, _ = oracle.worst_equilibrium(instance, cap, eps_improve)
-        costs = engine.profile_costs(instance, worst)
+        _, cost, _ = oracle.worst_equilibrium(instance, cap, eps_improve)
     elif method == "dynamics":
         initial = engine.StrategyProfile((0,) * len(instance.commodities))
         result = engine.run_best_response_dynamics(
@@ -139,10 +136,10 @@ def _worst_equilibrium_unit_cost(
             raise NotConvergedError(
                 f"dynamics did not converge within {max_moves} moves"
             )
-        costs = result.costs
+        cost = result.costs.social_cost
     else:
         raise ValueError(f"unknown method {method!r}")
-    return max(costs.unit_costs)
+    return cost / exact_sum(c.demand for c in instance.commodities)
 
 
 def edge_addition_experiment(
@@ -153,7 +150,8 @@ def edge_addition_experiment(
     eps_improve: float = engine.DEFAULT_EPS_IMPROVE,
     max_moves: int = engine.DEFAULT_MAX_MOVES,
 ) -> BraessReport:
-    """Compare worst-equilibrium unit costs before and after an edge addition.
+    """Compare worst-equilibrium social costs per unit of demand before and
+    after an edge addition; `rho` is their ratio.
 
     method="oracle" uses exhaustive search (true worst equilibrium);
     method="dynamics" samples one equilibrium via best-response dynamics."""
@@ -161,12 +159,8 @@ def edge_addition_experiment(
         raise ValueError("instances do not share commodities")
     if not before.commodities:
         raise ValueError("instances have no commodities")
-    before_cost = _worst_equilibrium_unit_cost(
-        before, method, cap, eps_improve, max_moves
-    )
-    after_cost = _worst_equilibrium_unit_cost(
-        after, method, cap, eps_improve, max_moves
-    )
+    before_cost = _worst_equilibrium_cost(before, method, cap, eps_improve, max_moves)
+    after_cost = _worst_equilibrium_cost(after, method, cap, eps_improve, max_moves)
     return BraessReport(
         before_cost=before_cost,
         after_cost=after_cost,

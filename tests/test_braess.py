@@ -7,13 +7,21 @@ from pathlib import Path
 
 import pytest
 
+from routegame import engine, oracle
 from routegame.braess import (
     build_classic_braess,
     build_priced_braess,
     edge_addition_experiment,
     rho_formula,
 )
-from routegame.model import mixing_violations, serialize_scenario, validate_instance
+from routegame.model import (
+    GameInstance,
+    exact_sum,
+    mixing_violations,
+    prepare,
+    serialize_scenario,
+    validate_instance,
+)
 from routegame.pricing import PriceSpec, eval_u
 
 FAMILIES = [
@@ -158,6 +166,35 @@ def test_dynamics_method_on_classic(classic_pair_10):
     # dynamics samples one equilibrium per instance; before is the half-split
     assert report.before_cost == pytest.approx(1.5, abs=1e-12)
     assert report.rho >= 1.0
+    # after is the social cost where the run from the all-zero profile stops,
+    # over the total demand: an equilibrium, not the worst one, where nine
+    # players pay 1.9 and one, held by ties, pays 2.0
+    result = engine.run_best_response_dynamics(
+        after, engine.StrategyProfile((0,) * 10), engine.DynamicsConfig()
+    )
+    total = exact_sum(c.demand for c in after.commodities)
+    assert result.converged
+    assert report.after_cost.hex() == (result.costs.social_cost / total).hex()
+    assert sorted(result.costs.unit_costs) == pytest.approx([1.9] * 9 + [2.0])
+
+
+def test_costs_are_worst_social_cost_per_unit_of_demand():
+    # two players of demand 1/4 and 3/4 on the priced log1p diamond pay
+    # different unit costs at the worst equilibrium, so its largest unit cost
+    # (rho 1.0826605449488922) is not its social cost per unit of demand
+    pair = []
+    for instance in build_priced_braess(2, PriceSpec("log1p")):
+        players = tuple(
+            replace(c, demand=r) for c, r in zip(instance.commodities, (0.25, 0.75))
+        )
+        pair.append(prepare(GameInstance(instance.nodes, instance.edges, players)))
+    before, after = pair
+    report = edge_addition_experiment(before, after)
+    total = exact_sum(c.demand for c in before.commodities)
+    for cost, instance in ((report.before_cost, before), (report.after_cost, after)):
+        _, worst, _ = oracle.worst_equilibrium(instance)
+        assert cost.hex() == (worst / total).hex()
+    assert report.rho == 1.0462941550574314
 
 
 def test_mismatched_commodities_rejected(classic_pair_10, classic_pair_2):
