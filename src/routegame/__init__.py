@@ -13,7 +13,7 @@ _EXPORTS = {
         "braess": "BraessReport build_classic_braess build_priced_braess"
         " edge_addition_experiment rho_formula",
         "engine": "DynamicsConfig DynamicsResult ProfileCosts StrategyProfile"
-        " profile_costs run_best_response_dynamics",
+        " run_best_response_dynamics",
         "model": "Commodity EdgeSpec GameInstance PathEnumerationError ScenarioError"
         " enumerate_paths parse_scenario prepare profile_count serialize_scenario"
         " validate_instance",

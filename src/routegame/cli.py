@@ -253,12 +253,16 @@ def cmd_braess(args: argparse.Namespace) -> int:
         "after_cost": report.after_cost,
         "rho": report.rho,
     }
-    # the closed form of the diamond built here: 4/3 unpriced, rho(u(1/n)) priced
-    if args.variant == "classic":
+    # the closed form of the worst equilibrium of the diamond built here: 4/3
+    # unpriced, rho(u(1/n)) priced; the dynamics need not reach that
+    # equilibrium, so only the oracle's report prints it
+    oracle = args.method == "oracle"
+    if args.variant == "classic" and oracle:
         out["formula_rho"] = braess.rho_formula(0.0, 1.0, 0.0)
     elif args.variant == "priced":
-        u = eval_u(spec, 1.0 / args.n)
-        out["formula_rho"] = braess.rho_formula(u, args.c1, args.c2)
+        if oracle:
+            u = eval_u(spec, 1.0 / args.n)
+            out["formula_rho"] = braess.rho_formula(u, args.c1, args.c2)
         out["price_family"] = spec.fn
     _emit(out, args.format)
     return 0

@@ -8,9 +8,7 @@ which makes every strict best-response move a strict potential descent.
 Every function here is a view over the instance's compiled table
 (`GameInstance.compiled`): edge indices per (commodity, path), and the
 load-free unit price c2 * u(r) and potential term per (commodity, edge), each
-evaluated once per class of identical commodities. `profile_costs` reports
-every player's unit cost and the social cost from one set of loads, costing
-each (class, path) once by `CompiledGame.path_cost`. With E edges and a
+evaluated once per class of identical commodities. With E edges and a
 player's P paths of at most L edges, one best response by the scan costs
 O(E + P * L) and evaluates no price; a strategy set that `prepare` counts
 (more than `model.SEARCH_CROSSOVER` edge slots per edge of its acyclic graph)
@@ -18,15 +16,15 @@ is searched instead, in time that grows with its graph, not with P
 (`CompiledGame.best_move`). Between two moves the dynamics compute a best
 response once per (class, current path), since a player's move costs read
 only its class's rows and the loads; at the move cap, `CompiledGame.stable`
-checks each (class, current path) once. A move updates the loads of only the
-edges the mover leaves or joins: in O(1) each from
-`CompiledGame.repeated_sums` when every player has the same demand, otherwise
-by re-summing each edge's users in player order (O(N) each, in C, for N
-players). When the run ends it reports the final profile's costs from its own
-loads, which equal a rebuild bit for bit, so it neither checks the profile
-again nor re-sums a load: each (class, path) group is costed once, by the
-helper `profile_costs` uses, and the potential is summed once, in O(E + N),
-with each group's own term summed once.
+checks each (class, current path) once. When every player has the same
+demand, a move updates the loads of only the edges the mover leaves or joins,
+in O(1) each from `CompiledGame.repeated_sums`; otherwise it sums every load
+again with `_loads`, in O(N * L) for N players. When the run ends it reports
+the final profile's costs from its own loads, which equal a rebuild bit for
+bit, so it neither checks the profile again nor re-sums a load: each player's
+unit cost (`CompiledGame.path_cost`) and the social cost are costed once per
+(class, path) group, and the potential is summed once, in O(E + N), with each
+group's own term summed once.
 
 Loads are summed from 0.0 in player order, as in the original dict-based
 engine. Every deviation is decided by `CompiledGame.best_move`, which the
@@ -42,12 +40,10 @@ social-cost expression, which the oracle's scan evaluates too.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import add, ge, getitem
+from operator import ge, getitem
 from typing import NamedTuple, Optional, Sequence
 
 from .model import (
@@ -90,57 +86,53 @@ def _check_profile(instance: GameInstance, profile: StrategyProfile) -> Compiled
     return g
 
 
+def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
+    """Each edge's load under a profile, by edge number: its users' demands
+    summed from 0.0 in player order."""
+    f = [0.0] * len(g.c1)
+    for i, c in enumerate(choice):
+        r = g.demand[i]
+        for k in g.paths[i][c]:
+            f[k] += r
+    return f
+
+
 class _Flow:
-    """The number of users of each edge under a profile, and their loads.
+    """A profile and the loads of the edges under it, kept as players move.
 
     Loads are summed from 0.0 in player order, so each float equals that of a
     rebuild from scratch. When every player has the same demand, an edge's load
-    depends only on its number of users and is read from
-    `CompiledGame.repeated_sums`. Otherwise the flow keeps each edge's users in
-    player order, and a move re-sums the loads of the edges the mover leaves or
-    joins.
+    depends only on its number of users: the flow counts them and reads the
+    load from `CompiledGame.repeated_sums`, so a move touches only the edges
+    the mover leaves or joins. Otherwise a move sums every load again with
+    `_loads`.
     """
 
     def __init__(self, g: CompiledGame, choice: Sequence[int]):
-        n = len(g.c1)
         self.g = g
         self.sums = g.repeated_sums
-        self.users: list[list[int]] = [[] for _ in range(n)]
-        self.demands: list[list[float]] = [[] for _ in range(n)]
-        rows = list(map(getitem, g.paths, choice))
-        self.count = list(map(Counter(chain.from_iterable(rows)).__getitem__, range(n)))
-        if self.sums is not None:
-            self.loads = [self.sums[m] for m in self.count]
-        else:
-            for i, row in enumerate(rows):
-                for k in row:
-                    self.users[k].append(i)
-                    self.demands[k].append(g.demand[i])
+        self.choice = list(choice)
+        if self.sums is None:
             self.loads = _loads(g, choice)
-
-    def _edit(self, k: int, player: int, step: int) -> None:
-        """Take the player off edge k (step -1) or put it on (step 1)."""
-        self.count[k] += step
-        if self.sums is not None:
-            self.loads[k] = self.sums[self.count[k]]
-            return
-        users, demands = self.users[k], self.demands[k]
-        pos = bisect_left(users, player)
-        if step < 0:
-            del users[pos], demands[pos]
         else:
-            users.insert(pos, player)
-            demands.insert(pos, self.g.demand[player])
-        self.loads[k] = reduce(add, demands, 0.0)
+            rows = chain.from_iterable(map(getitem, g.paths, choice))
+            self.count = list(map(Counter(rows).__getitem__, range(len(g.c1))))
+            self.loads = [self.sums[m] for m in self.count]
 
     def move(self, player: int, old: int, new: int) -> None:
+        self.choice[player] = new
+        if self.sums is None:
+            self.loads = _loads(self.g, self.choice)
+            return
         old_path, new_path = self.g.paths[player][old], self.g.paths[player][new]
         for k in old_path:
             if k not in new_path:
-                self._edit(k, player, -1)
+                self.count[k] -= 1
+                self.loads[k] = self.sums[self.count[k]]
         for k in new_path:
             if k not in old_path:
-                self._edit(k, player, 1)
+                self.count[k] += 1
+                self.loads[k] = self.sums[self.count[k]]
 
 
 def _groups(
@@ -191,26 +183,6 @@ def _potential(
     return exact_sum(chain(edge_terms, map(own.__getitem__, keys)))
 
 
-def _loads(g: CompiledGame, choice: Sequence[int]) -> list[float]:
-    """Each edge's load under a profile, by edge number: its users' demands
-    summed from 0.0 in player order."""
-    f = [0.0] * len(g.c1)
-    for i, c in enumerate(choice):
-        r = g.demand[i]
-        for k in g.paths[i][c]:
-            f[k] += r
-    return f
-
-
-def profile_costs(instance: GameInstance, profile: StrategyProfile) -> ProfileCosts:
-    """Each player's per-unit cost on its chosen path (`CompiledGame.path_cost`)
-    and the social cost, from one set of loads. Each (class, path) of
-    `CompiledGame` is costed once: its players pay the same unit cost and have
-    the same load-free cost."""
-    g = _check_profile(instance, profile)
-    return _costs(g, *_groups(g, profile.choice), _loads(g, profile.choice))
-
-
 @dataclass(frozen=True)
 class DynamicsConfig:
     max_moves: int = DEFAULT_MAX_MOVES
@@ -234,7 +206,7 @@ class DynamicsResult:
     moves: tuple[Move, ...]
     potential: float   # the final profile's, summed once when the run ends
     converged: bool
-    # the final profile's, from the run's own loads: the bits of profile_costs
+    # the final profile's, from the run's own loads: a rebuild's bits
     costs: ProfileCosts
 
 
@@ -250,9 +222,9 @@ def run_best_response_dynamics(
     with a player is an equilibrium and the dynamics never converge."""
     g = _check_profile(instance, initial)
     eps = config.eps_improve
-    choice = list(initial.choice)
     moves: list[Move] = []
-    flow = _Flow(g, choice)
+    flow = _Flow(g, initial.choice)
+    choice = flow.choice  # the profile, which flow.move updates
     # best moves by (class, current path) since the last move: a player's
     # move costs read only its class's rows and the loads
     memo: dict[tuple[int, int], tuple[float, float, Optional[int]]] = {}
@@ -271,7 +243,6 @@ def run_best_response_dynamics(
             memo.clear()
             moves.append(Move(i, d, j, current - best))
             flow.move(i, d, j)
-            choice[i] = j
             moved = True
         if len(moves) >= config.max_moves or not moved:
             break

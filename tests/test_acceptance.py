@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from test_engine import potential
+from test_engine import potential, profile_costs
 from test_oracle import scan_equilibria, stable
 from routegame import engine, oracle
 from routegame.braess import (
@@ -21,7 +21,7 @@ from routegame.braess import (
     rho_formula,
 )
 from routegame.cli import main
-from routegame.engine import StrategyProfile, profile_costs
+from routegame.engine import StrategyProfile
 from routegame.pricing import PRICE_FAMILIES, PriceSpec, eval_F, eval_u
 from routegame.random_instances import random_affine_instance
 
@@ -111,7 +111,7 @@ def test_criterion_05_potential_deviation_identity():
                 tuple(rng.randrange(len(inst.paths[i])) for i in range(k))
             )
             phi = potential(inst, prof)
-            costs = engine.profile_costs(inst, prof).unit_costs
+            costs = profile_costs(inst, prof).unit_costs
             for i, cur in enumerate(prof.choice):
                 r = inst.commodities[i].demand
                 cur_cost = costs[i]
@@ -121,7 +121,7 @@ def test_criterion_05_potential_deviation_identity():
                     moved = StrategyProfile(
                         prof.choice[:i] + (j,) + prof.choice[i + 1:]
                     )
-                    new_cost = engine.profile_costs(inst, moved).unit_costs[i]
+                    new_cost = profile_costs(inst, moved).unit_costs[i]
                     delta_phi = potential(inst, moved) - phi
                     assert abs(delta_phi - 2.0 * r * (new_cost - cur_cost)) <= 1e-9
     _report("5 deviation identity", time.perf_counter() - t0, 30.0)

@@ -485,6 +485,21 @@ def test_braess_priced_cli(capsys):
     assert doc["price_family"] == "identity"
 
 
+@pytest.mark.parametrize("variant", [["classic"], ["priced", "--price", "identity"]])
+def test_only_an_oracle_braess_report_prints_the_closed_form(capsys, variant):
+    # the closed form is the worst equilibrium's, which the dynamics from the
+    # all-zero profile miss on the c2 = 0 diamond: 1.2733 against 4/3
+    argv = ["braess", *variant, "--n", "10"]
+    _, oracle, _ = run_json(capsys, *argv)
+    code, dynamics, _ = run_json(capsys, *argv, "--method", "dynamics")
+    assert code == 0
+    assert "formula_rho" in oracle and "formula_rho" not in dynamics
+    del oracle["formula_rho"]
+    assert list(dynamics) == list(oracle)
+    if variant == ["classic"]:
+        assert dynamics["rho"] < oracle["rho"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
 def test_braess_priced_c1_zero(capsys):
     code, doc, _ = run_json(
         capsys, "braess", "priced", "--n", "10", "--price", "identity",

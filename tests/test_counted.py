@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_model import _grid as _unit_grid
-from test_engine import potential
+from test_engine import potential, profile_costs
 from test_oracle import stable
 from test_search import EPS, _grid
 from routegame import cli, engine, model, oracle
@@ -174,7 +174,7 @@ def _engine_answers(inst, seed):
         for profile in (start, result.final):
             answers.append(stable(inst, profile, config.eps_improve))
             answers.append(potential(inst, profile))
-            answers.append(engine.profile_costs(inst, profile))
+            answers.append(profile_costs(inst, profile))
     return answers
 
 

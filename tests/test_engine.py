@@ -15,12 +15,7 @@ from test_oracle import stable
 from tie_rich import one_demand_instances, seeded_instances, tie_rich_instances
 from routegame import engine
 from routegame.braess import build_priced_braess
-from routegame.engine import (
-    DynamicsConfig,
-    StrategyProfile,
-    profile_costs,
-    run_best_response_dynamics,
-)
+from routegame.engine import DynamicsConfig, StrategyProfile, run_best_response_dynamics
 from routegame import model
 from routegame.model import Commodity, EdgeSpec, GameInstance, exact_sum, prepare
 from routegame.pricing import PriceDomainError, PriceSpec, eval_u
@@ -48,6 +43,13 @@ def loads_by_id(inst, prof):
     """Each edge's load under the profile, by edge id."""
     f = engine._loads(inst.compiled, prof.choice)
     return {e.id: f[k] for k, e in enumerate(inst.edges)}
+
+
+def profile_costs(inst, prof):
+    """Each player's unit cost on its chosen path and the social cost, costed
+    by the engine from loads summed afresh; the profile is checked first."""
+    g = engine._check_profile(inst, prof)
+    return engine._costs(g, *engine._groups(g, prof.choice), engine._loads(g, prof.choice))
 
 
 def unit_cost(inst, prof, i):
@@ -373,20 +375,19 @@ def test_negative_move_cap_is_rejected():
         DynamicsConfig(max_moves=-1)
 
 
-@pytest.mark.parametrize("entry", [profile_costs, run_best_response_dynamics])
-def test_a_profile_is_checked_against_a_prepared_instance(entry):
+def test_a_profile_is_checked_against_a_prepared_instance():
     inst = GameInstance(
         ("a", "b"),
         (EdgeSpec("ab", "a", "b", 1.0, 0.0),),
         (Commodity("x", "a", "b", 1.0),),
     )
     with pytest.raises(ValueError, match=r"no enumerated paths; call prepare\(\) first"):
-        entry(inst, StrategyProfile((0,)))
+        run_best_response_dynamics(inst, StrategyProfile((0,)))
     inst = prepare(inst)
     with pytest.raises(ValueError, match="profile length"):
-        entry(inst, StrategyProfile((0, 0)))
+        run_best_response_dynamics(inst, StrategyProfile((0, 0)))
     with pytest.raises(ValueError, match="path index 1 out of range"):
-        entry(inst, StrategyProfile((1,)))
+        run_best_response_dynamics(inst, StrategyProfile((1,)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -618,11 +619,9 @@ def test_a_profile_off_the_strategy_sets_is_refused():
     for choice, first in [((0, 2, 5), "path index 2 out of range for commodity 1"),
                           ((0, 1, 2), "path index 2 out of range for commodity 2")]:
         with pytest.raises(ValueError, match=first):
-            profile_costs(inst, StrategyProfile(choice))
-        with pytest.raises(ValueError, match=first):
             run_best_response_dynamics(inst, StrategyProfile(choice))
     with pytest.raises(ValueError, match="does not match"):
-        profile_costs(inst, StrategyProfile((0, 1)))
+        run_best_response_dynamics(inst, StrategyProfile((0, 1)))
 
 
 def _hexes(costs):

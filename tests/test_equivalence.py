@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_costs import ExactCosts
-from test_engine import potential
+from test_engine import potential, profile_costs
 from test_oracle import stable
 from tie_rich import one_demand_instances, tie_rich_instances
 from routegame import engine
@@ -79,7 +79,7 @@ def test_engine_views_match_exact_model_bit_for_bit(seed):
             assert g.path_cost(i, g.paths[i][j], loads) == exact.unit_path_cost(
                 i, path, exact_loads
             )
-    social_cost = engine.profile_costs(inst, prof).social_cost
+    social_cost = profile_costs(inst, prof).social_cost
     assert social_cost == exact.social_cost(prof.choice)
     assert potential(inst, prof) == exact.potential(prof.choice)
     _assert_moves_follow_move_costs(inst, prof, eps)  # and the players' costs
@@ -113,7 +113,7 @@ def test_class_rows_and_one_flow_report_match_per_commodity_evaluation(inst, see
     rng = random.Random(seed)
     for _ in range(5):
         prof = _random_profile(rng, inst)
-        costs = engine.profile_costs(inst, prof)
+        costs = profile_costs(inst, prof)
         loads = engine._loads(g, prof.choice)
         exact = ExactCosts(inst)
         exact_loads = exact.loads(prof.choice)
@@ -131,7 +131,7 @@ def _assert_moves_follow_move_costs(inst, prof, eps):
     exact = ExactCosts(inst)
     moves = [exact.move_costs(i, prof.choice) for i in range(len(prof.choice))]
     costs = tuple(m[c] for m, c in zip(moves, prof.choice))
-    assert engine.profile_costs(inst, prof).unit_costs == costs
+    assert profile_costs(inst, prof).unit_costs == costs
     assert stable(inst, prof, eps) == all(c - min(m) <= eps for m, c in zip(moves, costs))
     g = inst.compiled
     f = engine._loads(g, prof.choice)
@@ -312,6 +312,19 @@ def test_equilibrate_log1p_diamond_n200_matches_golden(capsys, tmp_path):
     out = _equilibrate_stdout(capsys, scenario)
     assert out == (DATA / "diamond200-log1p-seed7.json").read_text()
     assert json.loads(out)["moves"] > 100
+
+
+def test_equilibrate_log1p_diamond_with_distinct_demands_matches_golden(capsys):
+    # 40 players of 40 demands drawn from random.Random(40), so every move
+    # sums the loads again; the run ends with all three paths in use
+    scenario = DATA / "diamond40-log1p-demands.json"
+    demands = [c["demand"] for c in json.loads(scenario.read_text())["commodities"]]
+    assert len(set(demands)) == len(demands) == 40
+    out = _equilibrate_stdout(capsys, scenario)
+    assert out == (DATA / "diamond40-log1p-demands-seed7.json").read_text()
+    report = json.loads(out)
+    assert report["moves"] > 20
+    assert len(set(map(tuple, report["final_profile"].values()))) == 3
 
 
 def test_equilibrate_log1p_diamond_n200_at_the_move_cap_matches_golden(capsys, tmp_path):

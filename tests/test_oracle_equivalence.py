@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 import exact_costs
 from exact_costs import ExactCosts
+from test_engine import profile_costs
 from test_oracle import scan_equilibria, scan_optimum, stable
 from tie_rich import repeated, seeded_instances, tie_rich_instances
 from routegame import oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
-from routegame.engine import StrategyProfile, profile_costs
+from routegame.engine import StrategyProfile
 from routegame.model import (
     Commodity,
     CostOverflowError,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine import profile_costs
 from routegame import engine, oracle
 from routegame.braess import build_classic_braess
 from routegame.cli import main
@@ -28,7 +29,7 @@ def test_engine_cost_of_oracle_profiles_is_the_reported_cost(seed):
     equilibria, report = oracle.equilibria_and_poa(inst, eps_improve=eps)
 
     def cost(p):
-        return engine.profile_costs(inst, p).social_cost
+        return profile_costs(inst, p).social_cost
 
     assert cost(report.optimal_profile) == report.optimal_cost
     worst = cost(report.worst_equilibrium_profile)
