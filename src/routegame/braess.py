@@ -132,6 +132,14 @@ def _worst_equilibrium_cost(
             initial,
             engine.DynamicsConfig(max_moves=max_moves, eps_improve=eps_improve),
         )
+        made = len(result.moves)
+        if not result.converged and made < max_moves:
+            # the run stopped short of the cap: staying put counts as an
+            # improvement, so no profile passes the equilibrium check
+            raise NotConvergedError(
+                f"dynamics stopped after {made} move{'' if made == 1 else 's'}:"
+                f" no profile is an equilibrium at a negative epsilon ({eps_improve})"
+            )
         if not result.converged:
             raise NotConvergedError(
                 f"dynamics did not converge within {max_moves} moves"

@@ -150,8 +150,9 @@ class CompiledGame:
     of their own: the social cost of a profile (`social_cost`), the rule by
     which a player improves by switching paths (`best_move`): the edges of its
     current path d at their load f, every other edge at f + r, each path's
-    edge costs summed from 0.0 in path order; and the equilibrium test on it
-    (`stable`).
+    edge costs summed from 0.0 in path order; the equilibrium test on it
+    (`stable`); and, where every player has the same demand, that rule's edge
+    costs by user count (`costs_by_count`).
     """
 
     def __init__(self, instance: GameInstance):
@@ -160,6 +161,17 @@ class CompiledGame:
         self.a = tuple(e.a for e in edges)
         self.b = tuple(e.b for e in edges)
         self.demand = tuple(c.demand for c in instance.commodities)
+        #: when every commodity has the same demand r, S[k] = 0.0 + r + ... + r
+        #: with k terms, for k = 0 .. N: the load of an edge with k users,
+        #: whichever players they are; None when two demands differ. Set here,
+        #: not on first use: a cached_property writes the instance's __dict__,
+        #: after which CPython 3.11 reads every attribute of the instance
+        #: (`best_move`'s tables included) 2-3x slower
+        r = self.demand[0] if self.demand else 0.0
+        self.repeated_sums: Optional[tuple[float, ...]] = (
+            None if any(d != r for d in self.demand)
+            else tuple(accumulate(repeat(r, len(self.demand)), initial=0.0))
+        )
         #: per edge: the slope c1 * a of its congestion cost
         self.slope = tuple(e.c1 * e.a for e in edges)
         #: the edges whose slope term in a social cost can be other than +0.0:
@@ -247,16 +259,6 @@ class CompiledGame:
             own[k] = e.c1 * (e.a * r + e.b) * r + 2.0 * e.c2 * u * r
         return price, own
 
-    @cached_property
-    def repeated_sums(self) -> Optional[tuple[float, ...]]:
-        """When every commodity has the same demand r, S[k] = 0.0 + r + ... + r
-        with k terms, for k = 0 .. N: the load of an edge with k users,
-        whichever players they are. None when two demands differ."""
-        r = self.demand[0] if self.demand else 0.0
-        if any(d != r for d in self.demand):
-            return None
-        return tuple(accumulate(repeat(r, len(self.demand)), initial=0.0))
-
     def load_free_cost(self, i: int, j: int) -> float:
         """Player i's load-free cost on path j: its demand times the exact sum
         of the path's edges' c2 * u(r) and c1 * b, correctly rounded."""
@@ -302,6 +304,23 @@ class CompiledGame:
             cost[k] = c1[k] * (a[k] * loads[k] + b[k]) + price[k]
         return cost
 
+    def costs_by_count(self, i: int) -> list[Optional[list[float]]]:
+        """When every player has the same demand r, player i's per-unit cost of
+        each edge k on its paths by the edge's user count m, for m = 0 .. N + 1:
+        c1 * (a * S[m] + b) + c2 * u(r), with S = `repeated_sums` and S[N + 1] =
+        S[N] + r; None on the rest. At a profile with m users on edge k, a move
+        from path d sees k at entry m if k is on d and at entry m + 1 otherwise:
+        the floats of `edge_costs`, since S[m] + r is S[m + 1] by construction."""
+        sums = self.repeated_sums
+        r, price = self.demand[i], self.unit_price[i]
+        x = (*sums, sums[-1] + r)
+        c1, a, b = self.c1, self.a, self.b
+        tables: list[Optional[list[float]]] = [None] * len(c1)
+        for k in self.edges_of[i]:
+            ck, ak, bk, pk = c1[k], a[k], b[k], price[k]
+            tables[k] = [ck * (ak * f + bk) + pk for f in x]
+        return tables
+
     def best_move(
         self, i: int, d: int, loads: Sequence[float], eps: float
     ) -> tuple[float, float, Optional[int]]:
@@ -315,7 +334,10 @@ class CompiledGame:
 
         The strategy sets that `prepare` counts (`CountedSet`) are searched
         on their graph (`search.PathSearch`) wherever every edge cost is >= 0
-        and their sum finite. All others are scanned: every path is costed."""
+        and their sum finite. All others are scanned: every path is costed.
+        When every player has the same demand, the oracle reads the same edge
+        costs from `costs_by_count` by the edges' user counts, and sums and
+        compares the path costs as here."""
         cost = self.edge_costs(i, d, loads)
         search = self.search[i]
         if search is not None:

@@ -21,6 +21,20 @@ decided by `CompiledGame.stable`, on the engine's own deviation rule, once per
 (run, used path), and an equilibrium counts its number of profiles, the
 product of the runs' multinomials.
 
+When every player has the same demand r and every strategy set is listed (none
+is searched), the scan counts users instead of summing loads. A state then
+carries each edge's user count u, and every float of the deviation rule comes
+from a table per (run, edge on the run's paths), built once per scan:
+T[m] = c1 * (a * S[m] + b) + c2 * u(r) for m = 0 .. N + 1, with S[m] the load
+of m users (`CompiledGame.costs_by_count`). A player on path d sees each edge
+of d at T[u] and every other edge at T[u + 1], the floats `best_move` computes
+from the loads, since S[u] + r is S[u + 1] by construction. Path costs are
+summed from 0.0 in path order, and a state is no equilibrium when some (run,
+used path) d costs more than eps above the least, as `stable` decides. One
+row of every edge at T[u + 1] is made per run and state, then copied per used
+path with the path's own edges overwritten: O(E + P * L) per (run, used path).
+The loads S[u] are made only where a social cost is needed.
+
 Social costs are `CompiledGame.social_cost`, as in the engine: the exact sum
 of the terms, each used path's load-free term repeated by its count (in O(1),
 `_Multiples`), correctly rounded, so every profile of a state has the state's
@@ -37,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, product, repeat
+from operator import getitem
 from typing import Iterator, Optional, Sequence
 
 from .engine import StrategyProfile
@@ -180,7 +195,10 @@ class _Multiples(dict):
 
 
 class _Indexed:
-    """The state scan's tables, one entry per run; loads are by edge number."""
+    """The state scan's tables, one entry per run; loads are by edge number.
+    A state's level is its loads or, where the scan counts users (`tables` is
+    not None), its per-edge user counts, from which `loads` and `stable`
+    read."""
 
     def __init__(self, instance: GameInstance):
         g = self.g = instance.compiled
@@ -201,6 +219,17 @@ class _Indexed:
             [_Multiples({1: [g.load_free_cost(lo, d)]}) for d in range(len(paths))]
             for (lo, _), paths in zip(self.spans, self.paths)
         ]
+        #: per run, where the scan counts users: each edge's cost by its user
+        #: count m (`CompiledGame.costs_by_count`), at m and shifted to m + 1,
+        #: with a zero table for the edges on none of the run's paths
+        self.tables: Optional[list[tuple[list, list]]] = None
+        self.sums = g.repeated_sums
+        if self.sums is not None and all(s is None for s in g.search):
+            zero = [0.0] * (len(self.sums) + 1)
+            self.tables = []
+            for lo, _ in self.spans:
+                on = [zero if t is None else t for t in g.costs_by_count(lo)]
+                self.tables.append((on, [t[1:] for t in on]))
 
     def social_cost(self, state: State, f: list[float]) -> float:
         """`CompiledGame.social_cost` of the state's profiles, by `_Multiples`."""
@@ -210,21 +239,57 @@ class _Indexed:
                 terms += multiples[d][c]
         return self.g.social_cost(f, terms)
 
-    def states(self) -> Iterator[tuple[State, list[float]]]:
-        """Every state with its loads, in canonical-profile index order, the
-        state's lists changed in place. levels[j] holds the loads of runs
-        0..j-1, so advancing run j rebuilds levels j+1.. only."""
+    def loads(self, level: list) -> list[float]:
+        """A state's loads from its `states` level: the loads themselves, or,
+        where the scan counts users, the loads of its user counts."""
+        return level if self.tables is None else list(map(self.sums.__getitem__, level))
+
+    def stable(self, state: State, level: list, eps: float) -> bool:
+        """Whether the state's profiles are equilibria, asked of one player per
+        (run, used path), whose players share their rows: `CompiledGame.stable`
+        at the state's loads or, where the scan counts users, the same rule
+        read from `tables` at its user counts (see the module docstring)."""
+        if self.tables is None:
+            pairs = ((lo, d) for (lo, _), (used, _) in zip(self.spans, state) for d in used)
+            return self.g.stable(pairs, level, eps)
+        for (on, moved), paths, (used, _) in zip(self.tables, self.paths, state):
+            row = list(map(getitem, moved, level))  # one row per run and state
+            for d in used:
+                cost = row.copy()
+                for k in paths[d]:
+                    cost[k] = on[k][level[k]]
+                costs = []
+                for path in paths:
+                    total = 0.0
+                    for k in path:
+                        total += cost[k]
+                    costs.append(total)
+                if costs[d] - min(costs) > eps:
+                    return False
+        return True
+
+    def states(self) -> Iterator[tuple[State, list]]:
+        """Every state in canonical-profile index order, the state's lists
+        changed in place, with its per-edge user counts where the scan counts
+        users and its loads otherwise. levels[j] holds those of runs 0..j-1,
+        so advancing run j rebuilds levels j+1.. only."""
         demand, paths_of = self.demand, self.paths
         sizes = [hi - lo for lo, hi in self.spans]
         k, n_edges = len(sizes), len(self.g.c1)
+        counting = self.tables is not None
         sums = list(accumulate(repeat(demand[0], sizes[0]), initial=0.0)) if k else []
         state = [([0], [m]) for m in sizes]
-        levels = [[0.0] * n_edges] + [[]] * k
+        levels = [[0] * n_edges if counting else [0.0] * n_edges] + [[]] * k
         i = 0
         while True:
             for j in range(i, k):
                 paths = paths_of[j]
-                if j:  # r once per user
+                if counting:  # users, by edge
+                    f = levels[j].copy()
+                    for d, c in zip(*state[j]):
+                        for e in paths[d]:
+                            f[e] += c
+                elif j:  # r once per user
                     f, r = levels[j].copy(), demand[j]
                     for d, c in zip(*state[j]):
                         for _ in range(c):
@@ -286,22 +351,20 @@ def _scan(
     equilibria only."""
     check_cap(profile_count(instance), cap)
     idx = _Indexed(instance)
-    stable, spans = idx.g.stable, idx.spans
+    stable, social_cost, loads, spans = idx.stable, idx.social_cost, idx.loads, idx.spans
     equilibrium_states: list[tuple[tuple[int, ...], float]] = []
     best = worst = None
     best_sc, worst_sc, count = math.inf, -math.inf, 0
-    for state, f in idx.states():
+    for state, level in idx.states():
         sc = None
         if optimum:
-            sc = idx.social_cost(state, f)
+            sc = social_cost(state, loads(level))
             if sc < best_sc or best is None:
                 best, best_sc = _canonical(state), sc
-        # one player per (run, used path): a run's players share their rows
-        pairs = ((lo, d) for (lo, _), (used, _) in zip(spans, state) for d in used)
-        if stable(pairs, f, eps_improve):
+        if stable(state, level, eps_improve):
             count += _ways(state)
             if sc is None:
-                sc = idx.social_cost(state, f)
+                sc = social_cost(state, loads(level))
             if keep:
                 equilibrium_states.append((_canonical(state), sc))
             if sc > worst_sc or worst is None:

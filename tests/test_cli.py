@@ -524,6 +524,21 @@ def test_braess_dynamics_short_of_equilibrium_is_a_domain_failure(capsys):
     assert err == "error: dynamics did not converge within 0 moves\n"
 
 
+def test_braess_dynamics_at_a_negative_epsilon_names_the_moves_made(capsys):
+    # no profile is an equilibrium at a negative epsilon, and the run stops
+    # after 2 moves on the diamond without the shortcut, far short of the cap
+    code, out, err = run(
+        capsys, "braess", "classic", "--n", "4", "--method", "dynamics",
+        "--epsilon", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: dynamics stopped after 2 moves: no profile is an equilibrium"
+        " at a negative epsilon (-1.0)\n"
+    )
+
+
 def test_braess_pair_without_commodities_is_usage_error(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"nodes": [], "edges": [], "commodities": []}')

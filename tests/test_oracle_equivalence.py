@@ -24,8 +24,8 @@ import exact_costs
 from exact_costs import ExactCosts
 from test_engine import profile_costs
 from test_oracle import scan_equilibria, scan_optimum, stable
-from tie_rich import repeated, seeded_instances, tie_rich_instances
-from routegame import oracle
+from tie_rich import one_demand_instances, repeated, seeded_instances, tie_rich_instances
+from routegame import engine, oracle
 from routegame.braess import build_classic_braess, build_priced_braess
 from routegame.cli import main
 from routegame.engine import StrategyProfile
@@ -294,6 +294,34 @@ def test_oracle_lists_exactly_the_engine_equilibria(inst):
     _assert_entry_points_match(inst, oracle.profile_count(inst))
 
 
+@settings(max_examples=300, deadline=None)
+@given(one_demand_instances())
+def test_equal_demand_instances_match_brute_force_bit_for_bit(inst):
+    # one demand for every commodity, over several endpoint pairs and runs,
+    # equal ones not adjacent included: the scan counts users
+    assert oracle._Indexed(inst).tables is not None
+    _assert_entry_points_match(inst, oracle.profile_count(inst))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(one_demand_instances(), one_demand_instances(snap=False)),
+    st.sampled_from([-1.0, 0.0, 1e-9, 0.25]),
+)
+def test_the_count_verdict_is_the_engine_rule_on_every_state(inst, eps):
+    # On every state the loads of its user counts are a rebuild's, and the
+    # verdict from the cost-by-count tables is `CompiledGame.stable` asked of
+    # every player of the state's canonical profile at those loads.
+    g = inst.compiled
+    idx = oracle._Indexed(inst)
+    assert idx.tables is not None
+    for state, users in idx.states():
+        choice = oracle._canonical(state)
+        loads = [g.repeated_sums[u] for u in users]
+        assert idx.loads(users) == loads == engine._loads(g, choice)
+        assert idx.stable(state, users, eps) == g.stable(enumerate(choice), loads, eps)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("price", PRICE_FAMILIES)
 def test_oracle_lists_exactly_the_engine_equilibria_on_diamonds(n, price):
@@ -368,6 +396,14 @@ def test_classic_n4_enumerate_matches_golden(capsys, tmp_path):
     scenario.write_text(serialize_scenario(after))
     out = _stdout(capsys, ["enumerate", str(scenario)])
     assert out == (DATA / "classic4-after-enumerate.json").read_text()
+
+
+def test_two_endpoint_pairs_enumerate_matches_golden(capsys):
+    # three players s->t and two s->u of demand 0.5 share the edges sv, sw
+    # and vw, in the runs (p1, p2), (q1, q2) and (p3): the scan counts users
+    # over several runs, and the report is the golden's bytes
+    out = _stdout(capsys, ["enumerate", str(DATA / "two-pairs5.json")])
+    assert out == (DATA / "two-pairs5-enumerate.json").read_text()
 
 
 def test_braess_priced_sin_n10_matches_golden(capsys):

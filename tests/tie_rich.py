@@ -5,7 +5,7 @@ paths (almost) never cost the same and two demands are never equal; rounding
 faults that only show on a tie go unseen. `tie_rich_instances` snaps its
 numbers to multiples of 1/4, and `repeated` adds equal commodities.
 `one_demand_instances` gives every commodity the same demand, so the loads
-come from `CompiledGame.repeated_sums`.
+come from `CompiledGame.repeated_sums` and the oracle scans user counts.
 """
 
 import dataclasses
@@ -81,11 +81,11 @@ def one_demand(inst, rng):
 @st.composite
 def seeded_instances(draw, snap=False, same_demand=False):
     """A `random_affine_instance`, snapped on request, with one demand for
-    every commodity on request (snapped, so inside every price domain), and
-    with repeated commodities half the time."""
+    every commodity on request (one of its demands, all of which are inside
+    every price domain), and with repeated commodities half the time."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     inst = random_affine_instance(rng)
-    if snap or same_demand:
+    if snap:
         inst = snapped(inst)
     if same_demand:
         inst = one_demand(inst, rng)
@@ -100,7 +100,8 @@ def tie_rich_instances():
     return seeded_instances(snap=True)
 
 
-def one_demand_instances():
-    """A snapped `random_affine_instance` whose commodities all have the same
-    demand, with repeated commodities half the time."""
-    return seeded_instances(same_demand=True)
+def one_demand_instances(snap=True):
+    """A `random_affine_instance`, snapped unless `snap` is False, whose
+    commodities all have the same demand, with repeated commodities half the
+    time."""
+    return seeded_instances(snap=snap, same_demand=True)
